@@ -70,9 +70,6 @@ class Clause:
     def without(self, literal: Lit) -> "Clause":
         return Clause(self.literals - {literal})
 
-    def with_literal(self, literal: Lit) -> "Clause":
-        return Clause(self.literals | {literal})
-
     def __contains__(self, literal: Lit) -> bool:
         return literal in self.literals
 
@@ -132,6 +129,16 @@ class CnfFormula:
 
     def __str__(self) -> str:
         return " & ".join(f"({c})" for c in self.sorted_clauses())
+
+
+def minimized(clauses: Iterable[Clause]) -> frozenset[Clause]:
+    """The clauses that no other clause of the collection subsumes."""
+    out: set[Clause] = set()
+    for c in sorted(clauses, key=Clause.sort_key):
+        if not any(o.subsumes(c) for o in out):
+            out -= {o for o in out if c.subsumes(o)}
+            out.add(c)
+    return frozenset(out)
 
 
 def formula(specs: Iterable[str | Clause]) -> CnfFormula:

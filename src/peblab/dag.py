@@ -222,12 +222,9 @@ def parse_dag(text: str) -> Dag:
             raise DagError(f"unknown vertex {a!r} in edge", line=lineno)
         if b not in declared:
             raise DagError(f"unknown vertex {b!r} in edge", line=lineno)
-    try:
-        return Dag(vertices, [(a, b) for a, b, _ in edges])
-    except DagError:
-        raise
     # Dag() re-checks duplicates/cycles/sink; location information for those
     # is whole-file, which its messages already convey.
+    return Dag(vertices, [(a, b) for a, b, _ in edges])
 
 
 def serialize_dag(g: Dag) -> str:

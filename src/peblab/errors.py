@@ -27,8 +27,8 @@ class PeblabError(Exception):
 
 
 class BudgetExceeded(PeblabError):
-    def __init__(self, visited, budget, what="search"):
-        super().__init__(f"{what} exceeded budget: {visited} nodes visited (budget {budget})")
+    def __init__(self, visited, budget, what="search", unit="nodes visited"):
+        super().__init__(f"{what} exceeded budget: {visited} {unit} (budget {budget})")
         self.visited = visited
         self.budget = budget
 

@@ -304,6 +304,7 @@ def to_dimacs(f_formula: CnfFormula) -> str:
 
 def from_dimacs(text: str) -> CnfFormula:
     names: dict[int, str] = {}
+    named_on: dict[str, int] = {}  # explicit name -> line of its `c var`
     nvars = nclauses = None
     clause_tokens: list[tuple[int, int]] = []  # (value, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -313,7 +314,14 @@ def from_dimacs(text: str) -> CnfFormula:
         if line.startswith("c"):
             fields = line.split()
             if len(fields) == 4 and fields[1] == "var" and fields[2].isdigit():
-                names[int(fields[2])] = fields[3]
+                name = fields[3]
+                if name in named_on:
+                    raise DimacsError(
+                        f"variable name {name!r} already given on line {named_on[name]}",
+                        line=lineno,
+                    )
+                names[int(fields[2])] = name
+                named_on[name] = lineno
             continue
         if line.startswith("p"):
             fields = line.split()
@@ -336,6 +344,11 @@ def from_dimacs(text: str) -> CnfFormula:
 
     if nvars is None:
         raise DimacsError("missing problem line")
+    for name, lineno in named_on.items():
+        i = int(name[1:]) if name[1:].isdecimal() else 0
+        if name == f"x{i}" and 0 < i <= nvars and i not in names:
+            raise DimacsError(f"variable name {name!r} is the default name of variable {i}",
+                              line=lineno)
 
     def name_of(i: int) -> str:
         return names.get(i, f"x{i}")

@@ -150,124 +150,53 @@ def greedy_black_strategy(g: Dag) -> BwPebbling:
 # -- optimal prices by exhaustive search ----------------------------------
 
 
-def _bit_index(g: Dag) -> dict[str, int]:
-    return {v: i for i, v in enumerate(g.topological_order())}
+def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
+    """A minimum-space complete pebbling, by iterative deepening BFS.
 
-
-def optimal_black_pebbling(g: Dag, budget=None) -> BwPebbling:
-    """A minimum-space complete black pebbling, by iterative deepening BFS."""
+    A state is one int, `black | white << n`, with bit i standing for the
+    i-th vertex in topological order; black-only states are the black
+    masks themselves.
+    """
     limit = search_budget(budget)
     order = g.topological_order()
-    bit = _bit_index(g)
-    pred_masks = {}
-    for v in order:
-        m = 0
-        for u in g.predecessors(v):
-            m |= 1 << bit[u]
-        pred_masks[v] = m
+    n = len(order)
+    bit = {v: i for i, v in enumerate(order)}
+    pred_masks = [sum(1 << bit[u] for u in g.predecessors(v)) for v in order]
     sink_bit = 1 << bit[g.sink]
+    black_mask = (1 << n) - 1
+    what = "black pebbling price search" if black_only else "black-white pebbling price search"
     visited_total = 0
 
-    for s in range(1, len(order) + 1):
-        parents: dict[int, tuple[int, int]] = {0: (-1, -1)}
+    for s in range(1, n + 1):
+        parents: dict[int, int | None] = {0: None}
         queue = deque([0])
         goal = None
         while queue:
             state = queue.popleft()
             visited_total += 1
             if visited_total > limit:
-                raise BudgetExceeded(visited_total, limit, "black pebbling price search")
-            if state & sink_bit:
-                goal = state
-                break
-            size = bin(state).count("1")
-            nxt = []
-            for v in order:  # removals first, then placements
-                b = 1 << bit[v]
-                if state & b:
-                    nxt.append(state & ~b)
-            if size < s:
-                for v in order:
-                    b = 1 << bit[v]
-                    if not state & b and state & pred_masks[v] == pred_masks[v]:
-                        nxt.append(state | b)
-            for new in nxt:
-                if new not in parents:
-                    parents[new] = (state, 0)
-                    queue.append(new)
-        if goal is None:
-            continue
-        path = []
-        state = goal
-        while state != -1:
-            path.append(state)
-            state = parents[state][0]
-        path.reverse()
-        # strip extra pebbles to end at exactly {sink}
-        tail = goal
-        for v in order:
-            b = 1 << bit[v]
-            if tail & b and b != sink_bit:
-                tail &= ~b
-                path.append(tail)
-        steps = tuple(
-            BwConfiguration(black=frozenset(v for v in order if st & (1 << bit[v])))
-            for st in path
-        )
-        return BwPebbling(host=g, steps=steps)
-    raise PeblabError("unreachable: every DAG admits a black pebbling")
-
-
-def optimal_black_price(g: Dag, budget=None) -> int:
-    """Peb(G): minimum space over all complete black pebblings; exact."""
-    return validate_bw(optimal_black_pebbling(g, budget), black_only=True).space
-
-
-def optimal_bw_pebbling(g: Dag, budget=None) -> BwPebbling:
-    """A minimum-space complete black-white pebbling."""
-    limit = search_budget(budget)
-    order = g.topological_order()
-    bit = _bit_index(g)
-    pred_masks = {}
-    for v in order:
-        m = 0
-        for u in g.predecessors(v):
-            m |= 1 << bit[u]
-        pred_masks[v] = m
-    sink_bit = 1 << bit[g.sink]
-    visited_total = 0
-
-    for s in range(1, len(order) + 1):
-        start = (0, 0)
-        parents: dict[tuple[int, int], tuple[int, int] | None] = {start: None}
-        queue = deque([start])
-        goal = None
-        while queue:
-            state = queue.popleft()
-            visited_total += 1
-            if visited_total > limit:
-                raise BudgetExceeded(visited_total, limit, "black-white pebbling price search")
-            black, white = state
-            if black & sink_bit and white == 0:
+                raise BudgetExceeded(visited_total, limit, what)
+            black, white = state & black_mask, state >> n
+            if black & sink_bit and not white:
                 goal = state
                 break
             both = black | white
-            size = bin(both).count("1")
             nxt = []
-            for v in order:  # removals first
-                b = 1 << bit[v]
+            for i, pm in enumerate(pred_masks):  # removals first
+                b = 1 << i
                 if black & b:
-                    nxt.append((black & ~b, white))
-                elif white & b and both & pred_masks[v] == pred_masks[v]:
-                    nxt.append((black, white & ~b))
-            if size < s:
-                for v in order:
-                    b = 1 << bit[v]
+                    nxt.append(state & ~b)
+                elif white & b and both & pm == pm:
+                    nxt.append(state & ~(b << n))
+            if bin(both).count("1") < s:
+                for i, pm in enumerate(pred_masks):
+                    b = 1 << i
                     if both & b:
                         continue
-                    if both & pred_masks[v] == pred_masks[v]:
-                        nxt.append((black | b, white))
-                    nxt.append((black, white | b))
+                    if both & pm == pm:
+                        nxt.append(state | b)
+                    if not black_only:
+                        nxt.append(state | b << n)
             for new in nxt:
                 if new not in parents:
                     parents[new] = state
@@ -280,21 +209,36 @@ def optimal_bw_pebbling(g: Dag, budget=None) -> BwPebbling:
             path.append(state)
             state = parents[state]
         path.reverse()
-        black, white = goal
-        for v in order:
-            b = 1 << bit[v]
-            if black & b and b != sink_bit:
-                black &= ~b
-                path.append((black, white))
+        # strip extra pebbles to end at exactly {sink}
+        for i in range(n):
+            b = 1 << i
+            if goal & b and b != sink_bit:
+                goal &= ~b
+                path.append(goal)
         steps = tuple(
             BwConfiguration(
-                black=frozenset(v for v in order if st[0] & (1 << bit[v])),
-                white=frozenset(v for v in order if st[1] & (1 << bit[v])),
+                black=frozenset(v for i, v in enumerate(order) if st >> i & 1),
+                white=frozenset(v for i, v in enumerate(order) if st >> (n + i) & 1),
             )
             for st in path
         )
         return BwPebbling(host=g, steps=steps)
-    raise PeblabError("unreachable: every DAG admits a black-white pebbling")
+    raise PeblabError("unreachable: every DAG admits a complete pebbling")
+
+
+def optimal_black_pebbling(g: Dag, budget=None) -> BwPebbling:
+    """A minimum-space complete black pebbling, by iterative deepening BFS."""
+    return _optimal_pebbling(g, black_only=True, budget=budget)
+
+
+def optimal_black_price(g: Dag, budget=None) -> int:
+    """Peb(G): minimum space over all complete black pebblings; exact."""
+    return validate_bw(optimal_black_pebbling(g, budget), black_only=True).space
+
+
+def optimal_bw_pebbling(g: Dag, budget=None) -> BwPebbling:
+    """A minimum-space complete black-white pebbling."""
+    return _optimal_pebbling(g, black_only=False, budget=budget)
 
 
 def optimal_bw_price(g: Dag, budget=None) -> int:

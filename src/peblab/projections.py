@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from .boolfunc import BooleanFunction, is_k_nonauthoritarian
-from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, neg
+from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, minimized, neg
 from .errors import BudgetExceeded, InternalContractViolation, PeblabError
 from .formulas import base_of_substituted, block_vars, split_substituted, substitute_clause
 from .resolution import (
@@ -52,7 +52,7 @@ class ProjectionWorld:
         )
         n = len(self.sub_vars)
         if n > _VAR_CAP:
-            raise BudgetExceeded(n, _VAR_CAP, "projection truth table")
+            raise BudgetExceeded(n, _VAR_CAP, "projection truth table", unit="variables")
         self.n = n
         self.full = (1 << (1 << n)) - 1 if n else 1
         self._position = {v: i for i, v in enumerate(self.sub_vars)}
@@ -175,20 +175,11 @@ def project(d, f: BooleanFunction) -> frozenset[Clause]:
     return _project_in_world(world, world.config_mask(d), base_vars)
 
 
-def _minimized(clauses) -> frozenset[Clause]:
-    out: set[Clause] = set()
-    for c in sorted(clauses, key=Clause.sort_key):
-        if not any(o.subsumes(c) for o in out):
-            out -= {o for o in out if c.subsumes(o)}
-            out.add(c)
-    return frozenset(out)
-
-
 def local_project(d, f: BooleanFunction, minimize: bool = True) -> frozenset[Clause]:
     """Union of project over all subsets of D, subsumption-minimized."""
     d = sorted(set(d), key=Clause.sort_key)
     if len(d) > _LOCAL_CAP:
-        raise BudgetExceeded(len(d), _LOCAL_CAP, "local projection subset enumeration")
+        raise BudgetExceeded(len(d), _LOCAL_CAP, "local projection subset enumeration", unit="clauses")
     world = ProjectionWorld(_mentioned_base_vars(d), f)
     clause_masks = [world.clause_mask(c) for c in d]
     out: set[Clause] = set()
@@ -199,7 +190,7 @@ def local_project(d, f: BooleanFunction, minimize: bool = True) -> frozenset[Cla
             if (bits >> i) & 1:
                 dmask &= clause_masks[i]
         out |= _project_in_world(world, dmask, _mentioned_base_vars(subset))
-    return _minimized(out) if minimize else frozenset(out)
+    return minimized(out) if minimize else frozenset(out)
 
 
 def local_projection_variables(d, f: BooleanFunction) -> frozenset[str]:
@@ -228,7 +219,7 @@ def projected_sequence(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
         members = sorted(config, key=Clause.sort_key)
         if use_local:
             if len(members) > _LOCAL_CAP:
-                raise BudgetExceeded(len(members), _LOCAL_CAP, "local projection")
+                raise BudgetExceeded(len(members), _LOCAL_CAP, "local projection", unit="clauses")
             acc: set[Clause] = set()
             masks = [world.clause_mask(c) for c in members]
             for bits in range(1 << len(members)):
@@ -239,7 +230,7 @@ def projected_sequence(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
                         dmask &= masks[i]
                         subset.append(members[i])
                 acc |= _project_in_world(world, dmask, _mentioned_base_vars(subset))
-            return _minimized(acc)
+            return minimized(acc)
         return _project_in_world(
             world, world.config_mask(members), _mentioned_base_vars(members)
         )
@@ -440,7 +431,7 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
         lproj = local_project(d, f, minimize=False)
 
         checks += _check_complete(world, dmask, base_vars, proj)
-        checks += _check_complete(world, dmask, base_vars, _minimized(lproj))
+        checks += _check_complete(world, dmask, base_vars, minimized(lproj))
 
         # monotone: strengthen D with an implied clause
         if d and base_vars:
@@ -459,8 +450,8 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
                     raise InternalContractViolation(
                         f"monotonicity failed for ({c}) after adding ({implied})"
                     )
-            slproj = _minimized(local_project(stronger, f, minimize=False))
-            for c in _minimized(lproj):
+            slproj = minimized(local_project(stronger, f, minimize=False))
+            for c in minimized(lproj):
                 checks += 1
                 if not any(p.subsumes(c) for p in slproj):
                     raise InternalContractViolation(
@@ -481,8 +472,8 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
                     after = _project_in_world(world, bmask, _mentioned_base_vars(bigger))
                     before = proj
                 else:
-                    after = _minimized(local_project(bigger, f, minimize=False))
-                    before = _minimized(lproj)
+                    after = minimized(local_project(bigger, f, minimize=False))
+                    before = minimized(lproj)
                 for c in after:
                     for lit in axiom.literals - c.literals:
                         checks += 1
@@ -497,7 +488,7 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
             index=index,
             clause_count=len(d),
             projected=len(proj),
-            local_projected=len(_minimized(lproj)),
+            local_projected=len(minimized(lproj)),
         ))
     return SuiteReport(samples=tuple(results), checks=checks)
 

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .boolfunc import BooleanFunction, canonical_clauses
-from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, format_lit, neg, parse_lit
+from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, format_lit, minimized, neg, parse_lit
 from .dag import Dag
 from .errors import (
     BudgetExceeded,
@@ -82,13 +82,7 @@ class KDnfLine:
         return tuple(tuple(sorted(format_lit(l) for l in t)) for t in self.sorted_terms())
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "<empty>"
-        parts = []
-        for t in self.sorted_terms():
-            lits = sorted((format_lit(l) for l in t))
-            parts.append(lits[0] if len(lits) == 1 else "(" + "&".join(lits) + ")")
-        return " ".join(parts)
+        return _format_line(self) or "<empty>"
 
 
 EMPTY_LINE = KDnfLine()
@@ -143,17 +137,30 @@ class Measures:
 # -- the resolution rule ----------------------------------------------------
 
 
+def _resolvent(c1: Clause, c2: Clause, pivot: str) -> Clause | None:
+    """Resolvent of c1 (pivot positive) and c2 (pivot negative); None for
+    a tautology.  The caller guarantees both pivot literals are present."""
+    lits = (c1.literals - {(pivot, True)}) | (c2.literals - {(pivot, False)})
+    if len({n for n, _ in lits}) != len(lits):
+        return None
+    return Clause(lits)
+
+
+def _pivots(first: Clause, second: Clause) -> list[str]:
+    """Variables positive in `first` and negative in `second`, sorted."""
+    return sorted(n for n, p in first.literals if p and (n, False) in second.literals)
+
+
 def resolve(c1: Clause, c2: Clause, pivot: str) -> Clause:
     """Resolution on `pivot`: pivot positive in c1, negative in c2."""
     if (pivot, True) not in c1:
         raise PivotAbsent(f"{pivot} not positive in ({c1})")
     if (pivot, False) not in c2:
         raise PivotAbsent(f"{pivot} not negative in ({c2})")
-    lits = (c1.literals - {(pivot, True)}) | (c2.literals - {(pivot, False)})
-    try:
-        return Clause(lits)
-    except TrivialClause:
-        raise TrivialResolvent(f"resolving ({c1}) and ({c2}) on {pivot}") from None
+    r = _resolvent(c1, c2, pivot)
+    if r is None:
+        raise TrivialResolvent(f"resolving ({c1}) and ({c2}) on {pivot}")
+    return r
 
 
 # -- semantic evaluation (truth-table cross-checks) ---------------------------
@@ -458,27 +465,19 @@ class Saturation:
         return steps, base
 
 
-def saturate(premises, variable_cap: int = 16, budget=None) -> Saturation:
-    """Close a clause set under resolution with subsumption minimization,
-    recording a derivation trace for every clause ever generated."""
-    prems = sorted(set(premises), key=Clause.sort_key)
-    names = set()
-    for c in prems:
-        names |= c.variables()
-    if len(names) > variable_cap:
-        raise BudgetExceeded(len(names), variable_cap, "saturation variable count")
+def _given_clause_loop(premises, width_cap: int, budget):
+    """Given-clause resolution closure with forward and backward subsumption.
+
+    Premises and resolvents wider than `width_cap` are dropped; the loop
+    stops once the empty clause is derived.  Returns (alive, parents):
+    the subsumption-minimized clauses, and the (left, right, pivot)
+    derivation of every clause ever generated (None for a premise).
+    """
     limit = search_budget(budget)
-
-    parents: dict[Clause, tuple[Clause, Clause, str] | None] = {}
-    alive: dict[Clause, bool] = {}
-    for c in prems:
-        parents.setdefault(c, None)
-        if not any(o.subsumes(c) for o in alive if o != c):
-            for o in [o for o in alive if c.subsumes(o) and o != c]:
-                alive.pop(o)
-            alive[c] = True
-
-    queue = deque(sorted(alive, key=Clause.sort_key))
+    prems = [c for c in premises if c.width <= width_cap]
+    parents: dict[Clause, tuple[Clause, Clause, str] | None] = dict.fromkeys(prems)
+    alive = dict.fromkeys(sorted(minimized(prems), key=Clause.sort_key))
+    queue = deque(alive)
     processed: list[Clause] = []
     work = 0
     while queue:
@@ -489,27 +488,35 @@ def saturate(premises, variable_cap: int = 16, budget=None) -> Saturation:
             if other not in alive:
                 continue
             for first, second in ((given, other), (other, given)):
-                pivots = sorted(
-                    n for n, p in first.literals if p and (n, False) in second.literals
-                )
-                for pivot in pivots:
+                for pivot in _pivots(first, second):
                     work += 1
                     if work > limit:
                         raise BudgetExceeded(work, limit, "saturation")
-                    try:
-                        r = resolve(first, second, pivot)
-                    except TrivialResolvent:
-                        continue
-                    if r in parents:
+                    r = _resolvent(first, second, pivot)
+                    if r is None or r.width > width_cap or r in parents:
                         continue
                     parents[r] = (first, second, pivot)
                     if any(o.subsumes(r) for o in alive):
                         continue
                     for o in [o for o in alive if r.subsumes(o)]:
-                        alive.pop(o)
-                    alive[r] = True
+                        del alive[o]
+                    alive[r] = None
+                    if r.is_empty():
+                        return alive, parents
                     queue.append(r)
         processed.append(given)
+    return alive, parents
+
+
+def saturate(premises, variable_cap: int = 16, budget=None) -> Saturation:
+    """Close a clause set under resolution with subsumption minimization,
+    recording a derivation trace for every clause ever generated."""
+    premises = set(premises)
+    names = set().union(*(c.variables() for c in premises))
+    if len(names) > variable_cap:
+        raise BudgetExceeded(len(names), variable_cap, "saturation variable count",
+                             unit="variables")
+    alive, parents = _given_clause_loop(premises, len(names), budget)  # drops no clause
     return Saturation(tuple(sorted(alive, key=Clause.sort_key)), parents)
 
 
@@ -527,6 +534,19 @@ def _splice(builder: ProofBuilder, sat: Saturation, target: Clause) -> list[Clau
             builder.weaken(base, target)
             added.append(target)
     return added
+
+
+def _derive_targets(builder: ProofBuilder, premises, targets, variable_cap: int, budget) -> None:
+    """Derive every clause of `targets` from `premises`, then erase the
+    intermediate clauses those derivations left behind."""
+    sat = saturate(premises, variable_cap, budget)
+    transient: list[Clause] = []
+    for c in sorted(targets, key=Clause.sort_key):
+        if not builder.has(c):
+            transient.extend(_splice(builder, sat, c))
+    for c in transient:
+        if c not in targets and builder.has(c):
+            builder.erase(c)
 
 
 # -- constructive refutations ---------------------------------------------------
@@ -615,14 +635,7 @@ def pebbling_to_refutation(
                 premises = set(block)
                 for u in g.predecessors(v):
                     premises |= truth[u]
-                sat = saturate(premises, variable_cap, budget)
-                transient: list[Clause] = []
-                for c in sorted(targets, key=Clause.sort_key):
-                    if not b.has(c):
-                        transient.extend(_splice(b, sat, c))
-                for c in transient:
-                    if c not in targets and b.has(c):
-                        b.erase(c)
+                _derive_targets(b, premises, targets, variable_cap, budget)
             for d in block:
                 if d not in targets and b.has(d):
                     b.erase(d)
@@ -727,14 +740,7 @@ def lift_refutation(
             else:
                 p1 = lines_by_id[step.premises[0]]
                 p2 = lines_by_id[step.premises[1]]
-                sat = saturate(image(p1) | image(p2), variable_cap, budget)
-                transient: list[Clause] = []
-                for t in sorted(targets, key=Clause.sort_key):
-                    if not b.has(t):
-                        transient.extend(_splice(b, sat, t))
-                for t in transient:
-                    if t not in targets and b.has(t):
-                        b.erase(t)
+                _derive_targets(b, image(p1) | image(p2), targets, variable_cap, budget)
             config.add(c)
         elif isinstance(step, Erase):
             c = lines_by_id[step.target]
@@ -752,78 +758,10 @@ def min_width(f_formula: CnfFormula, cap: int) -> int | None:
     """Smallest w <= cap such that width-w resolution refutes the formula,
     else None (reported as >cap)."""
     for w in range(cap + 1):
-        clauses = {c for c in f_formula.clauses if c.width <= w}
-        if EMPTY_CLAUSE in clauses:
-            return w
-        alive: set[Clause] = set()
-        for c in sorted(clauses, key=Clause.sort_key):
-            if not any(o.subsumes(c) for o in alive):
-                alive -= {o for o in alive if c.subsumes(o)}
-                alive.add(c)
-        queue = deque(sorted(alive, key=Clause.sort_key))
-        processed: list[Clause] = []
-        found = False
-        while queue and not found:
-            given = queue.popleft()
-            if given not in alive:
-                continue
-            for other in list(processed):
-                if other not in alive:
-                    continue
-                for first, second in ((given, other), (other, given)):
-                    for pivot in sorted(
-                        n for n, p in first.literals if p and (n, False) in second.literals
-                    ):
-                        try:
-                            r = resolve(first, second, pivot)
-                        except TrivialResolvent:
-                            continue
-                        if r.width > w:
-                            continue
-                        if r.is_empty():
-                            found = True
-                            break
-                        if any(o.subsumes(r) for o in alive):
-                            continue
-                        alive -= {o for o in alive if r.subsumes(o)}
-                        alive.add(r)
-                        queue.append(r)
-                    if found:
-                        break
-                if found:
-                    break
-            processed.append(given)
-        if found:
+        alive, _ = _given_clause_loop(f_formula.clauses, w, None)
+        if EMPTY_CLAUSE in alive:
             return w
     return None
-
-
-def _full_closure(f_formula: CnfFormula, budget) -> list[Clause]:
-    """Every clause derivable by resolution from the formula (no subsumption)."""
-    limit = search_budget(budget)
-    closure: set[Clause] = set(f_formula.clauses)
-    queue = deque(sorted(closure, key=Clause.sort_key))
-    processed: list[Clause] = []
-    work = 0
-    while queue:
-        given = queue.popleft()
-        for other in list(processed) + [given]:
-            for first, second in ((given, other), (other, given)):
-                for pivot in sorted(
-                    n for n, p in first.literals if p and (n, False) in second.literals
-                ):
-                    work += 1
-                    if work > limit:
-                        raise BudgetExceeded(work, limit, "resolution closure")
-                    try:
-                        r = resolve(first, second, pivot)
-                    except TrivialResolvent:
-                        continue
-                    if r not in closure:
-                        closure.add(r)
-                        queue.append(r)
-        processed.append(given)
-    return sorted(closure, key=Clause.sort_key)
 
 
 def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None:
@@ -833,11 +771,9 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
     limit = search_budget(budget)
     if EMPTY_CLAUSE in f_formula.clauses:
         return 1
-    try:
-        universe = _full_closure(f_formula, budget)
-    except BudgetExceeded:
-        raise
-    if EMPTY_CLAUSE not in universe:
+    # a width cap of the variable count drops no clause
+    alive, _ = _given_clause_loop(f_formula.clauses, len(f_formula.variables()), budget)
+    if EMPTY_CLAUSE not in alive:
         return None  # satisfiable: no refutation at any cap
     axioms = f_formula.sorted_clauses()
     visited_total = 0
@@ -852,23 +788,17 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
             if visited_total > limit:
                 raise BudgetExceeded(visited_total, limit, "clause space search")
             nxt: list[frozenset[Clause]] = []
+            members = sorted(state, key=Clause.sort_key)
             if len(state) < s:
                 for a in axioms:
                     if a not in state:
                         nxt.append(state | {a})
-            members = sorted(state, key=Clause.sort_key)
-            for first in members:
-                for second in members:
-                    for pivot in sorted(
-                        n for n, p in first.literals if p and (n, False) in second.literals
-                    ):
-                        try:
-                            r = resolve(first, second, pivot)
-                        except TrivialResolvent:
-                            continue
-                        if r in state or len(state) >= s:
-                            continue
-                        nxt.append(state | {r})
+                for first in members:
+                    for second in members:
+                        for pivot in _pivots(first, second):
+                            r = _resolvent(first, second, pivot)
+                            if r is not None and r not in state:
+                                nxt.append(state | {r})
             for c in members:
                 nxt.append(state - {c})
             for new in nxt:
@@ -896,11 +826,9 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
 def _format_line(line) -> str:
     if isinstance(line, Clause):
         return " ".join(format_lit(l) for l in line.sorted_literals())
-    parts = []
-    for t in line.sorted_terms():
-        lits = sorted(format_lit(l) for l in t)
-        parts.append(lits[0] if len(lits) == 1 else "(" + "&".join(lits) + ")")
-    return " ".join(parts)
+    return " ".join(
+        format_lit(next(iter(t))) if len(t) == 1 else _format_term(t) for t in line.sorted_terms()
+    )
 
 
 def _format_term(t: Term) -> str:

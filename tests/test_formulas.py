@@ -163,10 +163,19 @@ def test_dimacs_roundtrip():
     ("p cnf 1 1\n1\n", "unterminated"),
     ("p cnf 1 2\n1 0\n", "promises 2 clauses"),
     ("p cnf 1 1\n1 -1 0\n", "both polarities"),
+    ("c var 1 a\nc var 2 a\np cnf 2 2\n1 0\n-2 0\n", "line 2: variable name 'a' already given on line 1"),
+    ("c var 1 x2\np cnf 2 2\n1 0\n-2 0\n", "line 1: variable name 'x2' is the default name of variable 2"),
 ])
 def test_dimacs_errors(text, fragment):
     with pytest.raises(DimacsError, match=fragment):
         formulas.from_dimacs(text)
+
+
+def test_dimacs_explicit_default_style_names():
+    # x<i> is only taken when variable i exists and has no explicit name
+    assert formulas.from_dimacs("c var 2 x2\np cnf 2 2\n1 0\n-2 0\n") == formula(["x1", "-x2"])
+    assert formulas.from_dimacs("c var 1 x2\nc var 2 y\np cnf 2 2\n1 0\n-2 0\n") == formula(["x2", "-y"])
+    assert formulas.from_dimacs("c var 1 x3\np cnf 2 1\n1 -2 0\n") == formula(["x3 -x2"])
 
 
 def test_trivial_clause_rejected():

@@ -33,7 +33,7 @@ class TestPreciseImplication:
 
     def test_budget_guard(self):
         d = [clause(" ".join(f"x{i}#1" for i in range(13)))]
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=r"truth table exceeded budget: 26 variables \(budget 24\)"):
             projections.precisely_implies(d, clause("x0"), XOR2)
 
 
@@ -84,7 +84,7 @@ class TestProject:
             config.add(clause(" ".join(combo)))
             if len(config) == 13:
                 break
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match=r"exceeded budget: 13 clauses"):
             projections.local_project(sorted(config, key=lambda c: c.sort_key()), XOR2)
 
 

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from peblab import boolfunc, dag, formulas, pebbling, resolution
-from peblab.cnf import Clause, EMPTY_CLAUSE, clause, formula
+from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula
 from peblab.errors import (
-    IllegalStep, MissingBottom, PivotAbsent, SaturationFailure, TraceError, TrivialResolvent,
+    BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, SaturationFailure, TraceError,
+    TrivialResolvent,
 )
 from peblab.resolution import (
     Download, Erase, Infer, KDnfLine, ProofBuilder, Refutation, term,
@@ -183,6 +184,11 @@ class TestSaturate:
         with pytest.raises(SaturationFailure):
             sat.plan(clause("y"))
 
+    def test_variable_cap_reports_variables(self):
+        with pytest.raises(BudgetExceeded,
+                           match=r"^saturation variable count exceeded budget: 3 variables \(budget 2\)$"):
+            resolution.saturate([clause("a b"), clause("-b c")], variable_cap=2)
+
 
 CORPUS = (
     [dag.build_path(n) for n in range(1, 9)]
@@ -308,6 +314,11 @@ class TestBoundedOracles:
         peb3 = formulas.pebbling_contradiction(dag.build_path(3))
         assert resolution.min_clause_space(peb3, 4) == 3
         assert resolution.min_clause_space(formula(["x y", "-x y"]), 4) is None
+
+    def test_min_width_counts_against_budget(self, monkeypatch):
+        monkeypatch.setenv("PEBLAB_BUDGET", "3")
+        with pytest.raises(BudgetExceeded):
+            resolution.min_width(formulas.pebbling_contradiction(dag.build_pyramid(2)), 4)
 
     def test_min_clause_space_respects_cap(self):
         assert resolution.min_clause_space(formula(["x", "-x"]), 2) is None
@@ -520,3 +531,23 @@ def test_resolvent_is_implied(pair):
         return
     assert resolution._lines_imply([c1, c2], r) is True
     assert pivot not in r.variables()
+
+
+@st.composite
+def small_cnfs(draw):
+    names = [f"v{i}" for i in range(draw(st.integers(min_value=1, max_value=5)))]
+    clauses = set()
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        chosen = draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+        clauses.add(Clause(frozenset((n, draw(st.booleans())) for n in chosen)))
+    return CnfFormula(frozenset(clauses))
+
+
+@given(small_cnfs())
+@settings(max_examples=150, deadline=None)
+def test_given_clause_loop_agrees_with_sat_oracle(F):
+    unsat = formulas.brute_force_sat(F) is None
+    alive, _ = resolution._given_clause_loop(F.clauses, len(F.variables()), None)
+    assert (EMPTY_CLAUSE in alive) == unsat
+    # a refutation over n variables never needs a clause wider than n
+    assert (resolution.min_width(F, len(F.variables())) is None) == (not unsat)
