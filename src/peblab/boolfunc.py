@@ -117,25 +117,55 @@ def parse_function_literal(spec: str) -> BooleanFunction | None:
 # -- canonical clause sets ----------------------------------------------
 
 
-def _subcube_inside(f_on: int, fixed: dict[int, int], arity: int) -> bool:
-    """Is the subcube (inputs in `fixed` pinned) disjoint from f's on-set?"""
-    for index in range(1 << arity):
-        ok = True
-        for j, val in fixed.items():
-            if (index >> j) & 1 != val:
-                ok = False
-                break
-        if ok and (f_on >> index) & 1:
-            return False
-    return True
+def _occupied(table: int, n: int) -> list[bool]:
+    """For every subcube of {0,1}^n, does it meet the table's on-set?
+
+    Subcube index: base-3 digit j is 0 or 1 when input j is pinned to
+    that value and 2 when it is free.
+    """
+    if n == 0:
+        return [table != 0]
+    half = 1 << (n - 1)
+    lo = _occupied(table & ((1 << half) - 1), n - 1)
+    hi = _occupied(table >> half, n - 1)
+    return lo + hi + [a or b for a, b in zip(lo, hi)]
+
+
+def prime_implicates(table: int, names: tuple[str, ...]) -> frozenset[Clause]:
+    """All prime implicates of the function with this truth table over names.
+
+    A clause C is an implicate iff the subcube where every literal of C
+    is false avoids the on-set; prime iff freeing any one pinned input
+    breaks that.  A constant table is allowed: all zeros gives the empty
+    clause, all ones gives no clause.
+    """
+    n = len(names)
+    occupied = _occupied(table, n)
+    clauses = []
+    for index, hit in enumerate(occupied):
+        if hit:
+            continue
+        literals = []
+        prime = True
+        digits, weight = index, 1
+        for name in names:
+            digits, digit = divmod(digits, 3)
+            if digit != 2:
+                if not occupied[index + (2 - digit) * weight]:
+                    prime = False
+                    break
+                # pinning the input to v rules out the literal name^(1-v)
+                literals.append((name, digit == 0))
+            weight *= 3
+        if prime:
+            clauses.append(Clause(frozenset(literals)))
+    return frozenset(clauses)
 
 
 def canonical_clauses(f: BooleanFunction, vars: tuple[str, ...], polarity: str = "positive") -> frozenset[Clause]:
     """All prime implicates of f (or of its negation), instantiated on vars.
 
-    A clause C is an implicate iff the subcube where every literal of C
-    is false avoids the on-set; prime iff dropping any single literal
-    breaks that.  Enumerates the 3^d subcubes, so arity is capped.
+    Enumerates the 3^d subcubes, so arity is capped.
     """
     if len(vars) != f.arity:
         raise ValueError(f"need {f.arity} variable names, got {len(vars)}")
@@ -146,28 +176,7 @@ def canonical_clauses(f: BooleanFunction, vars: tuple[str, ...], polarity: str =
     if polarity not in ("positive", "negative"):
         raise ValueError(f"polarity must be positive or negative, got {polarity!r}")
     g = f if polarity == "positive" else f.negated()
-
-    clauses = []
-    indices = range(g.arity)
-    for support_size in range(g.arity + 1):
-        for support in itertools.combinations(indices, support_size):
-            for values in itertools.product((0, 1), repeat=support_size):
-                fixed = dict(zip(support, values))
-                if not _subcube_inside(g.table, fixed, g.arity):
-                    continue
-                prime = True
-                for j in support:
-                    smaller = {i: v for i, v in fixed.items() if i != j}
-                    if _subcube_inside(g.table, smaller, g.arity):
-                        prime = False
-                        break
-                if prime:
-                    # falsifying subcube with input j pinned to v rules out
-                    # the literal vars[j]^(1-v)
-                    clauses.append(Clause(frozenset(
-                        (vars[j], v == 0) for j, v in fixed.items()
-                    )))
-    return frozenset(clauses)
+    return prime_implicates(g.table, tuple(vars))
 
 
 def is_k_nonauthoritarian(f: BooleanFunction, k: int) -> bool:

@@ -314,13 +314,22 @@ def from_dimacs(text: str) -> CnfFormula:
         if line.startswith("c"):
             fields = line.split()
             if len(fields) == 4 and fields[1] == "var" and fields[2].isdigit():
-                name = fields[3]
+                index, name = int(fields[2]), fields[3]
                 if name in named_on:
                     raise DimacsError(
                         f"variable name {name!r} already given on line {named_on[name]}",
                         line=lineno,
                     )
-                names[int(fields[2])] = name
+                if index in names:
+                    raise DimacsError(
+                        f"variable {index} already named {names[index]!r} on line "
+                        f"{named_on[names[index]]}",
+                        line=lineno,
+                    )
+                if name[0] in "-~":
+                    raise DimacsError(f"variable name {name!r} reads as a negative literal",
+                                      line=lineno)
+                names[index] = name
                 named_on[name] = lineno
             continue
         if line.startswith("p"):

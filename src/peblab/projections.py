@@ -3,9 +3,13 @@
 A configuration here is a set of clauses over substituted variables
 x#1..x#d.  Projections map such configurations to clause sets over the
 base variables: a clause is projected iff the configuration implies its
-f-encoded disjunction but no strict subclause's.  Implications are
-decided by exhaustive truth-table enumeration over the full blocks of
-the mentioned base variables, computed as integer bitmasks.
+f-encoded disjunction but no strict subclause's.  That is exactly a
+prime implicate of the configuration's block image: the set of base
+assignments that some satisfying assignment of the configuration maps
+to, block by block under f.  The image is computed over the
+configuration's own mentioned base variables, with truth tables over
+their full blocks held as integer bitmasks, so memory grows with the
+variables of one configuration and never with those of the formula.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 
-from .boolfunc import BooleanFunction, is_k_nonauthoritarian
+from .boolfunc import BooleanFunction, is_k_nonauthoritarian, prime_implicates
 from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, minimized, neg
 from .errors import BudgetExceeded, InternalContractViolation, PeblabError
 from .formulas import base_of_substituted, block_vars, split_substituted, substitute_clause
@@ -73,7 +77,6 @@ class ProjectionWorld:
                     on |= sub
             self._signed[(x, True)] = on
             self._signed[(x, False)] = on ^ self.full
-        self._tables: dict[tuple[str, ...], list] = {}
 
     def clause_mask(self, c: Clause) -> int:
         mask = 0
@@ -99,24 +102,18 @@ class ProjectionWorld:
     def implies(self, config_mask: int, other_mask: int) -> bool:
         return config_mask & ~other_mask & self.full == 0
 
-    def candidate_table(self, mentioned) -> list:
-        """(clause, literal key, disjunction mask) for every candidate clause
-        over the mentioned base variables; cached per variable set."""
-        key = tuple(sorted(set(mentioned)))
-        if key not in self._tables:
-            if key == self.base_vars:
-                table = [
-                    (cand, cand.literals, self.disjunction_mask(cand))
-                    for cand in _candidate_clauses(self.base_vars)
-                ]
-            else:
-                allowed = set(key)
-                table = [
-                    entry for entry in self.candidate_table(self.base_vars)
-                    if entry[0].variables() <= allowed
-                ]
-            self._tables[key] = table
-        return self._tables[key]
+    def block_image(self, config_mask: int) -> int:
+        """Truth table over base_vars (bit j of an index is base_vars[j]) of
+        the base assignments that some assignment in config_mask maps to."""
+        parts = {0: config_mask} if config_mask else {}
+        for j, x in enumerate(self.base_vars):
+            parts = {
+                index | (value << j): part
+                for index, mask in parts.items()
+                for value in (False, True)
+                if (part := mask & self._signed[(x, value)])
+            }
+        return sum(1 << index for index in parts)
 
 
 def _mentioned_base_vars(clauses) -> tuple[str, ...]:
@@ -151,32 +148,21 @@ def precisely_implies(d, c: Clause, f: BooleanFunction) -> bool:
     return True
 
 
-def _project_in_world(world: ProjectionWorld, dmask: int, base_vars) -> frozenset[Clause]:
-    table = world.candidate_table(base_vars)
-    implied = {
-        key: world.implies(dmask, mask) for _cand, key, mask in table
-    }
-    out = []
-    for cand, key, _mask in table:
-        if not implied[key]:
-            continue
-        if any(implied[key - {lit}] for lit in key):
-            continue
-        out.append(cand)
-    return frozenset(out)
-
-
 def project(d, f: BooleanFunction) -> frozenset[Clause]:
     """Resolution f-projection: all clauses over the mentioned base
     variables that D precisely implies.  Always an antichain."""
     d = list(d)
-    base_vars = _mentioned_base_vars(d)
-    world = ProjectionWorld(base_vars, f)
-    return _project_in_world(world, world.config_mask(d), base_vars)
+    world = ProjectionWorld(_mentioned_base_vars(d), f)
+    return prime_implicates(world.block_image(world.config_mask(d)), world.base_vars)
 
 
 def local_project(d, f: BooleanFunction, minimize: bool = True) -> frozenset[Clause]:
-    """Union of project over all subsets of D, subsumption-minimized."""
+    """Union of project over all subsets of D, subsumption-minimized.
+
+    Every subset is projected in D's world: a base variable that the
+    subset leaves unmentioned is free in its block image, so no prime
+    implicate mentions it.
+    """
     d = sorted(set(d), key=Clause.sort_key)
     if len(d) > _LOCAL_CAP:
         raise BudgetExceeded(len(d), _LOCAL_CAP, "local projection subset enumeration", unit="clauses")
@@ -184,12 +170,11 @@ def local_project(d, f: BooleanFunction, minimize: bool = True) -> frozenset[Cla
     clause_masks = [world.clause_mask(c) for c in d]
     out: set[Clause] = set()
     for bits in range(1 << len(d)):
-        subset = [d[i] for i in range(len(d)) if (bits >> i) & 1]
         dmask = world.full
-        for i in range(len(d)):
+        for i, mask in enumerate(clause_masks):
             if (bits >> i) & 1:
-                dmask &= clause_masks[i]
-        out |= _project_in_world(world, dmask, _mentioned_base_vars(subset))
+                dmask &= mask
+        out |= prime_implicates(world.block_image(dmask), world.base_vars)
     return minimized(out) if minimize else frozenset(out)
 
 
@@ -208,33 +193,10 @@ def projected_sequence(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
     if r_f.system != "res":
         raise PeblabError("projections are computed for resolution refutations only")
     _base, axiom_map = base_of_substituted(r_f.target, f)
-    world = ProjectionWorld(
-        _mentioned_base_vars(r_f.target.clauses), f
-    )
+    projector = local_project if use_local else project
     config: set[Clause] = set()
     lines_by_id: dict[int, Clause] = {}
     out = [(frozenset(), None)]
-
-    def proj() -> frozenset[Clause]:
-        members = sorted(config, key=Clause.sort_key)
-        if use_local:
-            if len(members) > _LOCAL_CAP:
-                raise BudgetExceeded(len(members), _LOCAL_CAP, "local projection", unit="clauses")
-            acc: set[Clause] = set()
-            masks = [world.clause_mask(c) for c in members]
-            for bits in range(1 << len(members)):
-                dmask = world.full
-                subset = []
-                for i in range(len(members)):
-                    if (bits >> i) & 1:
-                        dmask &= masks[i]
-                        subset.append(members[i])
-                acc |= _project_in_world(world, dmask, _mentioned_base_vars(subset))
-            return minimized(acc)
-        return _project_in_world(
-            world, world.config_mask(members), _mentioned_base_vars(members)
-        )
-
     for idx, step in enumerate(r_f.steps, start=1):
         axiom = None
         if isinstance(step, Download):
@@ -246,7 +208,7 @@ def projected_sequence(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
             config.add(step.line)
         elif isinstance(step, Erase):
             config.discard(lines_by_id[step.target])
-        out.append((proj(), axiom))
+        out.append((projector(config, f), axiom))
     return out
 
 
@@ -398,9 +360,9 @@ def sample_configurations(
     return out
 
 
-def _check_complete(world, dmask, base_vars, projection) -> int:
+def _check_complete(world, dmask, candidates, projection) -> int:
     checks = 0
-    for cand, _key, mask in world.candidate_table(base_vars):
+    for cand, mask in candidates:
         checks += 1
         if world.implies(dmask, mask):
             if not any(p.subsumes(cand) for p in projection):
@@ -427,11 +389,13 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
         base_vars = _mentioned_base_vars(d)
         world = ProjectionWorld(base_vars, f)
         dmask = world.config_mask(d)
-        proj = _project_in_world(world, dmask, base_vars)
+        proj = project(d, f)
         lproj = local_project(d, f, minimize=False)
 
-        checks += _check_complete(world, dmask, base_vars, proj)
-        checks += _check_complete(world, dmask, base_vars, minimized(lproj))
+        # the reference: every candidate clause, by brute force
+        candidates = [(c, world.disjunction_mask(c)) for c in _candidate_clauses(base_vars)]
+        checks += _check_complete(world, dmask, candidates, proj)
+        checks += _check_complete(world, dmask, candidates, minimized(lproj))
 
         # monotone: strengthen D with an implied clause
         if d and base_vars:
@@ -442,8 +406,7 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
                 extra_lits.add((v, rng.random() < 0.5))
             implied = Clause(frozenset(extra_lits))
             stronger = d + [implied]
-            smask = world.config_mask(stronger)
-            sproj = _project_in_world(world, smask, _mentioned_base_vars(stronger))
+            sproj = project(stronger, f)
             for c in proj:
                 checks += 1
                 if not any(p.subsumes(c) for p in sproj):
@@ -466,10 +429,9 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
             encodings = sorted(substitute_clause(axiom, f), key=Clause.sort_key)
             line = encodings[rng.randrange(len(encodings))]
             bigger = d + [line]
-            bmask = world.config_mask(bigger)
             for projector in ("plain", "local"):
                 if projector == "plain":
-                    after = _project_in_world(world, bmask, _mentioned_base_vars(bigger))
+                    after = project(bigger, f)
                     before = proj
                 else:
                     after = minimized(local_project(bigger, f, minimize=False))

@@ -165,6 +165,9 @@ def test_dimacs_roundtrip():
     ("p cnf 1 1\n1 -1 0\n", "both polarities"),
     ("c var 1 a\nc var 2 a\np cnf 2 2\n1 0\n-2 0\n", "line 2: variable name 'a' already given on line 1"),
     ("c var 1 x2\np cnf 2 2\n1 0\n-2 0\n", "line 1: variable name 'x2' is the default name of variable 2"),
+    ("c var 1 a\nc var 1 b\np cnf 1 1\n1 0\n", "line 2: variable 1 already named 'a' on line 1"),
+    ("c var 1 -a\nc var 2 a\np cnf 2 2\n1 0\n2 0\n", "line 1: variable name '-a' reads as a negative literal"),
+    ("c var 1 ~a\np cnf 1 1\n1 0\n", "line 1: variable name '~a' reads as a negative literal"),
 ])
 def test_dimacs_errors(text, fragment):
     with pytest.raises(DimacsError, match=fragment):

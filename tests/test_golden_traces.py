@@ -1,13 +1,16 @@
 """Serialized traces pinned by SHA-256.
 
 Traces are deterministic: they follow the given-clause loop's clause
-order and the price search's move order.  A change to either order, or
-to the trace format, changes a digest here.
+order and the price search's move order, and extraction follows the
+sorted projected clause sets.  A change to any of these orders, to a
+projection, or to the trace format, changes a digest here.
 """
 
 import hashlib
 
-from peblab import boolfunc, dag, pebbling, resolution
+import pytest
+
+from peblab import boolfunc, dag, pebbling, projections, resolution
 
 XOR2 = boolfunc.xor_fn(2)
 
@@ -39,3 +42,19 @@ def test_optimal_pebbling_witnesses_pyramid3():
     assert sha256(pebbling.serialize_pebbling(pebbling.optimal_bw_pebbling(g))) == (
         "3121315c4b7b92a36e1f95c763b63088861df465dc08684d4bef84a7f6cc2e1f"
     )
+
+
+@pytest.mark.parametrize("g,f,use_local,digest", [
+    (dag.build_path(6), XOR2, False,
+     "ed29c9dc58a7db27deae52c23f697bbb63f2f971792f4664140292ddea22282b"),
+    (dag.build_pyramid(2), XOR2, False,
+     "dff89e9bd22737213fd596c775f210c37278164d80734b8287965dc207c6c63e"),
+    (dag.build_path(2), boolfunc.majority_fn(3), False,
+     "1c43a7e19a3c19878995cacdc224d6f620d424ec67c902129baac94a68c7be3f"),
+    (dag.build_path(4), XOR2, True,
+     "d329d536a029d9931c28b30a195306bfa7c233b294d306048bb63f4dd96ae238"),
+], ids=["path6-xor2", "pyramid2-xor2", "path2-maj3", "path4-xor2-local"])
+def test_extracted_refutation(g, f, use_local, digest):
+    lifted = resolution.lift_refutation(resolution.constant_space_refutation(g), f)
+    r = projections.extract_refutation(lifted, f, use_local=use_local)
+    assert sha256(resolution.serialize_refutation(r)) == digest

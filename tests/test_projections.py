@@ -1,12 +1,20 @@
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import peblab
 from peblab import boolfunc, dag, formulas, pebbling, projections, resolution
-from peblab.cnf import EMPTY_CLAUSE, clause, formula
+from peblab.cnf import Clause, EMPTY_CLAUSE, clause, formula, minimized
 from peblab.errors import BudgetExceeded, PeblabError
 from peblab.resolution import Download, ProofBuilder
 
 OR2 = boolfunc.or_fn(2)
 XOR2 = boolfunc.xor_fn(2)
+MAJ3 = boolfunc.majority_fn(3)
 
 
 def xor_block(name):
@@ -76,8 +84,6 @@ class TestProject:
 
     def test_local_budget(self):
         # 13 distinct clauses exceed the 2^|D| subset cap
-        import itertools
-
         config = set()
         lits = ["p#1", "p#2", "q#1", "q#2", "r#1", "r#2"]
         for combo in itertools.combinations(lits, 3):
@@ -86,6 +92,30 @@ class TestProject:
                 break
         with pytest.raises(BudgetExceeded, match=r"exceeded budget: 13 clauses"):
             projections.local_project(sorted(config, key=lambda c: c.sort_key()), XOR2)
+
+
+def mentioned_base_vars(d):
+    return sorted({formulas.split_substituted(name)[0] for c in d for name, _ in c.literals})
+
+
+@pytest.mark.parametrize("f", [XOR2, OR2, MAJ3], ids=["xor2", "or2", "maj3"])
+def test_project_matches_precise_implication(f):
+    """project(D) is every clause over D's base variables that D precisely
+    implies; local_project(D) is the minimized union over all subsets."""
+    for d in projections.sample_configurations(f, 40, seed=23):
+        names = mentioned_base_vars(d)
+        want = set()
+        for polarities in itertools.product((None, True, False), repeat=len(names)):
+            c = Clause(frozenset((x, p) for x, p in zip(names, polarities) if p is not None))
+            if projections.precisely_implies(d, c, f):
+                want.add(c)
+        assert projections.project(d, f) == want
+        if len(d) <= 6:
+            union = set()
+            for size in range(len(d) + 1):
+                for subset in itertools.combinations(d, size):
+                    union |= projections.project(subset, f)
+            assert projections.local_project(d, f) == minimized(union)
 
 
 class TestSuites:
@@ -207,6 +237,32 @@ class TestExtraction:
         b.infer_resolve(clause("x"), clause("-x"), "x")
         with pytest.raises(PeblabError):
             projections.extract_refutation(b.build(), XOR2)
+
+
+BOUNDED_EXTRACTION = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from peblab import boolfunc, dag, projections, resolution
+g = dag.parse_family(sys.argv[1])
+f = boolfunc.parse_function_literal(sys.argv[2])
+lifted = resolution.lift_refutation(resolution.constant_space_refutation(g), f)
+out = projections.extract_refutation(lifted, f)
+resolution.check_refutation(out)
+count = lambda r: sum(1 for s in r.steps if isinstance(s, resolution.Download))
+assert count(out) <= count(lifted), (count(out), count(lifted))
+"""
+
+
+@pytest.mark.parametrize("spec,fn", [("pyramid:3", "or:2"), ("path:12", "xor:2")])
+def test_extraction_in_bounded_memory(spec, fn):
+    """Projection memory follows each configuration's own variables, so
+    these extractions fit in a 1 GiB address space."""
+    src = str(Path(peblab.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", BOUNDED_EXTRACTION, spec, fn],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 class TestArityThree:
