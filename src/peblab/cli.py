@@ -77,7 +77,7 @@ def cmd_gen(args) -> int:
             "width": formula.width,
         }
 
-    rows = _run_jobs(build, pairs, args.jobs)
+    rows = _run_jobs(build, pairs)  # CPU-bound: threads would only take turns on the GIL
     failures = [r for r in rows if isinstance(r, Exception)]
     rows = [r for r in rows if not isinstance(r, Exception)]
     manifest = args.manifest or (str(out_dir / "manifest.csv") if out_dir else None)
@@ -293,7 +293,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _run_jobs(fn, items, jobs):
+def _run_jobs(fn, items, jobs=1):
     if jobs and jobs > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(fn, item) for item in items]
@@ -381,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output DIMACS path (single pair only)")
     p.add_argument("--out-dir", help="corpus output directory")
     p.add_argument("--manifest", help="manifest CSV path")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("graph", help="generate or inspect DAG files")

@@ -38,11 +38,12 @@ _LOCAL_CAP = 12  # local projection enumerates 2^|D| subsets
 
 def _repeating_mask(position: int, total: int) -> int:
     """Bitmask over 2^total assignments where bit `position` of the index is 1."""
-    period = 1 << (position + 1)
-    block = ((1 << (1 << position)) - 1) << (1 << position)
-    repetitions = 1 << (total - position - 1)
-    repunit = ((1 << (period * repetitions)) - 1) // ((1 << period) - 1)
-    return block * repunit
+    mask = ((1 << (1 << position)) - 1) << (1 << position)  # one period: 0s then 1s
+    length = 1 << (position + 1)
+    while length < 1 << total:
+        mask |= mask << length
+        length <<= 1
+    return mask
 
 
 class ProjectionWorld:

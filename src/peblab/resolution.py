@@ -257,6 +257,11 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
     cross-checked semantically by truth table when the premises span at
     most 20 variables (pass semantic_check=False to disable, or True to
     force the same cross-check for resolution).
+
+    The measures are kept incrementally: a per-variable occurrence count
+    over the present lines and a running literal total change only when
+    a line enters or leaves the configuration, so each step costs
+    O(step width), not O(configuration).
     """
     if r.system not in ("res", "kdnf"):
         raise ValueError(f"unknown proof system {r.system!r}")
@@ -272,30 +277,43 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
 
     lines_by_id: dict[int, object] = {}
     config: set = set()
+    occurrences: dict[str, int] = {}  # variable -> number of present lines mentioning it
+    literals = 0  # literals over the present lines
     length = 0
     width = 0
     clause_space = 0
     variable_space = 0
     total_space = 0
 
-    def line_width(line) -> int:
-        return line.literal_count() if isinstance(line, KDnfLine) else line.width
-
-    def update_measures():
-        nonlocal width, clause_space, variable_space, total_space
+    def add(line) -> None:
+        nonlocal literals, width, clause_space, variable_space, total_space
+        if line in config:
+            return
+        config.add(line)
+        line_width = line.literal_count() if kdnf else line.width
+        for v in line.variables():
+            occurrences[v] = occurrences.get(v, 0) + 1
+        literals += line_width
+        width = max(width, line_width)
         clause_space = max(clause_space, len(config))
-        if config:
-            width = max(width, max(line_width(l) for l in config))
-            variable_space = max(
-                variable_space, len(set().union(*(l.variables() for l in config)))
-            )
-            total_space = max(total_space, sum(line_width(l) for l in config))
+        variable_space = max(variable_space, len(occurrences))
+        total_space = max(total_space, literals)
+
+    def remove(line) -> None:
+        nonlocal literals
+        config.remove(line)
+        for v in line.variables():
+            if occurrences[v] == 1:
+                del occurrences[v]
+            else:
+                occurrences[v] -= 1
+        literals -= line.literal_count() if kdnf else line.width
 
     for idx, step in enumerate(r.steps, start=1):
         if isinstance(step, Download):
             if step.line not in axioms:
                 raise IllegalStep(idx, f"({step.line}) is not an axiom of the target formula")
-            config.add(step.line)
+            add(step.line)
             lines_by_id[idx] = step.line
             length += 1
         elif isinstance(step, Infer):
@@ -330,7 +348,7 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
                 sound = _lines_imply(premises, step.line)
                 if sound is False:
                     raise IllegalStep(idx, "inference is not semantically sound")
-            config.add(step.line)
+            add(step.line)
             lines_by_id[idx] = step.line
             length += 1
         elif isinstance(step, Erase):
@@ -339,10 +357,9 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
             value = lines_by_id[step.target]
             if value not in config:
                 raise IllegalStep(idx, f"erasing ({value}) which is not present")
-            config.discard(value)
+            remove(value)
         else:
             raise IllegalStep(idx, f"unknown step {step!r}")
-        update_measures()
 
     if bottom not in config:
         raise MissingBottom("final configuration does not contain the empty clause")
@@ -465,47 +482,123 @@ class Saturation:
         return steps, base
 
 
+_Mask = tuple[int, int]  # (positive variables, negative variables) as bit sets
+
+
+class _Derivations:
+    """The derivation of every clause a given-clause run generated, kept
+    in mask form and decoded to clauses only on lookup.
+
+    Maps a clause to its (left, right, pivot) derivation, or to None for
+    a premise.
+    """
+
+    def __init__(self, premises: list[Clause]):
+        self._names = sorted({n for c in premises for n, _ in c.literals})
+        self._bit = {n: 1 << i for i, n in enumerate(self._names)}
+        # every derived literal occurs in a premise: decoding reuses those
+        # literal objects, so decoded clauses share them as resolvents did
+        self._literals = {(self._bit[lit[0]], lit[1]): lit for c in premises for lit in c.literals}
+        self.parents: dict[_Mask, tuple[_Mask, _Mask, int] | None] = {}
+
+    def encode(self, c: Clause) -> _Mask | None:
+        pos_bits = neg_bits = 0
+        for name, positive in c.literals:
+            b = self._bit.get(name)
+            if b is None:
+                return None
+            if positive:
+                pos_bits |= b
+            else:
+                neg_bits |= b
+        return pos_bits, neg_bits
+
+    def decode(self, m: _Mask) -> Clause:
+        lits = []
+        for bits, positive in zip(m, (True, False)):
+            while bits:
+                low = bits & -bits
+                lits.append(self._literals[low, positive])
+                bits ^= low
+        return Clause(frozenset(lits))
+
+    def __contains__(self, c: Clause) -> bool:
+        return self.encode(c) in self.parents
+
+    def __getitem__(self, c: Clause) -> tuple[Clause, Clause, str] | None:
+        parent = self.parents[self.encode(c)]
+        if parent is None:
+            return None
+        left, right, pivot = parent
+        return self.decode(left), self.decode(right), self._names[pivot.bit_length() - 1]
+
+
 def _given_clause_loop(premises, width_cap: int, budget):
     """Given-clause resolution closure with forward and backward subsumption.
 
     Premises and resolvents wider than `width_cap` are dropped; the loop
     stops once the empty clause is derived.  Returns (alive, parents):
-    the subsumption-minimized clauses, and the (left, right, pivot)
-    derivation of every clause ever generated (None for a premise).
+    the subsumption-minimized clauses, and a `_Derivations` holding the
+    (left, right, pivot) derivation of every clause ever generated (None
+    for a premise).
+
+    The premises' variables are interned in sorted-name order, so inside
+    the loop a clause is a pair of bit sets (pos, neg).  Pivots are the
+    set bits of `p1 & n2`, lowest first, which is sorted-name order; a
+    resolvent is a tautology iff `rp & rn`; c subsumes d iff both
+    `cp & ~dp` and `cn & ~dn` are zero.  `alive` is decoded to clauses on
+    return; `parents` stays in mask form and is decoded per lookup, so
+    only the clauses that `Saturation.plan` walks ever become `Clause`s.
     """
     limit = search_budget(budget)
     prems = [c for c in premises if c.width <= width_cap]
-    parents: dict[Clause, tuple[Clause, Clause, str] | None] = dict.fromkeys(prems)
-    alive = dict.fromkeys(sorted(minimized(prems), key=Clause.sort_key))
+    derivations = _Derivations(prems)
+    encode = derivations.encode
+    parents = derivations.parents
+    parents.update(dict.fromkeys(map(encode, prems)))
+    alive = dict.fromkeys(encode(c) for c in sorted(minimized(prems), key=Clause.sort_key))
     queue = deque(alive)
-    processed: list[Clause] = []
+    processed: list[_Mask] = []
     work = 0
     while queue:
         given = queue.popleft()
         if given not in alive:
             continue
-        for other in list(processed):
+        gp, gn = given
+        for other in processed:
             if other not in alive:
                 continue
-            for first, second in ((given, other), (other, given)):
-                for pivot in _pivots(first, second):
+            op, on = other
+            for first, second, pivots in ((given, other, gp & on), (other, given, op & gn)):
+                union_p = first[0] | second[0]
+                union_n = first[1] | second[1]
+                while pivots:
+                    pivot = pivots & -pivots
+                    pivots ^= pivot
                     work += 1
                     if work > limit:
                         raise BudgetExceeded(work, limit, "saturation")
-                    r = _resolvent(first, second, pivot)
-                    if r is None or r.width > width_cap or r in parents:
+                    rp = union_p & ~pivot
+                    rn = union_n & ~pivot
+                    if rp & rn or (rp | rn).bit_count() > width_cap:
+                        continue
+                    r = (rp, rn)
+                    if r in parents:
                         continue
                     parents[r] = (first, second, pivot)
-                    if any(o.subsumes(r) for o in alive):
-                        continue
-                    for o in [o for o in alive if r.subsumes(o)]:
-                        del alive[o]
-                    alive[r] = None
-                    if r.is_empty():
-                        return alive, parents
-                    queue.append(r)
+                    not_rp, not_rn = ~rp, ~rn
+                    for ap, an in alive:
+                        if not (ap & not_rp or an & not_rn):
+                            break  # forward-subsumed
+                    else:
+                        for o in [o for o in alive if not (rp & ~o[0] or rn & ~o[1])]:
+                            del alive[o]
+                        if not (rp or rn):  # the empty clause subsumed every other clause
+                            return {EMPTY_CLAUSE: None}, derivations
+                        alive[r] = None
+                        queue.append(r)
         processed.append(given)
-    return alive, parents
+    return dict.fromkeys(map(derivations.decode, alive)), derivations
 
 
 def saturate(premises, variable_cap: int = 16, budget=None) -> Saturation:

@@ -35,7 +35,7 @@ def test_gen_corpus_manifest(tmp_path):
     out = tmp_path / "corpus"
     assert run(
         "gen", "--graph", "path:4", "--graph", "pyramid:1",
-        "--fn", "xor:2", "--fn", "none", "--out-dir", str(out), "--jobs", "2",
+        "--fn", "xor:2", "--fn", "none", "--out-dir", str(out),
     ) == 0
     with open(out / "manifest.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))

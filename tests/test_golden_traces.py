@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from peblab import boolfunc, dag, pebbling, projections, resolution
+from peblab import boolfunc, dag, formulas, pebbling, projections, resolution
 
 XOR2 = boolfunc.xor_fn(2)
 
@@ -32,6 +32,30 @@ def test_lifted_constant_space_refutation_pyramid3_xor2():
     assert sha256(resolution.serialize_refutation(r)) == (
         "b7963c1307ddf7fb9f4153d1c306435348984b5d426133640839011ece53da32"
     )
+
+
+def test_compiled_greedy_refutation_pyramid8_xor2():
+    g = dag.build_pyramid(8)
+    r = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2)
+    assert sha256(resolution.serialize_refutation(r)) == (
+        "ed556eddb34ee748eee39b5772d3f4be67268bc8c37c3b6a55319512138be74c"
+    )
+
+
+def test_lifted_constant_space_refutation_pyramid4_xor2():
+    r = resolution.lift_refutation(resolution.constant_space_refutation(dag.build_pyramid(4)), XOR2)
+    assert sha256(resolution.serialize_refutation(r)) == (
+        "5adef33288dd8c976e1fec4645313107d0f2c2429e426634e2b36e7ca33abcc1"
+    )
+
+
+@pytest.mark.parametrize("g,f,width", [
+    (dag.build_binary_tree(2), boolfunc.majority_fn(3), 6),
+    (dag.build_pyramid(3), XOR2, 6),
+], ids=["tree2-maj3", "pyramid3-xor2"])
+def test_min_width_answers(g, f, width):
+    target = formulas.substitute(formulas.pebbling_contradiction(g), f)
+    assert resolution.min_width(target, 8) == width
 
 
 def test_optimal_pebbling_witnesses_pyramid3():

@@ -24,6 +24,29 @@ def xor_block(name):
     )
 
 
+def _repeating_mask_by_division(position, total):
+    """The repunit form: one period repeated by dividing 2^(2^total) - 1."""
+    period = 1 << (position + 1)
+    block = ((1 << (1 << position)) - 1) << (1 << position)
+    repunit = ((1 << (1 << total)) - 1) // ((1 << period) - 1)
+    return block * repunit
+
+
+def test_repeating_mask_matches_division_form():
+    for total in range(1, 13):
+        for position in range(total):
+            assert projections._repeating_mask(position, total) == (
+                _repeating_mask_by_division(position, total)
+            ), (position, total)
+
+
+def test_repeating_mask_high_position_builds():
+    mask = projections._repeating_mask(22, 24)
+    assert mask.bit_count() == 1 << 23
+    for index in (0, (1 << 22) - 1, 1 << 22, (1 << 23) - 1, 1 << 23, 3 << 22, (1 << 24) - 1):
+        assert (mask >> index) & 1 == (index >> 22) & 1
+
+
 class TestPreciseImplication:
     def test_block_implies_its_variable(self):
         assert projections.precisely_implies(xor_block("x"), clause("x"), XOR2)

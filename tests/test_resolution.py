@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peblab import boolfunc, dag, formulas, pebbling, resolution
-from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula
+from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula, neg
 from peblab.errors import (
     BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, SaturationFailure, TraceError,
     TrivialResolvent,
@@ -127,24 +127,127 @@ class TestChecker:
             dag.build_pyramid(2), pebbling.greedy_black_strategy(dag.build_pyramid(2)), OR2
         )
         m = resolution.check_refutation(r)
-        # replay the configurations from scratch and recompute every measure
-        config, by_id = set(), {}
-        length = width = cspace = vspace = tspace = 0
-        for idx, step in enumerate(r.steps, start=1):
-            if isinstance(step, Erase):
-                config.discard(by_id[step.target])
-            else:
-                config.add(step.line)
-                by_id[idx] = step.line
-                length += 1
-            cspace = max(cspace, len(config))
-            if config:
-                width = max(width, max(c.width for c in config))
-                vspace = max(vspace, len({v for c in config for v in c.variables()}))
-                tspace = max(tspace, sum(c.width for c in config))
         assert (m.length, m.width, m.clause_space, m.variable_space, m.total_space) == (
-            length, width, cspace, vspace, tspace
+            replayed_measures(r)
         )
+
+
+def replayed_measures(r):
+    """(length, width, clause space, variable space, total space) of `r`,
+    recomputed over the whole configuration after every step."""
+    def line_width(line):
+        return line.literal_count() if isinstance(line, KDnfLine) else line.width
+
+    config, by_id = set(), {}
+    length = width = cspace = vspace = tspace = 0
+    for idx, step in enumerate(r.steps, start=1):
+        if isinstance(step, Erase):
+            config.discard(by_id[step.target])
+        else:
+            config.add(step.line)
+            by_id[idx] = step.line
+            length += 1
+        cspace = max(cspace, len(config))
+        if config:
+            width = max(width, max(line_width(c) for c in config))
+            vspace = max(vspace, len({v for c in config for v in c.variables()}))
+            tspace = max(tspace, sum(line_width(c) for c in config))
+    return length, width, cspace, vspace, tspace
+
+
+PROOF_AXIOMS = formula(["x", "-x", "a b", "-a c", "-b -c x", "a -b"]).sorted_clauses()
+PROOF_LITERALS = [(v, p) for v in "abcx" for p in (True, False)]
+PROOF_OPS = ["download", "erase", "weaken", "infer"]
+
+
+def random_proof(ops, system):
+    """A legal refutation of PROOF_AXIOMS built from (op, i, j) choices.
+
+    `download` may fetch an axiom already present (the same line under a
+    second id), `weaken` adds a literal (a unit or two-literal term for
+    k-DNF) or re-derives its premise when that literal (or, for a clause,
+    its negation) is already there,
+    `infer` resolves (res) or cuts on a unit term (kdnf), possibly
+    re-deriving a present line, and `erase` drops any present id.  A
+    fixed suffix derives the empty line from x and -x.
+    """
+    kdnf = system == "kdnf"
+    lift = KDnfLine.from_clause if kdnf else (lambda c: c)
+    axioms = [lift(c) for c in PROOF_AXIOMS]
+    steps, by_id, config = [], {}, set()
+
+    def add(step):
+        steps.append(step)
+        by_id[len(steps)] = step.line
+        config.add(step.line)
+        return len(steps)
+
+    def cut(i1, i2):
+        p1, p2 = by_id[i1], by_id[i2]
+        for t in sorted(p1.terms, key=sorted):
+            if len(t) == 1 and frozenset({neg(next(iter(t)))}) in p2.terms:
+                line = KDnfLine((p1.terms - {t}) | (p2.terms - {frozenset({neg(next(iter(t)))})}))
+                return add(Infer(line, (i1, i2), "cut", cut_term=t))
+
+    def resolve(i1, i2):
+        p1, p2 = by_id[i1], by_id[i2]
+        for pivot in resolution._pivots(p1, p2):
+            r = resolution._resolvent(p1, p2, pivot)
+            if r is not None:
+                return add(Infer(r, (i1, i2), "pivot", pivot=pivot))
+
+    for op, i, j in ops:
+        present = sorted(k for k, line in by_id.items() if line in config)
+        if op == "download":
+            add(Download(axioms[i % len(axioms)]))
+        elif not present:
+            continue
+        elif op == "erase":
+            target = present[i % len(present)]
+            steps.append(Erase(target))
+            config.discard(by_id[target])
+        elif op == "weaken":
+            src = present[i % len(present)]
+            lit = PROOF_LITERALS[j % len(PROOF_LITERALS)]
+            if kdnf:
+                other = PROOF_LITERALS[(j // 8) % len(PROOF_LITERALS)]
+                t = frozenset({lit, other}) if other[0] != lit[0] else frozenset({lit})
+                line = KDnfLine(by_id[src].terms | {t})
+            elif neg(lit) in by_id[src]:
+                line = by_id[src]
+            else:
+                line = Clause(by_id[src].literals | {lit})
+            add(Infer(line, (src,), "weaken"))
+        else:
+            (cut if kdnf else resolve)(present[i % len(present)], present[j % len(present)])
+    pos = add(Download(lift(clause("x"))))
+    negative = add(Download(lift(clause("-x"))))
+    if kdnf:
+        cut(pos, negative)
+    else:
+        resolve(pos, negative)
+    return Refutation(target=formula(PROOF_AXIOMS), steps=tuple(steps), system=system, k=2)
+
+
+# x under two ids, one erased; an inference and its re-derivation; a
+# weakening and a re-derived weakening; an erase
+_EXAMPLE_OPS = [("download", 0, 0), ("download", 0, 0), ("erase", 0, 0), ("download", 2, 0),
+                ("download", 4, 0), ("infer", 0, 1), ("infer", 0, 1), ("weaken", 0, 6),
+                ("weaken", 0, 0), ("erase", 2, 0)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(PROOF_OPS), st.integers(0, 63), st.integers(0, 63)),
+                max_size=30),
+       st.sampled_from(["res", "kdnf"]))
+@example(_EXAMPLE_OPS, "res")
+@example(_EXAMPLE_OPS, "kdnf")
+@settings(max_examples=200, deadline=None)
+def test_incremental_measures_match_replay(ops, system):
+    r = random_proof(ops, system)
+    m = resolution.check_refutation(r)
+    assert (m.length, m.width, m.clause_space, m.variable_space, m.total_space) == (
+        replayed_measures(r)
+    )
 
 
 class TestSaturate:
