@@ -77,7 +77,7 @@ def cmd_gen(args) -> int:
             "width": formula.width,
         }
 
-    rows = _run_jobs(build, pairs)  # CPU-bound: threads would only take turns on the GIL
+    rows = _run_jobs(build, pairs)
     failures = [r for r in rows if isinstance(r, Exception)]
     rows = [r for r in rows if not isinstance(r, Exception)]
     manifest = args.manifest or (str(out_dir / "manifest.csv") if out_dir else None)
@@ -294,20 +294,14 @@ def cmd_report(args) -> int:
 
 
 def _run_jobs(fn, items, jobs=1):
-    if jobs and jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            out = []
-            for fut in futures:
-                try:
-                    out.append(fut.result())
-                except Exception as exc:  # per-item failures become rows
-                    out.append(exc)
-            return out
+    """fn over items on `jobs` threads, in item order; a raised exception
+    becomes that item's result."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        futures = [pool.submit(fn, item) for item in items]
     out = []
-    for item in items:
+    for fut in futures:
         try:
-            out.append(fn(item))
+            out.append(fut.result())
         except Exception as exc:
             out.append(exc)
     return out
@@ -316,6 +310,8 @@ def _run_jobs(fn, items, jobs=1):
 def cmd_bench(args) -> int:
     if "{file}" not in args.solver:
         return _fail("solver template must contain {file}")
+    if args.jobs < 1:
+        return _fail("--jobs must be at least 1")
     with open(args.manifest, newline="") as fh:
         entries = list(csv.DictReader(fh))
 

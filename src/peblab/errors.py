@@ -33,14 +33,18 @@ class BudgetExceeded(PeblabError):
         self.budget = budget
 
 
-class DagError(PeblabError):
-    """Invalid DAG structure or DAG-file syntax; carries a location when parsing."""
+class InputError(PeblabError):
+    """Bad input; the message starts with `line N: ` when `line` is known."""
 
     def __init__(self, message, line=None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class DagError(InputError):
+    """Invalid DAG structure or DAG-file syntax; carries a location when parsing."""
 
 
 class TrivialClause(PeblabError):
@@ -51,22 +55,12 @@ class ConstantFunction(PeblabError):
     """Boolean function is constant; substitution and canonical clauses are undefined."""
 
 
-class DimacsError(PeblabError):
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
+class DimacsError(InputError):
+    """Malformed DIMACS text."""
 
 
-class TraceError(PeblabError):
+class TraceError(InputError):
     """Malformed pebbling- or proof-trace file."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
-        super().__init__(message)
-        self.line = line
 
 
 # -- pebble games ------------------------------------------------------------

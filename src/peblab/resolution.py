@@ -137,30 +137,16 @@ class Measures:
 # -- the resolution rule ----------------------------------------------------
 
 
-def _resolvent(c1: Clause, c2: Clause, pivot: str) -> Clause | None:
-    """Resolvent of c1 (pivot positive) and c2 (pivot negative); None for
-    a tautology.  The caller guarantees both pivot literals are present."""
-    lits = (c1.literals - {(pivot, True)}) | (c2.literals - {(pivot, False)})
-    if len({n for n, _ in lits}) != len(lits):
-        return None
-    return Clause(lits)
-
-
-def _pivots(first: Clause, second: Clause) -> list[str]:
-    """Variables positive in `first` and negative in `second`, sorted."""
-    return sorted(n for n, p in first.literals if p and (n, False) in second.literals)
-
-
 def resolve(c1: Clause, c2: Clause, pivot: str) -> Clause:
     """Resolution on `pivot`: pivot positive in c1, negative in c2."""
     if (pivot, True) not in c1:
         raise PivotAbsent(f"{pivot} not positive in ({c1})")
     if (pivot, False) not in c2:
         raise PivotAbsent(f"{pivot} not negative in ({c2})")
-    r = _resolvent(c1, c2, pivot)
-    if r is None:
+    lits = (c1.literals - {(pivot, True)}) | (c2.literals - {(pivot, False)})
+    if len({n for n, _ in lits}) != len(lits):
         raise TrivialResolvent(f"resolving ({c1}) and ({c2}) on {pivot}")
-    return r
+    return Clause(lits)
 
 
 # -- semantic evaluation (truth-table cross-checks) ---------------------------
@@ -328,6 +314,8 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
             if kdnf:
                 _check_kdnf_rule(step, premises, r.k, idx)
             else:
+                if not isinstance(step.line, Clause):
+                    raise IllegalStep(idx, "resolution step must infer a clause")
                 if step.rule == "pivot":
                     if len(premises) != 2 or step.pivot is None:
                         raise IllegalStep(idx, "resolution takes two premises and a pivot")
@@ -436,81 +424,31 @@ class ProofBuilder:
 
 # -- saturation ----------------------------------------------------------------
 
-
-class Saturation:
-    """Resolution closure with derivation traces.
-
-    `clauses` is the subsumption-minimized closure; `plan` extracts a
-    spliceable derivation for any clause the closure implies.
-    """
-
-    def __init__(self, clauses, parents):
-        self.clauses = clauses
-        self._parents = parents
-
-    def plan(self, target: Clause) -> tuple[list[tuple[Clause, Clause, Clause, str]], Clause]:
-        """Derivation steps for `target` (or its strongest derived subsumer).
-
-        Returns (steps, base): steps are (result, left, right, pivot) in
-        dependency order deriving `base`; base == target whenever the
-        exact clause was ever generated, else base is a proper subclause
-        and the caller must weaken.
-        """
-        if target in self._parents:
-            base = target
-        else:
-            candidates = [c for c in self.clauses if c.subsumes(target)]
-            if not candidates:
-                raise SaturationFailure(f"({target}) is not implied by the premises")
-            base = min(candidates, key=Clause.sort_key)
-        steps: list[tuple[Clause, Clause, Clause, str]] = []
-        emitted: set[Clause] = set()
-
-        def walk(c: Clause) -> None:
-            if c in emitted:
-                return
-            emitted.add(c)
-            parent = self._parents[c]
-            if parent is None:
-                return
-            left, right, pivot = parent
-            walk(left)
-            walk(right)
-            steps.append((c, left, right, pivot))
-
-        walk(base)
-        return steps, base
-
-
 _Mask = tuple[int, int]  # (positive variables, negative variables) as bit sets
+_EMPTY: _Mask = (0, 0)
+
+_VARIABLE_CAP = 16  # most variables one saturation may span
 
 
-class _Derivations:
-    """The derivation of every clause a given-clause run generated, kept
-    in mask form and decoded to clauses only on lookup.
+class _Codec:
+    """The variables of a clause set, interned in sorted-name order, so a
+    clause over them is a pair of bit sets (pos, neg)."""
 
-    Maps a clause to its (left, right, pivot) derivation, or to None for
-    a premise.
-    """
-
-    def __init__(self, premises: list[Clause]):
-        self._names = sorted({n for c in premises for n, _ in c.literals})
-        self._bit = {n: 1 << i for i, n in enumerate(self._names)}
+    def __init__(self, clauses: list[Clause]):
+        self.names = sorted({n for c in clauses for n, _ in c.literals})
+        self._bit = {n: 1 << i for i, n in enumerate(self.names)}
         # every derived literal occurs in a premise: decoding reuses those
         # literal objects, so decoded clauses share them as resolvents did
-        self._literals = {(self._bit[lit[0]], lit[1]): lit for c in premises for lit in c.literals}
-        self.parents: dict[_Mask, tuple[_Mask, _Mask, int] | None] = {}
+        self._literals = {(self._bit[lit[0]], lit[1]): lit for c in clauses for lit in c.literals}
 
-    def encode(self, c: Clause) -> _Mask | None:
+    def encode(self, c: Clause) -> _Mask:
+        """The mask of c's literals; literals of other variables are dropped."""
         pos_bits = neg_bits = 0
         for name, positive in c.literals:
-            b = self._bit.get(name)
-            if b is None:
-                return None
             if positive:
-                pos_bits |= b
+                pos_bits |= self._bit.get(name, 0)
             else:
-                neg_bits |= b
+                neg_bits |= self._bit.get(name, 0)
         return pos_bits, neg_bits
 
     def decode(self, m: _Mask) -> Clause:
@@ -522,41 +460,28 @@ class _Derivations:
                 bits ^= low
         return Clause(frozenset(lits))
 
-    def __contains__(self, c: Clause) -> bool:
-        return self.encode(c) in self.parents
-
-    def __getitem__(self, c: Clause) -> tuple[Clause, Clause, str] | None:
-        parent = self.parents[self.encode(c)]
-        if parent is None:
-            return None
-        left, right, pivot = parent
-        return self.decode(left), self.decode(right), self._names[pivot.bit_length() - 1]
+    def name(self, bit: int) -> str:
+        return self.names[bit.bit_length() - 1]
 
 
 def _given_clause_loop(premises, width_cap: int, budget):
     """Given-clause resolution closure with forward and backward subsumption.
 
     Premises and resolvents wider than `width_cap` are dropped; the loop
-    stops once the empty clause is derived.  Returns (alive, parents):
-    the subsumption-minimized clauses, and a `_Derivations` holding the
-    (left, right, pivot) derivation of every clause ever generated (None
-    for a premise).
+    stops once the empty clause is derived.  Returns (codec, alive,
+    parents): the `_Codec` of the premises, the subsumption-minimized
+    clauses, and the (left, right, pivot bit) derivation of every clause
+    ever generated (None for a premise), all as masks.
 
-    The premises' variables are interned in sorted-name order, so inside
-    the loop a clause is a pair of bit sets (pos, neg).  Pivots are the
-    set bits of `p1 & n2`, lowest first, which is sorted-name order; a
-    resolvent is a tautology iff `rp & rn`; c subsumes d iff both
-    `cp & ~dp` and `cn & ~dn` are zero.  `alive` is decoded to clauses on
-    return; `parents` stays in mask form and is decoded per lookup, so
-    only the clauses that `Saturation.plan` walks ever become `Clause`s.
+    Pivots are the set bits of `p1 & n2`, lowest first, which is
+    sorted-name order; a resolvent is a tautology iff `rp & rn`; c
+    subsumes d iff both `cp & ~dp` and `cn & ~dn` are zero.
     """
     limit = search_budget(budget)
     prems = [c for c in premises if c.width <= width_cap]
-    derivations = _Derivations(prems)
-    encode = derivations.encode
-    parents = derivations.parents
-    parents.update(dict.fromkeys(map(encode, prems)))
-    alive = dict.fromkeys(encode(c) for c in sorted(minimized(prems), key=Clause.sort_key))
+    codec = _Codec(prems)
+    parents: dict[_Mask, tuple[_Mask, _Mask, int] | None] = dict.fromkeys(map(codec.encode, prems))
+    alive = dict.fromkeys(codec.encode(c) for c in sorted(minimized(prems), key=Clause.sort_key))
     queue = deque(alive)
     processed: list[_Mask] = []
     work = 0
@@ -593,53 +518,72 @@ def _given_clause_loop(premises, width_cap: int, budget):
                     else:
                         for o in [o for o in alive if not (rp & ~o[0] or rn & ~o[1])]:
                             del alive[o]
-                        if not (rp or rn):  # the empty clause subsumed every other clause
-                            return {EMPTY_CLAUSE: None}, derivations
                         alive[r] = None
+                        if r == _EMPTY:  # it subsumed every other clause
+                            return codec, alive, parents
                         queue.append(r)
         processed.append(given)
-    return dict.fromkeys(map(derivations.decode, alive)), derivations
+    return codec, alive, parents
 
 
-def saturate(premises, variable_cap: int = 16, budget=None) -> Saturation:
-    """Close a clause set under resolution with subsumption minimization,
-    recording a derivation trace for every clause ever generated."""
-    premises = set(premises)
-    names = set().union(*(c.variables() for c in premises))
-    if len(names) > variable_cap:
-        raise BudgetExceeded(len(names), variable_cap, "saturation variable count",
+def saturate(premises, budget=None):
+    """Close a clause set of at most `_VARIABLE_CAP` variables under
+    resolution with subsumption minimization; returns the
+    `_given_clause_loop` triple, with no clause dropped for width."""
+    names = {n for c in premises for n, _ in c.literals}
+    if len(names) > _VARIABLE_CAP:
+        raise BudgetExceeded(len(names), _VARIABLE_CAP, "saturation variable count",
                              unit="variables")
-    alive, parents = _given_clause_loop(premises, len(names), budget)  # drops no clause
-    return Saturation(tuple(sorted(alive, key=Clause.sort_key)), parents)
+    return _given_clause_loop(premises, len(names), budget)
 
 
-def _splice(builder: ProofBuilder, sat: Saturation, target: Clause) -> list[Clause]:
-    """Emit the derivation of `target`; returns newly added clauses in order."""
-    steps, base = sat.plan(target)
-    added = []
-    for result, left, right, pivot in steps:
-        if builder.has(result):
+def _derive(builder: ProofBuilder, premises, targets, budget) -> list[Clause]:
+    """Derive every clause of `targets` from `premises`, which are present
+    in `builder`; returns the clauses this added, in order.
+
+    A target the saturation generated is derived along its parents in
+    post-order, skipping results already present; any other target is
+    weakened from its smallest subsumer by `Clause.sort_key`.
+    """
+    codec, alive, parents = saturate(premises, budget)
+    decoded: dict[_Mask, Clause] = {}
+    walked: set[_Mask] = set()
+    added: list[Clause] = []
+
+    def clause_of(m: _Mask) -> Clause:
+        if m not in decoded:
+            decoded[m] = codec.decode(m)
+        return decoded[m]
+
+    def walk(m: _Mask) -> None:
+        if m in walked:
+            return
+        walked.add(m)
+        parent = parents[m]
+        if parent is None:
+            return
+        left, right, pivot = parent
+        walk(left)
+        walk(right)
+        if not builder.has(clause_of(m)):
+            builder.infer_resolve(clause_of(left), clause_of(right), codec.name(pivot))
+            added.append(clause_of(m))
+
+    for target in sorted(targets, key=Clause.sort_key):
+        if builder.has(target):
             continue
-        builder.infer_resolve(left, right, pivot)
-        added.append(result)
-    if base != target:
-        if not builder.has(target):
-            builder.weaken(base, target)
-            added.append(target)
+        tp, tn = m = codec.encode(target)
+        if m in parents and (tp | tn).bit_count() == target.width:
+            walk(m)
+            continue
+        subsumers = [a for a in alive if not (a[0] & ~tp or a[1] & ~tn)]
+        if not subsumers:
+            raise SaturationFailure(f"({target}) is not implied by the premises")
+        base = min(subsumers, key=lambda a: clause_of(a).sort_key())
+        walk(base)
+        builder.weaken(clause_of(base), target)
+        added.append(target)
     return added
-
-
-def _derive_targets(builder: ProofBuilder, premises, targets, variable_cap: int, budget) -> None:
-    """Derive every clause of `targets` from `premises`, then erase the
-    intermediate clauses those derivations left behind."""
-    sat = saturate(premises, variable_cap, budget)
-    transient: list[Clause] = []
-    for c in sorted(targets, key=Clause.sort_key):
-        if not builder.has(c):
-            transient.extend(_splice(builder, sat, c))
-    for c in transient:
-        if c not in targets and builder.has(c):
-            builder.erase(c)
 
 
 # -- constructive refutations ---------------------------------------------------
@@ -697,7 +641,6 @@ def pebbling_to_refutation(
     g: Dag,
     p: BwPebbling,
     f: BooleanFunction | None = None,
-    variable_cap: int = 16,
     budget=None,
 ) -> Refutation:
     """Compile a complete black pebbling into a refutation of Peb_G[f].
@@ -728,7 +671,9 @@ def pebbling_to_refutation(
                 premises = set(block)
                 for u in g.predecessors(v):
                     premises |= truth[u]
-                _derive_targets(b, premises, targets, variable_cap, budget)
+                for c in _derive(b, premises, targets, budget):
+                    if c not in targets:
+                        b.erase(c)
             for d in block:
                 if d not in targets and b.has(d):
                     b.erase(d)
@@ -742,8 +687,7 @@ def pebbling_to_refutation(
     for d in sink_block:
         if not b.has(d):
             b.download(d)
-    sat = saturate(truth[g.sink] | frozenset(sink_block), variable_cap, budget)
-    _splice(b, sat, EMPTY_CLAUSE)
+    _derive(b, truth[g.sink] | frozenset(sink_block), {EMPTY_CLAUSE}, budget)
     return b.build()
 
 
@@ -775,7 +719,6 @@ def pinned_simulation_constants(fn_literal: str, max_indegree: int) -> Simulatio
 def lift_refutation(
     r: Refutation,
     f: BooleanFunction,
-    variable_cap: int = 16,
     budget=None,
 ) -> Refutation:
     """Lift a resolution refutation of F to one of F[f], step by step.
@@ -833,7 +776,9 @@ def lift_refutation(
             else:
                 p1 = lines_by_id[step.premises[0]]
                 p2 = lines_by_id[step.premises[1]]
-                _derive_targets(b, image(p1) | image(p2), targets, variable_cap, budget)
+                for d in _derive(b, image(p1) | image(p2), targets, budget):
+                    if d not in targets:
+                        b.erase(d)
             config.add(c)
         elif isinstance(step, Erase):
             c = lines_by_id[step.target]
@@ -851,28 +796,28 @@ def min_width(f_formula: CnfFormula, cap: int) -> int | None:
     """Smallest w <= cap such that width-w resolution refutes the formula,
     else None (reported as >cap)."""
     for w in range(cap + 1):
-        alive, _ = _given_clause_loop(f_formula.clauses, w, None)
-        if EMPTY_CLAUSE in alive:
+        _, alive, _ = _given_clause_loop(f_formula.clauses, w, None)
+        if _EMPTY in alive:
             return w
     return None
 
 
 def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None:
     """Exact minimal clause space over all refutations of <= cap clauses
-    per configuration, by BFS over reachable clause-set states; None if
-    no refutation fits within the cap."""
+    per configuration, by BFS over reachable clause-set states (sets of
+    the loop codec's masks); None if no refutation fits within the cap."""
     limit = search_budget(budget)
     if EMPTY_CLAUSE in f_formula.clauses:
         return 1
     # a width cap of the variable count drops no clause
-    alive, _ = _given_clause_loop(f_formula.clauses, len(f_formula.variables()), budget)
-    if EMPTY_CLAUSE not in alive:
+    codec, alive, _ = _given_clause_loop(f_formula.clauses, len(f_formula.variables()), budget)
+    if _EMPTY not in alive:
         return None  # satisfiable: no refutation at any cap
-    axioms = f_formula.sorted_clauses()
+    axioms = [codec.encode(c) for c in f_formula.sorted_clauses()]
     visited_total = 0
 
     for s in range(1, cap + 1):
-        start: frozenset[Clause] = frozenset()
+        start: frozenset[_Mask] = frozenset()
         seen = {start}
         queue = deque([start])
         while queue:
@@ -880,23 +825,22 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
             visited_total += 1
             if visited_total > limit:
                 raise BudgetExceeded(visited_total, limit, "clause space search")
-            nxt: list[frozenset[Clause]] = []
-            members = sorted(state, key=Clause.sort_key)
+            nxt = [state - {c} for c in state]
             if len(state) < s:
-                for a in axioms:
-                    if a not in state:
-                        nxt.append(state | {a})
-                for first in members:
-                    for second in members:
-                        for pivot in _pivots(first, second):
-                            r = _resolvent(first, second, pivot)
-                            if r is not None and r not in state:
-                                nxt.append(state | {r})
-            for c in members:
-                nxt.append(state - {c})
+                nxt.extend(state | {a} for a in axioms if a not in state)
+                for fp, fn in state:
+                    for sp, sn in state:
+                        pivots = fp & sn
+                        while pivots:
+                            pivot = pivots & -pivots
+                            pivots ^= pivot
+                            rp = (fp | sp) & ~pivot
+                            rn = (fn | sn) & ~pivot
+                            if not (rp or rn):
+                                return s
+                            if not rp & rn and (rp, rn) not in state:
+                                nxt.append(state | {(rp, rn)})
             for new in nxt:
-                if EMPTY_CLAUSE in new:
-                    return s
                 if new not in seen:
                     seen.add(new)
                     queue.append(new)
@@ -973,6 +917,11 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int):
         raise TraceError(str(e), line=lineno) from None
 
 
+def _is_count(tok: str) -> bool:
+    """Whether `tok` is a decimal integer of at least 1."""
+    return tok.isdecimal() and int(tok) >= 1
+
+
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
     system = None
     k = 1
@@ -988,7 +937,7 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
                 raise TraceError("first directive must be 'system res' or 'system kdnf <k>'", line=lineno)
             if fields[1:] == ["res"]:
                 system = "res"
-            elif len(fields) == 3 and fields[1] == "kdnf":
+            elif len(fields) == 3 and fields[1] == "kdnf" and _is_count(fields[2]):
                 system = "kdnf"
                 k = int(fields[2])
             else:
@@ -998,7 +947,7 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
         op = fields[0]
 
         def ref(tok):
-            if not tok.isdigit() or int(tok) < 1:
+            if not _is_count(tok):
                 raise TraceError(f"bad step reference {tok!r}", line=lineno)
             return int(tok)
 

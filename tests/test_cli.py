@@ -251,6 +251,28 @@ def test_bench_missing_solver(tmp_path):
     assert "spawn-failure" in bench_out.read_text()
 
 
+def test_bench_rejects_jobs_below_one(tmp_path, capsys):
+    out_dir = tmp_path / "corpus"
+    run("gen", "--graph", "path:3", "--fn", "none", "--out-dir", str(out_dir))
+    for jobs in ("0", "-1"):
+        assert run("bench", "--manifest", str(out_dir / "manifest.csv"),
+                   "--solver", "true {file}", "--jobs", jobs) == 1
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_bench_jobs_keep_manifest_order(tmp_path):
+    out_dir = tmp_path / "corpus"
+    run("gen", "--graph", "path:3", "--graph", "path:4", "--graph", "path:5", "--fn", "none",
+        "--out-dir", str(out_dir))
+    solver = _fake_solver(tmp_path, 20)
+    bench_out = tmp_path / "bench.csv"
+    assert run("bench", "--manifest", str(out_dir / "manifest.csv"),
+               "--solver", solver + " {file}", "--jobs", "2", "--out", str(bench_out)) == 0
+    paths = [row.split(",")[0] for row in bench_out.read_text().splitlines()[1:]]
+    with open(out_dir / "manifest.csv", newline="") as fh:
+        assert paths == [row["path"] for row in csv.DictReader(fh)]
+
+
 def test_budget_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PEBLAB_BUDGET", "3")
     assert run("pebble-price", "--graph", "pyramid:2", "--game", "black") == 1

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from peblab import boolfunc, dag, formulas
 from peblab.cnf import Clause, CnfFormula, clause, formula
-from peblab.errors import DimacsError, PeblabError, TrivialClause
+from peblab.errors import DagError, DimacsError, PeblabError, TraceError, TrivialClause
 
 OR2 = boolfunc.or_fn(2)
 XOR2 = boolfunc.xor_fn(2)
@@ -172,6 +172,14 @@ def test_dimacs_roundtrip():
 def test_dimacs_errors(text, fragment):
     with pytest.raises(DimacsError, match=fragment):
         formulas.from_dimacs(text)
+
+
+@pytest.mark.parametrize("cls", [DagError, DimacsError, TraceError])
+def test_input_errors_prefix_the_line(cls):
+    located, unlocated = cls("bad token", line=4), cls("bad token")
+    assert isinstance(located, PeblabError)
+    assert (str(located), located.line) == ("line 4: bad token", 4)
+    assert (str(unlocated), unlocated.line) == ("bad token", None)
 
 
 def test_dimacs_explicit_default_style_names():

@@ -1,3 +1,5 @@
+from collections import deque
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -90,6 +92,16 @@ class TestChecker:
         )
         with pytest.raises(IllegalStep, match="resolvent"):
             resolution.check_refutation(Refutation(target=F, steps=steps))
+
+    @pytest.mark.parametrize("step", [
+        Infer(KDnfLine.from_clause(clause("x y")), (1,), "weaken"),
+        Infer(KDnfLine(), (1, 2), "pivot", pivot="x"),
+    ])
+    def test_res_step_must_infer_a_clause(self, step):
+        F = formula(["x", "-x"])
+        r = Refutation(target=F, steps=(Download(clause("x")), Download(clause("-x")), step))
+        with pytest.raises(IllegalStep, match="step 3: resolution step must infer a clause"):
+            resolution.check_refutation(r)
 
     def test_weakening_accepted(self):
         F = formula(["x", "-x", "y"])
@@ -191,10 +203,12 @@ def random_proof(ops, system):
 
     def resolve(i1, i2):
         p1, p2 = by_id[i1], by_id[i2]
-        for pivot in resolution._pivots(p1, p2):
-            r = resolution._resolvent(p1, p2, pivot)
-            if r is not None:
-                return add(Infer(r, (i1, i2), "pivot", pivot=pivot))
+        for pivot in sorted(n for n, positive in p1.literals if positive and (n, False) in p2):
+            try:
+                r = resolution.resolve(p1, p2, pivot)
+            except TrivialResolvent:
+                continue
+            return add(Infer(r, (i1, i2), "pivot", pivot=pivot))
 
     for op, i, j in ops:
         present = sorted(k for k, line in by_id.items() if line in config)
@@ -250,14 +264,29 @@ def test_incremental_measures_match_replay(ops, system):
     )
 
 
+def saturated(premises) -> set[Clause]:
+    codec, alive, _ = resolution.saturate(premises)
+    return {codec.decode(m) for m in alive}
+
+
+def derivation(premises, targets):
+    """A builder holding `premises` as downloads, then `_derive` of `targets`."""
+    b = ProofBuilder(CnfFormula(frozenset(premises)))
+    for c in premises:
+        b.download(c)
+    return b, resolution._derive(b, premises, targets, None)
+
+
 class TestSaturate:
     def test_unit_propagation(self):
-        sat = resolution.saturate([clause("x"), clause("-x y")])
-        assert clause("y") in sat.clauses
+        assert clause("y") in saturated([clause("x"), clause("-x y")])
 
     def test_two_resolutions(self):
-        sat = resolution.saturate([clause("x1 x2"), clause("-x1 y1 y2"), clause("-x2 y1 y2")])
-        assert clause("y1 y2") in sat.clauses
+        premises = [clause("x1 x2"), clause("-x1 y1 y2"), clause("-x2 y1 y2")]
+        assert clause("y1 y2") in saturated(premises)
+        b, added = derivation(premises, {clause("y1 y2")})
+        assert added == [clause("x2 y1 y2"), clause("y1 y2")]
+        assert [step.rule for step in b.steps[3:]] == ["pivot", "pivot"]
 
     def test_xor_block_closure(self):
         # canonical xor sets for u,v plus the substituted axiom block of x
@@ -267,30 +296,38 @@ class TestSaturate:
         premises = set(block)
         for v in ("u", "v"):
             premises |= boolfunc.canonical_clauses(XOR2, formulas.block_vars(v, 2))
-        sat = resolution.saturate(premises)
+        closure = saturated(premises)
         for target in boolfunc.canonical_clauses(XOR2, formulas.block_vars("x", 2)):
-            assert target in sat.clauses
+            assert target in closure
 
-    def test_plan_is_spliceable(self):
-        sat = resolution.saturate([clause("x"), clause("-x y"), clause("-y z")])
-        steps, base = sat.plan(clause("z"))
-        assert base == clause("z")
-        derived = {clause("x"), clause("-x y"), clause("-y z")}
-        for result, left, right, pivot in steps:
-            assert left in derived and right in derived
-            assert resolution.resolve(left, right, pivot) == result
-            derived.add(result)
-        assert clause("z") in derived
+    def test_derivation_is_checked(self):
+        premises = [clause("x"), clause("-x y"), clause("-y z")]
+        b, added = derivation(premises, {clause("z")})
+        assert added == [clause("y"), clause("z")]
+        b.download(clause("-z"))
+        assert resolution._derive(b, [clause("z"), clause("-z")], {EMPTY_CLAUSE}, None) == [
+            EMPTY_CLAUSE
+        ]
+        r = Refutation(target=formula(premises + [clause("-z")]), steps=tuple(b.steps))
+        assert resolution.check_refutation(r).length == 7
 
-    def test_plan_missing_target(self):
-        sat = resolution.saturate([clause("x")])
-        with pytest.raises(SaturationFailure):
-            sat.plan(clause("y"))
+    def test_target_weakened_from_smallest_subsumer(self):
+        # the closure is {x, y}; x y is never generated, and x sorts before y
+        b, added = derivation([clause("x"), clause("-x y")], {clause("x y"), clause("y w")})
+        assert added == [clause("y"), clause("w y"), clause("x y")]
+        assert b.steps[3] == Infer(clause("w y"), (3,), "weaken")
+        assert b.steps[4] == Infer(clause("x y"), (1,), "weaken")
+
+    def test_target_not_implied(self):
+        with pytest.raises(SaturationFailure, match=r"^\(y\) is not implied by the premises$"):
+            derivation([clause("x")], {clause("y")})
 
     def test_variable_cap_reports_variables(self):
+        chain = [clause(f"-v{i} v{i + 1}") for i in range(16)]
         with pytest.raises(BudgetExceeded,
-                           match=r"^saturation variable count exceeded budget: 3 variables \(budget 2\)$"):
-            resolution.saturate([clause("a b"), clause("-b c")], variable_cap=2)
+                           match=r"^saturation variable count exceeded budget: 17 variables \(budget 16\)$"):
+            resolution.saturate(chain)
+        resolution.saturate(chain[:15])  # 16 variables are allowed
 
 
 CORPUS = (
@@ -463,6 +500,11 @@ class TestTraceFormat:
             resolution.parse_refutation_trace("system res\ne zero\n", F)
         with pytest.raises(TraceError, match="<-"):
             resolution.parse_refutation_trace("system res\nr x 1 2 pivot x\n", F)
+        for k in ("two", "0", "-1", "2.5", "\u00b2"):
+            with pytest.raises(TraceError, match=f"^line 2: bad system line 'system kdnf {k}'$"):
+                resolution.parse_refutation_trace(f"# header\nsystem kdnf {k}\n", F)
+        with pytest.raises(TraceError, match="^line 2: bad step reference"):
+            resolution.parse_refutation_trace("system res\ne \u00b2\n", F)
 
     def test_comment_lines(self):
         F = formula(["x", "-x"])
@@ -650,7 +692,55 @@ def small_cnfs(draw):
 @settings(max_examples=150, deadline=None)
 def test_given_clause_loop_agrees_with_sat_oracle(F):
     unsat = formulas.brute_force_sat(F) is None
-    alive, _ = resolution._given_clause_loop(F.clauses, len(F.variables()), None)
-    assert (EMPTY_CLAUSE in alive) == unsat
+    _, alive, _ = resolution._given_clause_loop(F.clauses, len(F.variables()), None)
+    assert ((0, 0) in alive) == unsat
     # a refutation over n variables never needs a clause wider than n
     assert (resolution.min_width(F, len(F.variables())) is None) == (not unsat)
+
+
+def reference_min_clause_space(F: CnfFormula, cap: int) -> int | None:
+    """Breadth-first search over clause-set states of at most s clauses,
+    for s = 1..cap, on `Clause` values: download an axiom, resolve two
+    present clauses, or erase one."""
+    for s in range(1, cap + 1):
+        seen = {frozenset()}
+        queue = deque(seen)
+        while queue:
+            state = queue.popleft()
+            if EMPTY_CLAUSE in state:
+                return s
+            nxt = [state - {c} for c in state]
+            if len(state) < s:
+                nxt += [state | {a} for a in F.clauses]
+                for c1 in state:
+                    for c2 in state:
+                        for name, positive in c1.literals:
+                            if positive and (name, False) in c2:
+                                try:
+                                    nxt.append(state | {resolution.resolve(c1, c2, name)})
+                                except TrivialResolvent:
+                                    pass
+            for new in nxt:
+                if new not in seen:
+                    seen.add(new)
+                    queue.append(new)
+    return None
+
+
+@st.composite
+def tiny_cnfs(draw):
+    names = ["a", "b", "c", "d"][:draw(st.integers(min_value=2, max_value=4))]
+    clauses = set()
+    for _ in range(draw(st.integers(min_value=2, max_value=10))):
+        chosen = draw(st.sets(st.sampled_from(names), min_size=1, max_size=3))
+        clauses.add(Clause(frozenset((n, draw(st.booleans())) for n in chosen)))
+    return CnfFormula(frozenset(clauses))
+
+
+@given(tiny_cnfs())
+@example(formula(["a", "-a"]))
+@example(formula(["a b", "a -b", "-a b", "-a -b"]))  # clause space 4
+@settings(max_examples=100, deadline=None)
+def test_min_clause_space_matches_clause_level_search(F):
+    for cap in (2, 3, 4):
+        assert resolution.min_clause_space(F, cap) == reference_min_clause_space(F, cap)
