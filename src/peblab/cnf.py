@@ -31,6 +31,14 @@ def format_lit(literal: Lit) -> str:
     return name if positive else "-" + name
 
 
+def is_decimal(token: str) -> bool:
+    """Whether `token` is a non-empty run of the ASCII digits 0-9: the one
+    number test of the text parsers, since `str.isdigit` also accepts
+    '²', which `int` rejects, and `int` also accepts '+1', '1_0' and the
+    digits of other scripts."""
+    return token.isascii() and token.isdecimal()
+
+
 def parse_lit(token: str) -> Lit:
     if token.startswith("-"):
         return (token[1:], False)

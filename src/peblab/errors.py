@@ -3,7 +3,8 @@
 All searches that enumerate state spaces (pebbling prices, the SAT
 oracle, saturation, clause-space search) count visited nodes against a
 budget and raise BudgetExceeded instead of returning an approximate
-answer.  The default budget is 10**7 nodes and can be overridden with
+answer; lifting a refutation bounds the lifted proof's length by the
+same budget before it builds a line.  The default budget is 10**7 nodes and can be overridden with
 the PEBLAB_BUDGET environment variable.
 """
 
@@ -109,10 +110,6 @@ class PivotAbsent(PeblabError):
 
 class TrivialResolvent(PeblabError):
     """Resolving these premises on this pivot would produce a tautology."""
-
-
-class SaturationFailure(PeblabError):
-    """A clause the construction guarantees derivable was not found (defensive)."""
 
 
 class InternalContractViolation(PeblabError):

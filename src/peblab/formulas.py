@@ -12,7 +12,7 @@ import itertools
 from collections import deque
 
 from .boolfunc import BooleanFunction, canonical_clauses
-from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, neg  # noqa: F401  (re-exported)
+from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, is_decimal, neg  # noqa: F401  (re-exported)
 from .dag import Dag
 from .errors import BudgetExceeded, DimacsError, PeblabError, TrivialClause, search_budget
 
@@ -44,7 +44,7 @@ def block_vars(name: str, arity: int) -> tuple[str, ...]:
 
 def split_substituted(name: str) -> tuple[str, int]:
     base, sep, idx = name.rpartition(SUBST_SEP)
-    if not sep or not idx.isdigit():
+    if not sep or not is_decimal(idx):
         raise PeblabError(f"{name!r} is not a substituted variable name")
     return base, int(idx)
 
@@ -305,7 +305,7 @@ def to_dimacs(f_formula: CnfFormula) -> str:
 def from_dimacs(text: str) -> CnfFormula:
     names: dict[int, str] = {}
     named_on: dict[str, int] = {}  # explicit name -> line of its `c var`
-    nvars = nclauses = None
+    nvars = nclauses = header_line = None
     clause_tokens: list[tuple[int, int]] = []  # (value, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -313,7 +313,9 @@ def from_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("c"):
             fields = line.split()
-            if len(fields) == 4 and fields[1] == "var" and fields[2].isdigit():
+            if len(fields) == 4 and fields[1] == "var":
+                if not is_decimal(fields[2]):
+                    raise DimacsError(f"bad variable index {fields[2]!r}", line=lineno)
                 index, name = int(fields[2]), fields[3]
                 if name in named_on:
                     raise DimacsError(
@@ -334,27 +336,23 @@ def from_dimacs(text: str) -> CnfFormula:
             continue
         if line.startswith("p"):
             fields = line.split()
-            if len(fields) != 4 or fields[1] != "cnf":
+            if len(fields) != 4 or fields[1] != "cnf" or not all(map(is_decimal, fields[2:])):
                 raise DimacsError(f"bad problem line {raw!r}", line=lineno)
             if nvars is not None:
                 raise DimacsError("duplicate problem line", line=lineno)
-            try:
-                nvars, nclauses = int(fields[2]), int(fields[3])
-            except ValueError:
-                raise DimacsError(f"bad problem line {raw!r}", line=lineno) from None
+            nvars, nclauses, header_line = int(fields[2]), int(fields[3]), lineno
             continue
         if nvars is None:
             raise DimacsError("clause before problem line", line=lineno)
         for tok in line.split():
-            try:
-                clause_tokens.append((int(tok), lineno))
-            except ValueError:
-                raise DimacsError(f"bad literal {tok!r}", line=lineno) from None
+            if not is_decimal(tok.removeprefix("-")):
+                raise DimacsError(f"bad literal {tok!r}", line=lineno)
+            clause_tokens.append((int(tok), lineno))
 
     if nvars is None:
         raise DimacsError("missing problem line")
     for name, lineno in named_on.items():
-        i = int(name[1:]) if name[1:].isdecimal() else 0
+        i = int(name[1:]) if is_decimal(name[1:]) else 0
         if name == f"x{i}" and 0 < i <= nvars and i not in names:
             raise DimacsError(f"variable name {name!r} is the default name of variable {i}",
                               line=lineno)
@@ -381,6 +379,7 @@ def from_dimacs(text: str) -> CnfFormula:
         current.append(value)
     if current:
         raise DimacsError("unterminated clause at end of file", line=last_line)
-    if nclauses is not None and len(clauses) != nclauses:
-        raise DimacsError(f"header promises {nclauses} clauses, found {len(clauses)}")
+    if len(clauses) != nclauses:
+        raise DimacsError(f"header promises {nclauses} clauses, found {len(clauses)}",
+                          line=header_line)
     return CnfFormula(frozenset(clauses))

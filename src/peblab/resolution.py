@@ -3,18 +3,26 @@
 Proof objects are sequences of axiom download / inference / erasure
 steps over clause (or k-DNF line) configurations.  The checker replays
 a proof, verifies each step against the system's rules, and returns
-exact length/width/space measures.  Builders compile pebblings into
-refutations, emit the constant-space refutation, lift refutations
-through substitution, and run the bounded width/space oracles.
+exact length/width/space measures.  Builders emit the constant-space
+refutation, compile pebblings into refutations, and lift refutations
+through substitution; all three write their steps directly, and a
+compiled refutation of Peb_G[f] is the lift of the compiled refutation
+of Peb_G.  A lift replays one fixed template per function for each
+resolution step, so no builder searches.  The bounded width and space
+oracles run the one saturation loop.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import deque
 from dataclasses import dataclass
 
-from .boolfunc import BooleanFunction, canonical_clauses
-from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, format_lit, minimized, neg, parse_lit
+from .boolfunc import BooleanFunction
+from .cnf import (
+    Clause, CnfFormula, EMPTY_CLAUSE, Lit, format_lit, is_decimal, minimized, neg, parse_lit,
+)
 from .dag import Dag
 from .errors import (
     BudgetExceeded,
@@ -22,20 +30,13 @@ from .errors import (
     IncompletePebbling,
     MissingBottom,
     PivotAbsent,
-    SaturationFailure,
     TraceError,
     TrivialClause,
     TrivialResolvent,
     WrongEndpoints,
     search_budget,
 )
-from .formulas import (
-    block_vars,
-    pebbling_contradiction,
-    substitute,
-    substitute_clause,
-    substitution_images,
-)
+from .formulas import SUBST_SEP, _generic_canonical, pebbling_contradiction, substitute, substitute_clause
 from .pebbling import BwPebbling, validate_bw
 
 Term = frozenset[Lit]
@@ -427,19 +428,14 @@ class ProofBuilder:
 _Mask = tuple[int, int]  # (positive variables, negative variables) as bit sets
 _EMPTY: _Mask = (0, 0)
 
-_VARIABLE_CAP = 16  # most variables one saturation may span
-
 
 class _Codec:
     """The variables of a clause set, interned in sorted-name order, so a
     clause over them is a pair of bit sets (pos, neg)."""
 
     def __init__(self, clauses: list[Clause]):
-        self.names = sorted({n for c in clauses for n, _ in c.literals})
-        self._bit = {n: 1 << i for i, n in enumerate(self.names)}
-        # every derived literal occurs in a premise: decoding reuses those
-        # literal objects, so decoded clauses share them as resolvents did
-        self._literals = {(self._bit[lit[0]], lit[1]): lit for c in clauses for lit in c.literals}
+        names = sorted({n for c in clauses for n, _ in c.literals})
+        self._bit = {n: 1 << i for i, n in enumerate(names)}
 
     def encode(self, c: Clause) -> _Mask:
         """The mask of c's literals; literals of other variables are dropped."""
@@ -451,27 +447,14 @@ class _Codec:
                 neg_bits |= self._bit.get(name, 0)
         return pos_bits, neg_bits
 
-    def decode(self, m: _Mask) -> Clause:
-        lits = []
-        for bits, positive in zip(m, (True, False)):
-            while bits:
-                low = bits & -bits
-                lits.append(self._literals[low, positive])
-                bits ^= low
-        return Clause(frozenset(lits))
 
-    def name(self, bit: int) -> str:
-        return self.names[bit.bit_length() - 1]
-
-
-def _given_clause_loop(premises, width_cap: int, budget):
+def saturate(premises, width_cap: int, budget=None):
     """Given-clause resolution closure with forward and backward subsumption.
 
     Premises and resolvents wider than `width_cap` are dropped; the loop
-    stops once the empty clause is derived.  Returns (codec, alive,
-    parents): the `_Codec` of the premises, the subsumption-minimized
-    clauses, and the (left, right, pivot bit) derivation of every clause
-    ever generated (None for a premise), all as masks.
+    stops once the empty clause is derived.  Returns (codec, alive): the
+    `_Codec` of the premises and the subsumption-minimized clauses, as
+    masks.  The width and space oracles call it; no proof builder does.
 
     Pivots are the set bits of `p1 & n2`, lowest first, which is
     sorted-name order; a resolvent is a tautology iff `rp & rn`; c
@@ -480,7 +463,7 @@ def _given_clause_loop(premises, width_cap: int, budget):
     limit = search_budget(budget)
     prems = [c for c in premises if c.width <= width_cap]
     codec = _Codec(prems)
-    parents: dict[_Mask, tuple[_Mask, _Mask, int] | None] = dict.fromkeys(map(codec.encode, prems))
+    seen = set(map(codec.encode, prems))  # every clause ever generated
     alive = dict.fromkeys(codec.encode(c) for c in sorted(minimized(prems), key=Clause.sort_key))
     queue = deque(alive)
     processed: list[_Mask] = []
@@ -508,9 +491,9 @@ def _given_clause_loop(premises, width_cap: int, budget):
                     if rp & rn or (rp | rn).bit_count() > width_cap:
                         continue
                     r = (rp, rn)
-                    if r in parents:
+                    if r in seen:
                         continue
-                    parents[r] = (first, second, pivot)
+                    seen.add(r)
                     not_rp, not_rn = ~rp, ~rn
                     for ap, an in alive:
                         if not (ap & not_rp or an & not_rn):
@@ -520,70 +503,10 @@ def _given_clause_loop(premises, width_cap: int, budget):
                             del alive[o]
                         alive[r] = None
                         if r == _EMPTY:  # it subsumed every other clause
-                            return codec, alive, parents
+                            return codec, alive
                         queue.append(r)
         processed.append(given)
-    return codec, alive, parents
-
-
-def saturate(premises, budget=None):
-    """Close a clause set of at most `_VARIABLE_CAP` variables under
-    resolution with subsumption minimization; returns the
-    `_given_clause_loop` triple, with no clause dropped for width."""
-    names = {n for c in premises for n, _ in c.literals}
-    if len(names) > _VARIABLE_CAP:
-        raise BudgetExceeded(len(names), _VARIABLE_CAP, "saturation variable count",
-                             unit="variables")
-    return _given_clause_loop(premises, len(names), budget)
-
-
-def _derive(builder: ProofBuilder, premises, targets, budget) -> list[Clause]:
-    """Derive every clause of `targets` from `premises`, which are present
-    in `builder`; returns the clauses this added, in order.
-
-    A target the saturation generated is derived along its parents in
-    post-order, skipping results already present; any other target is
-    weakened from its smallest subsumer by `Clause.sort_key`.
-    """
-    codec, alive, parents = saturate(premises, budget)
-    decoded: dict[_Mask, Clause] = {}
-    walked: set[_Mask] = set()
-    added: list[Clause] = []
-
-    def clause_of(m: _Mask) -> Clause:
-        if m not in decoded:
-            decoded[m] = codec.decode(m)
-        return decoded[m]
-
-    def walk(m: _Mask) -> None:
-        if m in walked:
-            return
-        walked.add(m)
-        parent = parents[m]
-        if parent is None:
-            return
-        left, right, pivot = parent
-        walk(left)
-        walk(right)
-        if not builder.has(clause_of(m)):
-            builder.infer_resolve(clause_of(left), clause_of(right), codec.name(pivot))
-            added.append(clause_of(m))
-
-    for target in sorted(targets, key=Clause.sort_key):
-        if builder.has(target):
-            continue
-        tp, tn = m = codec.encode(target)
-        if m in parents and (tp | tn).bit_count() == target.width:
-            walk(m)
-            continue
-        subsumers = [a for a in alive if not (a[0] & ~tp or a[1] & ~tn)]
-        if not subsumers:
-            raise SaturationFailure(f"({target}) is not implied by the premises")
-        base = min(subsumers, key=lambda a: clause_of(a).sort_key())
-        walk(base)
-        builder.weaken(clause_of(base), target)
-        added.append(target)
-    return added
+    return codec, alive
 
 
 # -- constructive refutations ---------------------------------------------------
@@ -612,31 +535,6 @@ def constant_space_refutation(g: Dag) -> Refutation:
     return b.build()
 
 
-def _vertex_images(g: Dag, f: BooleanFunction | None):
-    """Clause machinery for simulating pebblings, with or without substitution."""
-    base = pebbling_contradiction(g)
-    if f is None:
-        target = base
-        truth = {v: frozenset({Clause(frozenset({(v, True)}))}) for v in g.vertices}
-        images = {c: frozenset({c}) for c in base.clauses}
-    else:
-        target = substitute(base, f)
-        images = substitution_images(base, f)
-        truth = {
-            v: canonical_clauses(f, block_vars(v, f.arity), "positive") for v in g.vertices
-        }
-    axiom_of = {}
-    for v in g.vertices:
-        preds = g.predecessors(v)
-        if preds:
-            c = Clause(frozenset({(u, False) for u in preds} | {(v, True)}))
-        else:
-            c = Clause(frozenset({(v, True)}))
-        axiom_of[v] = images[c]
-    sink_axiom = images[Clause(frozenset({(g.sink, False)}))]
-    return target, truth, axiom_of, sink_axiom
-
-
 def pebbling_to_refutation(
     g: Dag,
     p: BwPebbling,
@@ -645,50 +543,39 @@ def pebbling_to_refutation(
 ) -> Refutation:
     """Compile a complete black pebbling into a refutation of Peb_G[f].
 
-    Each placement on v derives the clause set expressing that f is true
-    on v's block (from the predecessors' sets plus v's substituted
-    pebbling axioms, via saturation); each removal erases v's set.
+    The refutation of Peb_G holds the unit clause v while v holds a
+    pebble: a placement on v downloads v's pebbling axiom and resolves
+    it against its predecessors' units one by one, erasing each
+    intermediate; a removal erases the unit.  At the end the sink's unit
+    meets the sink axiom.  With `f`, the result is that refutation's
+    `lift_refutation` under the same budget.
     """
     try:
         validate_bw(p, black_only=True)
     except WrongEndpoints as e:
         raise IncompletePebbling(str(e)) from None
-    target, truth, axiom_of, sink_axiom = _vertex_images(g, f)
-    b = ProofBuilder(target)
 
-    for t in range(1, len(p.steps)):
-        prev, cur = p.steps[t - 1], p.steps[t]
+    def unit(v: str, positive: bool = True) -> Clause:
+        return Clause(frozenset({(v, positive)}))
+
+    b = ProofBuilder(pebbling_contradiction(g))
+    for prev, cur in zip(p.steps, p.steps[1:]):
         placed = cur.black - prev.black
-        removed = prev.black - cur.black
         if placed:
             (v,) = placed
-            targets = truth[v]
-            block = sorted(axiom_of[v], key=Clause.sort_key)
-            for d in block:
-                if not b.has(d):
-                    b.download(d)
-            if any(not b.has(c) for c in targets):
-                premises = set(block)
-                for u in g.predecessors(v):
-                    premises |= truth[u]
-                for c in _derive(b, premises, targets, budget):
-                    if c not in targets:
-                        b.erase(c)
-            for d in block:
-                if d not in targets and b.has(d):
-                    b.erase(d)
+            line = Clause(frozenset({(u, False) for u in g.predecessors(v)} | {(v, True)}))
+            b.download(line)
+            for u in g.predecessors(v):
+                resolvent = b.steps[b.infer_resolve(unit(u), line, u) - 1].line
+                b.erase(line)
+                line = resolvent
         else:
-            (v,) = removed
-            for c in sorted(truth[v], key=Clause.sort_key):
-                if b.has(c):
-                    b.erase(c)
-
-    sink_block = sorted(sink_axiom, key=Clause.sort_key)
-    for d in sink_block:
-        if not b.has(d):
-            b.download(d)
-    _derive(b, truth[g.sink] | frozenset(sink_block), {EMPTY_CLAUSE}, budget)
-    return b.build()
+            (v,) = prev.black - cur.black
+            b.erase(unit(v))
+    b.download(unit(g.sink, False))
+    b.infer_resolve(unit(g.sink), unit(g.sink, False), g.sink)
+    r = b.build()
+    return r if f is None else lift_refutation(r, f, budget)
 
 
 @dataclass(frozen=True)
@@ -700,7 +587,7 @@ class SimulationConstants:
 _PINNED_CONSTANTS = {
     # function literal -> factors for fan-in <= 2; regression-pinned from
     # measured corpus runs (paths <= 8, binary trees h <= 3, pyramids h <= 3):
-    # worst observed ratios 3.0/3.0 (identity), 5.0/5.0 (or:2), 8.0/11.4 (xor:2).
+    # worst observed ratios 3.0/3.0 (identity), 5.0/5.0 (or:2), 7.0/7.0 (xor:2).
     "none": SimulationConstants(4, 4),
     "or:2": SimulationConstants(6, 6),
     "xor:2": SimulationConstants(9, 12),
@@ -716,6 +603,53 @@ def pinned_simulation_constants(fn_literal: str, max_indegree: int) -> Simulatio
     return _PINNED_CONSTANTS[fn_literal]
 
 
+@functools.lru_cache(maxsize=None)
+def _template(f: BooleanFunction) -> Refutation:
+    """A refutation of canonical(f) | canonical(not f) on the generic
+    block `1..d`, read off the decision tree that queries the inputs in
+    order.
+
+    A node's clause is falsified by the node's partial assignment: it is
+    the first axiom so falsified, or else the resolvent of its children's
+    clauses on the queried input, or a child's clause that does not
+    mention that input.  The root's clause is empty.  Lines are emitted
+    in post-order, one per distinct clause, with no erasure, so step i
+    is line i.
+    """
+    axioms = sorted(_generic_canonical(f, True) | _generic_canonical(f, False),
+                    key=Clause.sort_key)
+
+    def node(assignment: dict[str, bool]):
+        """(clause, derivation), the derivation None or (left, right, pivot)."""
+        for a in axioms:
+            if all(assignment.get(n) == (not positive) for n, positive in a.literals):
+                return a, None
+        y = str(len(assignment) + 1)
+        left = node({**assignment, y: False})
+        if (y, True) not in left[0]:
+            return left
+        right = node({**assignment, y: True})
+        if (y, False) not in right[0]:
+            return right
+        return resolve(left[0], right[0], y), (left, right, y)
+
+    b = ProofBuilder(CnfFormula(frozenset(axioms)))
+
+    def emit(line: Clause, derivation) -> None:
+        if b.has(line):
+            return
+        if derivation is None:
+            b.download(line)
+            return
+        left, right, y = derivation
+        emit(*left)
+        emit(*right)
+        b.infer_resolve(left[0], right[0], y)
+
+    emit(*node({}))
+    return b.build()
+
+
 def lift_refutation(
     r: Refutation,
     f: BooleanFunction,
@@ -723,69 +657,92 @@ def lift_refutation(
 ) -> Refutation:
     """Lift a resolution refutation of F to one of F[f], step by step.
 
-    Downloads map to downloads of the whole substituted clause block;
-    a resolution inference maps to derivations of every clause of the
-    substituted resolvent via saturation over the involved variable
-    blocks; erasures erase the block.  Width grows by at most a factor
-    of the arity of f.
+    A download maps to downloads of the clause's whole image under
+    substitution, a weakening to weakenings of the image's clauses, and
+    an erasure erases the image.  A resolution step c = resolve(a, b, x)
+    derives each clause t of c's image by replaying `_template(f)` on x's
+    block: its lines from f's axioms carry P', the literals of t on the
+    blocks of a's other variables; its lines from not-f's axioms carry
+    Q', those on the blocks of b's; so its axioms are clauses of a's and
+    b's images and its root is t.  Intermediates are erased after their
+    last use.  A line has at most |t| + d literals, so the width stays
+    within d*(w+1) for a base width of w.
+
+    Before building anything, the lifted length is bounded from the
+    image sizes of the steps; a bound above `search_budget(budget)`
+    raises BudgetExceeded in lifted lines.
     """
     if r.system != "res":
         raise ValueError("only resolution refutations can be lifted")
     check_refutation(r)
-    images = substitution_images(r.target, f)
+    template = _template(f)
+    f_axioms = _generic_canonical(f, True)
+    image_sizes = {True: len(f_axioms), False: len(template.target) - len(f_axioms)}
+    replay_length = sum(isinstance(s, Infer) for s in template.steps)
+    bound = sum(
+        math.prod(image_sizes[positive] for _, positive in s.line.literals)
+        * (replay_length if isinstance(s, Infer) and s.rule == "pivot" else 1)
+        for s in r.steps if not isinstance(s, Erase)
+    )
+    limit = search_budget(budget)
+    if bound > limit:
+        raise BudgetExceeded(bound, limit, "lift", unit="lifted lines")
 
-    def image(c: Clause) -> frozenset[Clause]:
-        if c not in images:
-            images[c] = substitute_clause(c, f)
-        return images[c]
+    sides: list[int] = []  # per template line: 1 from f's axioms, 2 from not-f's, 3 both
+    last_use: dict[int, int] = {}
+    for k, s in enumerate(template.steps):
+        if isinstance(s, Download):
+            sides.append(1 if s.line in f_axioms else 2)
+        else:
+            sides.append(sides[s.premises[0] - 1] | sides[s.premises[1] - 1])
+            last_use.update((i - 1, k) for i in s.premises)
 
-    target_f = substitute(r.target, f)
-    b = ProofBuilder(target_f)
+    def base(lit: Lit) -> str:
+        return lit[0].rpartition(SUBST_SEP)[0]
+
+    b = ProofBuilder(substitute(r.target, f))
     lines_by_id: dict[int, Clause] = {}
-    config: set[Clause] = set()
-
+    config: dict[Clause, list[Clause]] = {}  # present base clause -> its image, sorted
     for idx, step in enumerate(r.steps, start=1):
+        if isinstance(step, Erase):
+            for d in config.pop(lines_by_id[step.target]):
+                b.erase(d)
+            continue
+        c = lines_by_id[idx] = step.line
+        if c in config:
+            continue
+        targets = config[c] = sorted(substitute_clause(c, f), key=Clause.sort_key)
         if isinstance(step, Download):
-            c = step.line
-            lines_by_id[idx] = c
-            if c in config:
-                continue
-            for d in sorted(image(c), key=Clause.sort_key):
+            for d in targets:
                 b.download(d)
-            config.add(c)
-        elif isinstance(step, Infer):
-            c = step.line
-            lines_by_id[idx] = c
-            if c in config:
-                continue
-            targets = image(c)
-            if step.rule == "weaken":
-                src = lines_by_id[step.premises[0]]
-                for t in sorted(targets, key=Clause.sort_key):
-                    if b.has(t):
+        elif step.rule == "weaken":
+            kept = lines_by_id[step.premises[0]].variables()
+            for t in targets:
+                b.weaken(Clause(frozenset(l for l in t.literals if base(l) in kept)), t)
+        else:
+            x = step.pivot
+            left = lines_by_id[step.premises[0]].variables() - {x}
+            right = lines_by_id[step.premises[1]].variables() - {x}
+            on_block = [frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line.literals)
+                        for s in template.steps]
+            for t in targets:
+                attached = {1: frozenset(l for l in t.literals if base(l) in left),
+                            2: frozenset(l for l in t.literals if base(l) in right),
+                            3: t.literals}  # by sides: P', Q', both
+                lifted: list[Clause] = []
+                derived: set[int] = set()
+                for k, s in enumerate(template.steps):
+                    line = Clause(on_block[k] | attached[sides[k]])
+                    lifted.append(line)
+                    if isinstance(s, Download):
                         continue
-                    parts: dict[str, set[Lit]] = {}
-                    for name, pol in t.literals:
-                        parts.setdefault(name.split("#")[0], set()).add((name, pol))
-                    t0 = Clause(frozenset(
-                        lit for bname, _pol in src.literals for lit in parts[bname]
-                    ))
-                    if t0 == t:
-                        continue
-                    b.weaken(t0, t)
-            else:
-                p1 = lines_by_id[step.premises[0]]
-                p2 = lines_by_id[step.premises[1]]
-                for d in _derive(b, image(p1) | image(p2), targets, budget):
-                    if d not in targets:
-                        b.erase(d)
-            config.add(c)
-        elif isinstance(step, Erase):
-            c = lines_by_id[step.target]
-            config.discard(c)
-            for d in sorted(image(c), key=Clause.sort_key):
-                if b.has(d):
-                    b.erase(d)
+                    i, j = s.premises[0] - 1, s.premises[1] - 1
+                    if not b.has(line):
+                        b.infer_resolve(lifted[i], lifted[j], f"{x}{SUBST_SEP}{s.pivot}")
+                        derived.add(k)
+                    for premise in (i, j):
+                        if last_use[premise] == k and premise in derived:
+                            b.erase(lifted[premise])
     return b.build()
 
 
@@ -796,7 +753,7 @@ def min_width(f_formula: CnfFormula, cap: int) -> int | None:
     """Smallest w <= cap such that width-w resolution refutes the formula,
     else None (reported as >cap)."""
     for w in range(cap + 1):
-        _, alive, _ = _given_clause_loop(f_formula.clauses, w, None)
+        _, alive = saturate(f_formula.clauses, w)
         if _EMPTY in alive:
             return w
     return None
@@ -810,7 +767,7 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
     if EMPTY_CLAUSE in f_formula.clauses:
         return 1
     # a width cap of the variable count drops no clause
-    codec, alive, _ = _given_clause_loop(f_formula.clauses, len(f_formula.variables()), budget)
+    codec, alive = saturate(f_formula.clauses, len(f_formula.variables()), budget)
     if _EMPTY not in alive:
         return None  # satisfiable: no refutation at any cap
     axioms = [codec.encode(c) for c in f_formula.sorted_clauses()]
@@ -919,7 +876,7 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int):
 
 def _is_count(tok: str) -> bool:
     """Whether `tok` is a decimal integer of at least 1."""
-    return tok.isdecimal() and int(tok) >= 1
+    return is_decimal(tok) and int(tok) >= 1
 
 
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:

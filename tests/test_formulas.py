@@ -168,6 +168,13 @@ def test_dimacs_roundtrip():
     ("c var 1 a\nc var 1 b\np cnf 1 1\n1 0\n", "line 2: variable 1 already named 'a' on line 1"),
     ("c var 1 -a\nc var 2 a\np cnf 2 2\n1 0\n2 0\n", "line 1: variable name '-a' reads as a negative literal"),
     ("c var 1 ~a\np cnf 1 1\n1 0\n", "line 1: variable name '~a' reads as a negative literal"),
+    ("c var \u00b2 a\np cnf 1 1\n1 0\n", "^line 1: bad variable index '\u00b2'$"),
+    ("p cnf -1 0\n", "^line 1: bad problem line 'p cnf -1 0'$"),
+    ("p cnf 2 -1\n", "^line 1: bad problem line 'p cnf 2 -1'$"),
+    ("c\np cnf 1 2\n1 0\n", "^line 2: header promises 2 clauses, found 1$"),
+    ("p cnf 1 1\n+1 0\n", "^line 2: bad literal '\\+1'$"),
+    ("p cnf 10 1\n1_0 0\n", "^line 2: bad literal '1_0'$"),
+    ("p cnf 3 1\n\u0663 0\n", "^line 2: bad literal '\u0663'$"),
 ])
 def test_dimacs_errors(text, fragment):
     with pytest.raises(DimacsError, match=fragment):
@@ -187,6 +194,13 @@ def test_dimacs_explicit_default_style_names():
     assert formulas.from_dimacs("c var 2 x2\np cnf 2 2\n1 0\n-2 0\n") == formula(["x1", "-x2"])
     assert formulas.from_dimacs("c var 1 x2\nc var 2 y\np cnf 2 2\n1 0\n-2 0\n") == formula(["x2", "-y"])
     assert formulas.from_dimacs("c var 1 x3\np cnf 2 1\n1 -2 0\n") == formula(["x3 -x2"])
+
+
+def test_split_substituted():
+    assert formulas.split_substituted("x#12") == ("x", 12)
+    for name in ("x", "x#", "a#\u00b2", "a#+1", "a#1_0"):
+        with pytest.raises(PeblabError, match="is not a substituted variable name"):
+            formulas.split_substituted(name)
 
 
 def test_trivial_clause_rejected():

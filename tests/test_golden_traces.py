@@ -1,9 +1,11 @@
 """Serialized traces pinned by SHA-256.
 
-Traces are deterministic: they follow the given-clause loop's clause
-order and the price search's move order, and extraction follows the
-sorted projected clause sets.  A change to any of these orders, to a
-projection, or to the trace format, changes a digest here.
+Traces are deterministic: compile and lift follow the pebbling's moves
+and the sorted substitution images through one fixed template per
+function, the price search follows its move order, and extraction
+follows the sorted projected clause sets.  A change to any of these
+orders, to the template, to a projection, or to the trace format,
+changes a digest here.
 """
 
 import hashlib
@@ -23,14 +25,14 @@ def test_compiled_greedy_refutation_pyramid3_xor2():
     g = dag.build_pyramid(3)
     r = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2)
     assert sha256(resolution.serialize_refutation(r)) == (
-        "2d516e8c497cf382b29c806e334137aad38d5703c5d849f3bbdf4f20339319c9"
+        "b37fb425ad0d10feb1b10861513e563f01f5921c01c8faeea2256388936edba7"
     )
 
 
 def test_lifted_constant_space_refutation_pyramid3_xor2():
     r = resolution.lift_refutation(resolution.constant_space_refutation(dag.build_pyramid(3)), XOR2)
     assert sha256(resolution.serialize_refutation(r)) == (
-        "b7963c1307ddf7fb9f4153d1c306435348984b5d426133640839011ece53da32"
+        "37ade186647c8c0ea3414746d1d0662c1ebb56722bbe5c79a947cac4b9c248fe"
     )
 
 
@@ -38,14 +40,14 @@ def test_compiled_greedy_refutation_pyramid8_xor2():
     g = dag.build_pyramid(8)
     r = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2)
     assert sha256(resolution.serialize_refutation(r)) == (
-        "ed556eddb34ee748eee39b5772d3f4be67268bc8c37c3b6a55319512138be74c"
+        "686f0353fb1700331241c7d3b8fe980bf7071660d557fbf56101aa6357f207b8"
     )
 
 
 def test_lifted_constant_space_refutation_pyramid4_xor2():
     r = resolution.lift_refutation(resolution.constant_space_refutation(dag.build_pyramid(4)), XOR2)
     assert sha256(resolution.serialize_refutation(r)) == (
-        "5adef33288dd8c976e1fec4645313107d0f2c2429e426634e2b36e7ca33abcc1"
+        "f1982fd9b944e33ff456b9e57cf12cb3cc6fe3191aa5807bbfe228fcb33150dc"
     )
 
 

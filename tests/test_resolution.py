@@ -1,3 +1,4 @@
+import time
 from collections import deque
 
 import pytest
@@ -6,8 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 from peblab import boolfunc, dag, formulas, pebbling, resolution
 from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula, neg
 from peblab.errors import (
-    BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, SaturationFailure, TraceError,
-    TrivialResolvent,
+    BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, TraceError, TrivialResolvent,
 )
 from peblab.resolution import (
     Download, Erase, Infer, KDnfLine, ProofBuilder, Refutation, term,
@@ -264,29 +264,21 @@ def test_incremental_measures_match_replay(ops, system):
     )
 
 
-def saturated(premises) -> set[Clause]:
-    codec, alive, _ = resolution.saturate(premises)
-    return {codec.decode(m) for m in alive}
-
-
-def derivation(premises, targets):
-    """A builder holding `premises` as downloads, then `_derive` of `targets`."""
-    b = ProofBuilder(CnfFormula(frozenset(premises)))
-    for c in premises:
-        b.download(c)
-    return b, resolution._derive(b, premises, targets, None)
+def saturated(premises):
+    """The mask encoder of `premises` and the masks of their
+    subsumption-minimized resolution closure."""
+    codec, alive = resolution.saturate(premises, len({n for c in premises for n, _ in c.literals}))
+    return codec.encode, alive
 
 
 class TestSaturate:
     def test_unit_propagation(self):
-        assert clause("y") in saturated([clause("x"), clause("-x y")])
+        encode, alive = saturated([clause("x"), clause("-x y")])
+        assert encode(clause("y")) in alive
 
     def test_two_resolutions(self):
-        premises = [clause("x1 x2"), clause("-x1 y1 y2"), clause("-x2 y1 y2")]
-        assert clause("y1 y2") in saturated(premises)
-        b, added = derivation(premises, {clause("y1 y2")})
-        assert added == [clause("x2 y1 y2"), clause("y1 y2")]
-        assert [step.rule for step in b.steps[3:]] == ["pivot", "pivot"]
+        encode, alive = saturated([clause("x1 x2"), clause("-x1 y1 y2"), clause("-x2 y1 y2")])
+        assert encode(clause("y1 y2")) in alive
 
     def test_xor_block_closure(self):
         # canonical xor sets for u,v plus the substituted axiom block of x
@@ -296,38 +288,32 @@ class TestSaturate:
         premises = set(block)
         for v in ("u", "v"):
             premises |= boolfunc.canonical_clauses(XOR2, formulas.block_vars(v, 2))
-        closure = saturated(premises)
+        encode, alive = saturated(premises)
         for target in boolfunc.canonical_clauses(XOR2, formulas.block_vars("x", 2)):
-            assert target in closure
+            assert encode(target) in alive
 
-    def test_derivation_is_checked(self):
-        premises = [clause("x"), clause("-x y"), clause("-y z")]
-        b, added = derivation(premises, {clause("z")})
-        assert added == [clause("y"), clause("z")]
-        b.download(clause("-z"))
-        assert resolution._derive(b, [clause("z"), clause("-z")], {EMPTY_CLAUSE}, None) == [
-            EMPTY_CLAUSE
-        ]
-        r = Refutation(target=formula(premises + [clause("-z")]), steps=tuple(b.steps))
-        assert resolution.check_refutation(r).length == 7
 
-    def test_target_weakened_from_smallest_subsumer(self):
-        # the closure is {x, y}; x y is never generated, and x sorts before y
-        b, added = derivation([clause("x"), clause("-x y")], {clause("x y"), clause("y w")})
-        assert added == [clause("y"), clause("w y"), clause("x y")]
-        assert b.steps[3] == Infer(clause("w y"), (3,), "weaken")
-        assert b.steps[4] == Infer(clause("x y"), (1,), "weaken")
+def all_functions(max_arity: int):
+    return [boolfunc.BooleanFunction(d, table)
+            for d in range(1, max_arity + 1) for table in range(1, (1 << (1 << d)) - 1)]
 
-    def test_target_not_implied(self):
-        with pytest.raises(SaturationFailure, match=r"^\(y\) is not implied by the premises$"):
-            derivation([clause("x")], {clause("y")})
 
-    def test_variable_cap_reports_variables(self):
-        chain = [clause(f"-v{i} v{i + 1}") for i in range(16)]
-        with pytest.raises(BudgetExceeded,
-                           match=r"^saturation variable count exceeded budget: 17 variables \(budget 16\)$"):
-            resolution.saturate(chain)
-        resolution.saturate(chain[:15])  # 16 variables are allowed
+class TestTemplate:
+    def test_refutes_every_function_up_to_arity_3(self):
+        functions = all_functions(3)
+        assert len(functions) == 270
+        for f in functions:
+            block = tuple(str(i) for i in range(1, f.arity + 1))
+            t = resolution._template(f)
+            assert t.target == CnfFormula(boolfunc.canonical_clauses(f, block)
+                                          | boolfunc.canonical_clauses(f, block, "negative"))
+            assert resolution.check_refutation(t).width <= f.arity
+
+    def test_xor2_shape(self):
+        # four axioms, then x1 from the x1 = 0 branch, -x1 from the other, then the empty clause
+        t = resolution._template(XOR2)
+        assert [type(s) for s in t.steps] == [Download, Download, Infer, Download, Download, Infer, Infer]
+        assert [s.line for s in t.steps if isinstance(s, Infer)] == [clause("1"), clause("-1"), EMPTY_CLAUSE]
 
 
 CORPUS = (
@@ -440,6 +426,54 @@ class TestLift:
         b.infer_resolve(clause("y"), clause("-y"), "y")
         lifted = resolution.lift_refutation(b.build(), XOR2)
         resolution.check_refutation(lifted, semantic_check=True)
+
+    def test_lifted_lines_bound_is_exact_on_smallest_instance(self):
+        # downloads 1 + 2, and the empty clause's 1 target times or:2's 2 template resolutions
+        F = formula(["x", "-x"])
+        b = ProofBuilder(F)
+        b.download(clause("x"))
+        b.download(clause("-x"))
+        b.infer_resolve(clause("x"), clause("-x"), "x")
+        with pytest.raises(BudgetExceeded, match=r"^lift exceeded budget: 5 lifted lines \(budget 4\)$"):
+            resolution.lift_refutation(b.build(), OR2, budget=4)
+        assert resolution.check_refutation(resolution.lift_refutation(b.build(), OR2, budget=5)).length == 5
+
+    def test_lifted_lines_bound_pyramid20(self):
+        r = resolution.constant_space_refutation(dag.build_pyramid(20))
+        start = time.perf_counter()
+        with pytest.raises(BudgetExceeded, match="lifted lines"):
+            resolution.lift_refutation(r, XOR2)
+        assert time.perf_counter() - start < 1.0
+
+    def test_const_space_pyramid8_xor2(self):
+        # base width 9: a resolution step spans 18 substituted variables
+        r = resolution.constant_space_refutation(dag.build_pyramid(8))
+        w = resolution.check_refutation(r).width
+        assert resolution.check_refutation(resolution.lift_refutation(r, XOR2)).width <= 2 * (w + 1)
+
+    def test_no_builder_saturates(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("saturate called")
+
+        monkeypatch.setattr(resolution, "saturate", refuse)
+        g = dag.build_pyramid(3)
+        resolution.check_refutation(
+            resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2))
+        resolution.check_refutation(
+            resolution.lift_refutation(resolution.constant_space_refutation(g), XOR2))
+
+
+@given(st.sampled_from([dag.build_path(n) for n in range(1, 6)]
+                       + [dag.build_binary_tree(h) for h in range(0, 3)]
+                       + [dag.build_pyramid(h) for h in range(1, 4)]),
+       st.sampled_from(all_functions(3)))
+@settings(max_examples=40, deadline=None)
+def test_lift_checks_within_width_bound(g, f):
+    r = resolution.constant_space_refutation(g)
+    w = resolution.check_refutation(r).width
+    lifted = resolution.lift_refutation(r, f)
+    assert lifted.target == formulas.substitute(r.target, f)
+    assert resolution.check_refutation(lifted).width <= f.arity * (w + 1)
 
 
 class TestBoundedOracles:
@@ -692,7 +726,7 @@ def small_cnfs(draw):
 @settings(max_examples=150, deadline=None)
 def test_given_clause_loop_agrees_with_sat_oracle(F):
     unsat = formulas.brute_force_sat(F) is None
-    _, alive, _ = resolution._given_clause_loop(F.clauses, len(F.variables()), None)
+    _, alive = resolution.saturate(F.clauses, len(F.variables()))
     assert ((0, 0) in alive) == unsat
     # a refutation over n variables never needs a clause wider than n
     assert (resolution.min_width(F, len(F.variables())) is None) == (not unsat)
