@@ -13,6 +13,7 @@ import heapq
 import string
 from typing import Iterable
 
+from .cnf import is_decimal
 from .errors import DagError
 
 
@@ -236,8 +237,8 @@ def serialize_dag(g: Dag) -> str:
 def parse_family(spec: str) -> Dag:
     """Graph family literal for the CLI: pyramid:<h>, tree:<h>, path:<n>."""
     kind, _, arg = spec.partition(":")
-    if not arg:
-        raise ValueError(f"graph spec {spec!r} needs a size, e.g. pyramid:2")
+    if not is_decimal(arg):
+        raise ValueError(f"graph spec {spec!r} needs a decimal size, e.g. pyramid:2")
     size = int(arg)
     if kind == "pyramid":
         return build_pyramid(size)

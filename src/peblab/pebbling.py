@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from .cnf import is_decimal
 from .dag import Dag
 from .errors import (
     BudgetExceeded,
@@ -661,57 +662,17 @@ def parse_pebbling_trace(text: str, host: Dag):
             steps.append(BwConfiguration(black=frozenset(black), white=frozenset(white)))
         return BwPebbling(host=host, steps=tuple(steps))
 
-    if game == "labelled":
-        created: list[Subconf] = []
-        present: set[Subconf] = set()
-        steps = [LabelledConfiguration()]
+    labelled = game == "labelled"
+    config = LabelledConfiguration if labelled else BlobConfiguration
+    created: list = []  # subconfigurations in creation order, indexed from 1
+    present: set = set()
+    steps = [config()]
 
-        def fetch(tok, lineno):
-            try:
-                sc = created[int(tok) - 1]
-            except (ValueError, IndexError):
-                raise TraceError(f"bad subconfiguration index {tok!r}", line=lineno) from None
-            if sc not in present:
-                raise TraceError(f"subconfiguration {sc} not present", line=lineno)
-            return sc
-
-        for lineno, fields in body:
-            if fields[0] == "I" and len(fields) == 2:
-                v = fields[1]
-                if not host.has_vertex(v):
-                    raise TraceError(f"unknown vertex {v!r}", line=lineno)
-                sc = Subconf(v, frozenset(host.predecessors(v)))
-            elif fields[0] == "M" and len(fields) == 3:
-                first = fetch(fields[1], lineno)
-                second = fetch(fields[2], lineno)
-                if second.vertex not in first.support:
-                    raise TraceError(f"merger pivot {second.vertex} not in support of {first}", line=lineno)
-                try:
-                    sc = Subconf(first.vertex, (first.support | second.support) - {second.vertex})
-                except ValueError as e:
-                    raise TraceError(str(e), line=lineno) from None
-            elif fields[0] == "E" and len(fields) == 2:
-                sc = fetch(fields[1], lineno)
-                present.remove(sc)
-                steps.append(LabelledConfiguration(frozenset(present)))
-                continue
-            else:
-                raise TraceError(f"bad labelled move {' '.join(fields)!r}", line=lineno)
-            created.append(sc)
-            present.add(sc)
-            steps.append(LabelledConfiguration(frozenset(present)))
-        return LabelledPebbling(host=host, steps=tuple(steps))
-
-    created_b: list[BlobSubconf] = []
-    present_b: set[BlobSubconf] = set()
-    steps_b = [BlobConfiguration()]
-
-    def fetch_b(tok, lineno):
-        try:
-            sc = created_b[int(tok) - 1]
-        except (ValueError, IndexError):
-            raise TraceError(f"bad subconfiguration index {tok!r}", line=lineno) from None
-        if sc not in present_b:
+    def fetch(tok, lineno):
+        if not (is_decimal(tok) and 1 <= int(tok) <= len(created)):
+            raise TraceError(f"bad subconfiguration index {tok!r}", line=lineno)
+        sc = created[int(tok) - 1]
+        if sc not in present:
             raise TraceError(f"subconfiguration {sc} not present", line=lineno)
         return sc
 
@@ -720,10 +681,24 @@ def parse_pebbling_trace(text: str, host: Dag):
             v = fields[1]
             if not host.has_vertex(v):
                 raise TraceError(f"unknown vertex {v!r}", line=lineno)
-            sc = BlobSubconf(frozenset({v}), frozenset(host.predecessors(v)))
-        elif fields[0] == "M" and len(fields) in (3, 4):
-            first = fetch_b(fields[1], lineno)
-            second = fetch_b(fields[2], lineno)
+            preds = frozenset(host.predecessors(v))
+            sc = Subconf(v, preds) if labelled else BlobSubconf(frozenset({v}), preds)
+        elif fields[0] == "E" and len(fields) == 2:
+            present.remove(fetch(fields[1], lineno))
+            steps.append(config(frozenset(present)))
+            continue
+        elif labelled and fields[0] == "M" and len(fields) == 3:
+            first = fetch(fields[1], lineno)
+            second = fetch(fields[2], lineno)
+            if second.vertex not in first.support:
+                raise TraceError(f"merger pivot {second.vertex} not in support of {first}", line=lineno)
+            try:
+                sc = Subconf(first.vertex, (first.support | second.support) - {second.vertex})
+            except ValueError as e:
+                raise TraceError(str(e), line=lineno) from None
+        elif not labelled and fields[0] == "M" and len(fields) in (3, 4):
+            first = fetch(fields[1], lineno)
+            second = fetch(fields[2], lineno)
             pivots = sorted(first.support & second.blob)
             if len(fields) == 4:
                 if fields[3] not in pivots:
@@ -739,12 +714,12 @@ def parse_pebbling_trace(text: str, host: Dag):
                                  (first.support - {v}) | second.support)
             except ValueError as e:
                 raise TraceError(str(e), line=lineno) from None
-        elif fields[0] == "X" and ":" in fields and "/" in fields:
+        elif not labelled and fields[0] == "X" and ":" in fields and "/" in fields:
             colon = fields.index(":")
             slash = fields.index("/")
             if colon != 2 or slash < colon:
                 raise TraceError(f"bad inflation {' '.join(fields)!r}", line=lineno)
-            src = fetch_b(fields[1], lineno)
+            src = fetch(fields[1], lineno)
             blob = frozenset(fields[colon + 1:slash])
             support = frozenset(fields[slash + 1:])
             try:
@@ -753,14 +728,9 @@ def parse_pebbling_trace(text: str, host: Dag):
                 raise TraceError(str(e), line=lineno) from None
             if not (src.blob <= sc.blob and src.support <= sc.support):
                 raise TraceError(f"inflation must extend {src}", line=lineno)
-        elif fields[0] == "E" and len(fields) == 2:
-            sc = fetch_b(fields[1], lineno)
-            present_b.remove(sc)
-            steps_b.append(BlobConfiguration(frozenset(present_b)))
-            continue
         else:
-            raise TraceError(f"bad blob move {' '.join(fields)!r}", line=lineno)
-        created_b.append(sc)
-        present_b.add(sc)
-        steps_b.append(BlobConfiguration(frozenset(present_b)))
-    return BlobPebbling(host=host, steps=tuple(steps_b))
+            raise TraceError(f"bad {game} move {' '.join(fields)!r}", line=lineno)
+        created.append(sc)
+        present.add(sc)
+        steps.append(config(frozenset(present)))
+    return (LabelledPebbling if labelled else BlobPebbling)(host=host, steps=tuple(steps))

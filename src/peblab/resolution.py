@@ -15,6 +15,7 @@ oracles run the one saturation loop.
 from __future__ import annotations
 
 import functools
+import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -452,9 +453,13 @@ def saturate(premises, width_cap: int, budget=None):
     """Given-clause resolution closure with forward and backward subsumption.
 
     Premises and resolvents wider than `width_cap` are dropped; the loop
-    stops once the empty clause is derived.  Returns (codec, alive): the
-    `_Codec` of the premises and the subsumption-minimized clauses, as
-    masks.  The width and space oracles call it; no proof builder does.
+    stops once the empty clause is derived.  The given clause is the
+    lightest alive one, ties in arrival order, so all clauses of width
+    <= w are given before any of width w + 1.  Returns (codec, alive,
+    width): the `_Codec` of the premises, the subsumption-minimized
+    clauses as masks, and the widest given clause, which is the minimal
+    refutation width if the empty clause is alive.  The width and space
+    oracles call it; no proof builder does.
 
     Pivots are the set bits of `p1 & n2`, lowest first, which is
     sorted-name order; a resolvent is a tautology iff `rp & rn`; c
@@ -465,13 +470,15 @@ def saturate(premises, width_cap: int, budget=None):
     codec = _Codec(prems)
     seen = set(map(codec.encode, prems))  # every clause ever generated
     alive = dict.fromkeys(codec.encode(c) for c in sorted(minimized(prems), key=Clause.sort_key))
-    queue = deque(alive)
+    # (width, arrival, mask), sorted so a heap; `seen` only grows, so its size orders arrivals
+    queue = [((p | n).bit_count(), i, (p, n)) for i, (p, n) in enumerate(alive)]
     processed: list[_Mask] = []
-    work = 0
+    work = width = 0
     while queue:
-        given = queue.popleft()
+        given_width, _, given = heapq.heappop(queue)
         if given not in alive:
             continue
+        width = max(width, given_width)  # a wide given can yield a narrow resolvent
         gp, gn = given
         for other in processed:
             if other not in alive:
@@ -488,7 +495,8 @@ def saturate(premises, width_cap: int, budget=None):
                         raise BudgetExceeded(work, limit, "saturation")
                     rp = union_p & ~pivot
                     rn = union_n & ~pivot
-                    if rp & rn or (rp | rn).bit_count() > width_cap:
+                    r_width = (rp | rn).bit_count()
+                    if rp & rn or r_width > width_cap:
                         continue
                     r = (rp, rn)
                     if r in seen:
@@ -503,10 +511,10 @@ def saturate(premises, width_cap: int, budget=None):
                             del alive[o]
                         alive[r] = None
                         if r == _EMPTY:  # it subsumed every other clause
-                            return codec, alive
-                        queue.append(r)
+                            return codec, alive, width
+                        heapq.heappush(queue, (r_width, len(seen), r))
         processed.append(given)
-    return codec, alive
+    return codec, alive, width
 
 
 # -- constructive refutations ---------------------------------------------------
@@ -751,12 +759,9 @@ def lift_refutation(
 
 def min_width(f_formula: CnfFormula, cap: int) -> int | None:
     """Smallest w <= cap such that width-w resolution refutes the formula,
-    else None (reported as >cap)."""
-    for w in range(cap + 1):
-        _, alive = saturate(f_formula.clauses, w)
-        if _EMPTY in alive:
-            return w
-    return None
+    else None (reported as >cap): one lightest-first `saturate` pass."""
+    _, alive, width = saturate(f_formula.clauses, cap)
+    return width if _EMPTY in alive else None
 
 
 def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None:
@@ -767,7 +772,7 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
     if EMPTY_CLAUSE in f_formula.clauses:
         return 1
     # a width cap of the variable count drops no clause
-    codec, alive = saturate(f_formula.clauses, len(f_formula.variables()), budget)
+    codec, alive, _ = saturate(f_formula.clauses, len(f_formula.variables()), budget)
     if _EMPTY not in alive:
         return None  # satisfiable: no refutation at any cap
     axioms = [codec.encode(c) for c in f_formula.sorted_clauses()]

@@ -121,6 +121,10 @@ def test_parse_family():
         dag.parse_family("grid:3")
     with pytest.raises(ValueError):
         dag.parse_family("pyramid")
+    # sizes are ASCII decimal, as `int` alone would read these three
+    for spec in ("path:1_0", "path:+3", "pyramid:\u0663"):
+        with pytest.raises(ValueError):
+            dag.parse_family(spec)
 
 
 @st.composite

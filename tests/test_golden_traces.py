@@ -54,7 +54,8 @@ def test_lifted_constant_space_refutation_pyramid4_xor2():
 @pytest.mark.parametrize("g,f,width", [
     (dag.build_binary_tree(2), boolfunc.majority_fn(3), 6),
     (dag.build_pyramid(3), XOR2, 6),
-], ids=["tree2-maj3", "pyramid3-xor2"])
+    (dag.build_pyramid(4), XOR2, 6),
+], ids=["tree2-maj3", "pyramid3-xor2", "pyramid4-xor2"])
 def test_min_width_answers(g, f, width):
     target = formulas.substitute(formulas.pebbling_contradiction(g), f)
     assert resolution.min_width(target, 8) == width

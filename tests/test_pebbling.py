@@ -370,6 +370,16 @@ class TestTraces:
         with pytest.raises(TraceError, match="unknown vertex"):
             pebbling.parse_pebbling_trace("game labelled\nI bogus\n", g)
 
+    @pytest.mark.parametrize("game", ["labelled", "blob"])
+    @pytest.mark.parametrize("move", ["E 0", "E -1", "E +1", "E \u00b2", "M 0 1"])
+    def test_subconfiguration_index_must_be_decimal_from_one(self, game, move):
+        # an index is ASCII decimal and at least 1; `int` would read all
+        # but the superscript, and created[-1] is a real subconfiguration
+        text = f"game {game}\nI v1\nI v2\n{move}\n"
+        with pytest.raises(TraceError, match="bad subconfiguration index") as info:
+            pebbling.parse_pebbling_trace(text, dag.build_path(2))
+        assert info.value.line == 4
+
 
 @given(st.data())
 @settings(max_examples=40, deadline=None)

@@ -267,7 +267,7 @@ def test_incremental_measures_match_replay(ops, system):
 def saturated(premises):
     """The mask encoder of `premises` and the masks of their
     subsumption-minimized resolution closure."""
-    codec, alive = resolution.saturate(premises, len({n for c in premises for n, _ in c.literals}))
+    codec, alive, _ = resolution.saturate(premises, len({n for c in premises for n, _ in c.literals}))
     return codec.encode, alive
 
 
@@ -726,10 +726,60 @@ def small_cnfs(draw):
 @settings(max_examples=150, deadline=None)
 def test_given_clause_loop_agrees_with_sat_oracle(F):
     unsat = formulas.brute_force_sat(F) is None
-    _, alive = resolution.saturate(F.clauses, len(F.variables()))
+    _, alive, _ = resolution.saturate(F.clauses, len(F.variables()))
     assert ((0, 0) in alive) == unsat
     # a refutation over n variables never needs a clause wider than n
     assert (resolution.min_width(F, len(F.variables())) is None) == (not unsat)
+
+
+def reference_min_width(F: CnfFormula, cap: int) -> int | None:
+    """For w = 0..cap, the closure of F's clauses of width <= w under
+    resolvents of width <= w, on `Clause` values, with no subsumption;
+    the first w whose closure holds the empty clause."""
+    for w in range(cap + 1):
+        closure = {c for c in F.clauses if c.width <= w}
+        frontier = list(closure)
+        while frontier:
+            c1 = frontier.pop()
+            for c2 in list(closure):
+                for name, positive in c1.literals:
+                    if (name, not positive) not in c2:
+                        continue
+                    try:
+                        r = resolution.resolve(c1, c2, name) if positive else resolution.resolve(c2, c1, name)
+                    except TrivialResolvent:
+                        continue
+                    if r.width <= w and r not in closure:
+                        closure.add(r)
+                        frontier.append(r)
+        if EMPTY_CLAUSE in closure:
+            return w
+    return None
+
+
+@given(small_cnfs(), st.integers(min_value=0, max_value=6))
+# the running maximum of the given widths is 2 here, the width of the
+# given clause that meets the empty clause is 1
+@example(formula(["v3", "-v3 v2", "-v2"]), 2)
+# FIFO selection, with the same running maximum, answers 3 here, not 2
+@example(formula(["-v0 -v1 v2 v3", "-v0 -v2 -v3", "-v0 v1 v2 v3", "-v1 -v3", "v0 -v1 v2",
+                  "v0 -v3", "v0 v2 v3", "v1 -v2 v3", "v1 -v3", "v3"]), 3)
+@settings(max_examples=150, deadline=None)
+def test_min_width_matches_per_width_closure(F, cap):
+    assert resolution.min_width(F, cap) == reference_min_width(F, cap)
+
+
+def test_min_width_saturates_once(monkeypatch):
+    saturate, calls = resolution.saturate, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return saturate(*args, **kwargs)
+
+    monkeypatch.setattr(resolution, "saturate", counted)
+    F = formulas.substitute(formulas.pebbling_contradiction(dag.build_pyramid(3)), XOR2)
+    assert resolution.min_width(F, 8) == 6
+    assert len(calls) == 1
 
 
 def reference_min_clause_space(F: CnfFormula, cap: int) -> int | None:
