@@ -19,6 +19,7 @@ import time
 from pathlib import Path
 
 from . import boolfunc, dag, formulas, pebbling, projections, resolution
+from .cnf import is_decimal
 from .errors import BudgetExceeded, PeblabError
 
 
@@ -42,6 +43,17 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text)
+
+
+def _emit_proof(args, r) -> int:
+    """Write r's trace and, with --emit-formula, its target; check r and
+    report its measures on stderr."""
+    _write(args.out, resolution.serialize_refutation(r))
+    if args.emit_formula:
+        _write(args.emit_formula, formulas.to_dimacs(r.target))
+    m = resolution.check_refutation(r)
+    print(f"ok {m}", file=sys.stderr)
+    return 0
 
 
 # -- subcommands -------------------------------------------------------------
@@ -147,24 +159,12 @@ def cmd_compile(args) -> int:
             return _fail("compile needs a black pebbling trace (game bw)")
     else:
         p = pebbling.greedy_black_strategy(g)
-    r = resolution.pebbling_to_refutation(g, p, f, budget=args.budget)
-    _write(args.out, resolution.serialize_refutation(r))
-    if args.emit_formula:
-        _write(args.emit_formula, formulas.to_dimacs(r.target))
-    m = resolution.check_refutation(r)
-    print(f"ok {m}", file=sys.stderr)
-    return 0
+    return _emit_proof(args, resolution.pebbling_to_refutation(g, p, f, budget=args.budget))
 
 
 def cmd_const_space(args) -> int:
     g = _load_graph(args.graph)
-    r = resolution.constant_space_refutation(g)
-    _write(args.out, resolution.serialize_refutation(r))
-    if args.emit_formula:
-        _write(args.emit_formula, formulas.to_dimacs(r.target))
-    m = resolution.check_refutation(r)
-    print(f"ok {m}", file=sys.stderr)
-    return 0
+    return _emit_proof(args, resolution.constant_space_refutation(g))
 
 
 def cmd_lift(args) -> int:
@@ -173,13 +173,7 @@ def cmd_lift(args) -> int:
     if f is None:
         return _fail("lift needs a real function, not 'none'")
     r = resolution.parse_refutation_trace(Path(args.proof).read_text(), target)
-    lifted = resolution.lift_refutation(r, f, budget=args.budget)
-    _write(args.out, resolution.serialize_refutation(lifted))
-    if args.emit_formula:
-        _write(args.emit_formula, formulas.to_dimacs(lifted.target))
-    m = resolution.check_refutation(lifted)
-    print(f"ok {m}", file=sys.stderr)
-    return 0
+    return _emit_proof(args, resolution.lift_refutation(r, f, budget=args.budget))
 
 
 def cmd_extract(args) -> int:
@@ -188,13 +182,7 @@ def cmd_extract(args) -> int:
     if f is None:
         return _fail("extract needs a real function, not 'none'")
     r_f = resolution.parse_refutation_trace(Path(args.proof).read_text(), target)
-    extracted = projections.extract_refutation(r_f, f, use_local=args.local)
-    _write(args.out, resolution.serialize_refutation(extracted))
-    if args.emit_formula:
-        _write(args.emit_formula, formulas.to_dimacs(extracted.target))
-    m = resolution.check_refutation(extracted)
-    print(f"ok {m}", file=sys.stderr)
-    return 0
+    return _emit_proof(args, projections.extract_refutation(r_f, f, use_local=args.local))
 
 
 def cmd_check(args) -> int:
@@ -255,15 +243,13 @@ def cmd_project(args) -> int:
 
 
 def cmd_report(args) -> int:
-    lo, _, hi = args.range.partition(":")
-    sizes = range(int(lo), int(hi or lo) + 1)
     f = boolfunc.parse_function_literal(args.fn)
     header = [
         "family", "n", "vertices", "black_price", "bw_price",
         "compiled_length", "compiled_clause_space", "const_space_length",
     ]
     rows = []
-    for n in sizes:
+    for n in args.range:
         g = dag.parse_family(f"{args.family}:{n}")
         row = {"family": args.family, "n": n, "vertices": len(g.vertices)}
         try:
@@ -357,8 +343,22 @@ def cmd_bench(args) -> int:
 # -- argument parsing ---------------------------------------------------------
 
 
+def _natural(text: str) -> int:
+    """argparse type: an ASCII-decimal integer, with no sign, '_' or
+    non-ASCII digit."""
+    if not is_decimal(text):
+        raise argparse.ArgumentTypeError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
+def _size_range(text: str) -> range:
+    """argparse type: `A:B`, or `A` alone, as the inclusive range A..B."""
+    lo, _, hi = text.partition(":")
+    return range(_natural(lo), _natural(hi or lo) + 1)
+
+
 def _budget_arg(parser):
-    parser.add_argument("--budget", type=int, default=None,
+    parser.add_argument("--budget", type=_natural, default=None,
                         help="search budget override (default PEBLAB_BUDGET or 10^7)")
 
 
@@ -438,13 +438,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minspace", help="exact minimal clause space (tiny formulas)")
     p.add_argument("--formula", required=True)
-    p.add_argument("--cap", type=int, default=5)
+    p.add_argument("--cap", type=_natural, default=5)
     _budget_arg(p)
     p.set_defaults(func=cmd_minspace)
 
     p = sub.add_parser("minwidth", help="minimal refutation width by bounded saturation")
     p.add_argument("--formula", required=True)
-    p.add_argument("--cap", type=int, default=6)
+    p.add_argument("--cap", type=_natural, default=6)
     p.set_defaults(func=cmd_minwidth)
 
     p = sub.add_parser("project", help="resolution f-projection of a configuration")
@@ -453,15 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local", action="store_true")
     p.add_argument("--suite", action="store_true",
                    help="run the seeded random property suite instead")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_natural, default=200)
+    p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--space-csv", default="-")
     p.add_argument("--witness", help="JSON-lines log of bound violations")
     p.set_defaults(func=cmd_project)
 
     p = sub.add_parser("report", help="price/length/space trade-off table for a family")
     p.add_argument("--family", required=True, choices=["pyramid", "tree", "path"])
-    p.add_argument("--range", required=True, help="A:B inclusive size range")
+    p.add_argument("--range", type=_size_range, required=True, help="A:B inclusive size range")
     p.add_argument("--fn", default="none")
     p.add_argument("--out", default="-")
     _budget_arg(p)
@@ -471,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--solver", required=True, help="command template with {file}")
     p.add_argument("--timeout", type=float, default=60.0)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_natural, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bench)
 

@@ -18,9 +18,13 @@ def search_budget(override=None):
     if override is not None:
         return int(override)
     env = os.environ.get("PEBLAB_BUDGET")
-    if env is not None:
-        return int(env)
-    return DEFAULT_BUDGET
+    if env is None:
+        return DEFAULT_BUDGET
+    from .cnf import is_decimal  # cnf imports this module
+
+    if not is_decimal(env):
+        raise PeblabError(f"PEBLAB_BUDGET must be a decimal integer, got {env!r}")
+    return int(env)
 
 
 class PeblabError(Exception):

@@ -1,5 +1,9 @@
 """Pebble games over DAGs: black-white, labelled, and blob variants.
 
+A labelled subconfiguration <v, W> is the single-vertex blob [{v}, W]
+without inflation, so one move rule and one replay check both
+subconfiguration games.
+
 Validators are pure functions over immutable traces; optimal prices are
 computed by exact breadth-first search over configuration space with
 the moves explored in canonical vertex order (removals before
@@ -261,6 +265,10 @@ class Subconf:
         if self.vertex in self.support:
             raise ValueError(f"black vertex {self.vertex} inside its own support")
 
+    @property
+    def blob(self) -> frozenset[str]:
+        return frozenset({self.vertex})
+
     def __str__(self) -> str:
         return f"<{self.vertex},{{{','.join(sorted(self.support))}}}>"
 
@@ -300,59 +308,18 @@ class LabelledCost:
     bound: tuple[int, int]  # tightest (b, w)
 
 
-def _labelled_move(g: Dag, prev: frozenset[Subconf], cur: frozenset[Subconf], t: int):
-    """Classify one transition; returns a move descriptor or raises IllegalMove."""
-    added = cur - prev
-    removed = prev - cur
-    if len(removed) == 1 and not added:
-        return ("erase", next(iter(removed)))
-    if len(added) == 1 and not removed:
-        (sc,) = added
-        if sc.support == frozenset(g.predecessors(sc.vertex)):
-            return ("intro", sc)
-        for first in sorted(prev, key=str):
-            if first.vertex != sc.vertex:
-                continue
-            for second in sorted(prev, key=str):
-                if second.vertex not in first.support:
-                    continue
-                if sc.vertex in second.support:
-                    continue
-                merged = (first.support | second.support) - {second.vertex}
-                if merged == sc.support:
-                    return ("merge", first, second, sc)
-        raise IllegalMove(t, f"{sc} is neither an introduction nor a merger")
-    raise IllegalMove(t, "exactly one subconfiguration must be added or removed")
-
-
 def validate_labelled(p: LabelledPebbling) -> LabelledCost:
     """Accept iff every step is a legal Introduction, Merger, or Erasure;
     reports time, space, and the tightest (b, w) boundedness parameters."""
-    g = p.host
-    steps = p.steps
-    if not steps:
-        raise WrongEndpoints("pebbling has no configurations")
-    for t, conf in enumerate(steps):
-        for sc in conf.subconfs:
-            for v in {sc.vertex} | sc.support:
-                if not g.has_vertex(v):
-                    raise IllegalMove(t, f"unknown vertex {v!r}")
-    if steps[0].subconfs:
-        raise WrongEndpoints("L-pebbling must start from the empty configuration")
-
     space = 0
     b = 0
     w = 0
-    for t in range(1, len(steps)):
-        _labelled_move(g, steps[t - 1].subconfs, steps[t].subconfs, t)
-        conf = steps[t]
+    for conf in _replay(p):
         space = max(space, conf.size)
         b = max(b, len(conf.subconfs))
         for sc in conf.subconfs:
             w = max(w, len(sc.support))
-    if steps[-1].subconfs != frozenset({Subconf(g.sink)}):
-        raise WrongEndpoints(f"L-pebbling must end at {{<{g.sink},{{}}>}}")
-    return LabelledCost(time=len(steps) - 1, space=space, bound=(b, w))
+    return LabelledCost(time=p.time, space=space, bound=(b, w))
 
 
 def black_to_labelled(p: BwPebbling) -> LabelledPebbling:
@@ -454,7 +421,13 @@ class BlobPebbling:
         return len(self.steps) - 1
 
 
-def _blob_move(g: Dag, prev: frozenset[BlobSubconf], cur: frozenset[BlobSubconf], t: int):
+# -- one move rule for labelled and blob pebblings --------------------------
+
+
+def _subconf_move(g: Dag, prev: frozenset, cur: frozenset, t: int):
+    """Classify one transition by the blob rules; returns a move descriptor
+    or raises IllegalMove.  Inflation is a blob move only: a labelled
+    subconfiguration is a single-vertex blob that may not inflate."""
     added = cur - prev
     removed = prev - cur
     if len(removed) == 1 and not added:
@@ -466,19 +439,48 @@ def _blob_move(g: Dag, prev: frozenset[BlobSubconf], cur: frozenset[BlobSubconf]
             if sc.support == frozenset(g.predecessors(v)):
                 return ("intro", sc)
         for first in sorted(prev, key=str):
+            if not first.blob <= sc.blob:  # a merger keeps its first blob
+                continue
             for second in sorted(prev, key=str):
+                # sc's blob and support are disjoint, so a match never has
+                # first's blob meeting second's support
                 for v in sorted(first.support & second.blob):
                     b1, w1 = first.blob, first.support - {v}
                     b2, w2 = second.blob - {v}, second.support
-                    if b1 & w2:
-                        continue
                     if b1 | b2 == sc.blob and w1 | w2 == sc.support:
                         return ("merge", first, second, v, sc)
+        if not isinstance(sc, BlobSubconf):
+            raise IllegalMove(t, f"{sc} is neither an introduction nor a merger")
         for src in sorted(prev, key=str):
             if src.blob <= sc.blob and src.support <= sc.support:
                 return ("inflate", src, sc)
         raise IllegalMove(t, f"{sc} is not an introduction, merger, or inflation")
     raise IllegalMove(t, "exactly one subconfiguration must be added or removed")
+
+
+def _replay(p: LabelledPebbling | BlobPebbling):
+    """Check the endpoints and every move of a labelled or blob pebbling,
+    yielding each configuration after the move that reaches it is checked."""
+    g = p.host
+    steps = p.steps
+    if not steps:
+        raise WrongEndpoints("pebbling has no configurations")
+    for t, conf in enumerate(steps):
+        for sc in conf.subconfs:
+            for v in sc.blob | sc.support:
+                if not g.has_vertex(v):
+                    raise IllegalMove(t, f"unknown vertex {v!r}")
+    if isinstance(p, LabelledPebbling):
+        game, end = "L-pebbling", Subconf(g.sink)
+    else:
+        game, end = "blob pebbling", BlobSubconf(frozenset({g.sink}))
+    if steps[0].subconfs:
+        raise WrongEndpoints(f"{game} must start from the empty configuration")
+    for t in range(1, len(steps)):
+        _subconf_move(g, steps[t - 1].subconfs, steps[t].subconfs, t)
+        yield steps[t]
+    if steps[-1].subconfs != frozenset({end}):
+        raise WrongEndpoints(f"{game} must end at {{{end}}}")
 
 
 def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:
@@ -524,25 +526,10 @@ def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:
 def validate_blob(p: BlobPebbling, budget=None) -> PebblingCost:
     """Accept iff every step is a legal Introduction, Merger, Inflation, or
     Erasure; space per the chargeable-cost measure."""
-    g = p.host
-    steps = p.steps
-    if not steps:
-        raise WrongEndpoints("pebbling has no configurations")
-    for t, conf in enumerate(steps):
-        for sc in conf.subconfs:
-            for v in sc.blob | sc.support:
-                if not g.has_vertex(v):
-                    raise IllegalMove(t, f"unknown vertex {v!r}")
-    if steps[0].subconfs:
-        raise WrongEndpoints("blob pebbling must start from the empty configuration")
-
     space = 0
-    for t in range(1, len(steps)):
-        _blob_move(g, steps[t - 1].subconfs, steps[t].subconfs, t)
-        space = max(space, blob_config_space(g, steps[t], budget))
-    if steps[-1].subconfs != frozenset({BlobSubconf(frozenset({g.sink}))}):
-        raise WrongEndpoints(f"blob pebbling must end at {{[{{{g.sink}}},{{}}]}}")
-    return PebblingCost(time=len(steps) - 1, space=space)
+    for conf in _replay(p):
+        space = max(space, blob_config_space(p.host, conf, budget))
+    return PebblingCost(time=p.time, space=space)
 
 
 # -- trace format ----------------------------------------------------------
@@ -570,54 +557,31 @@ def serialize_pebbling(p: BwPebbling | LabelledPebbling | BlobPebbling) -> str:
                 lines.append(f"W- {v}")
         return "\n".join(lines) + "\n"
 
-    if isinstance(p, LabelledPebbling):
-        lines = ["game labelled"]
-        index: dict[Subconf, int] = {}  # value -> latest creation id
-        creations = 0
-        for t in range(1, len(p.steps)):
-            move = _labelled_move(p.host, p.steps[t - 1].subconfs, p.steps[t].subconfs, t)
-            if move[0] == "intro":
-                creations += 1
-                index[move[1]] = creations
-                lines.append(f"I {move[1].vertex}")
-            elif move[0] == "merge":
-                _, first, second, sc = move
-                lines.append(f"M {index[first]} {index[second]}")
-                creations += 1
-                index[sc] = creations
-            else:
-                lines.append(f"E {index[move[1]]}")
-        return "\n".join(lines) + "\n"
-
-    if isinstance(p, BlobPebbling):
-        lines = ["game blob"]
-        index: dict[BlobSubconf, int] = {}
-        creations = 0
-        for t in range(1, len(p.steps)):
-            move = _blob_move(p.host, p.steps[t - 1].subconfs, p.steps[t].subconfs, t)
-            if move[0] == "intro":
-                sc = move[1]
-                creations += 1
-                index[sc] = creations
-                (v,) = sc.blob
-                lines.append(f"I {v}")
-            elif move[0] == "merge":
-                _, first, second, v, sc = move
-                lines.append(f"M {index[first]} {index[second]} {v}")
-                creations += 1
-                index[sc] = creations
-            elif move[0] == "inflate":
-                _, src, sc = move
-                lines.append(
-                    f"X {index[src]} : {' '.join(sorted(sc.blob))} / {' '.join(sorted(sc.support))}"
-                )
-                creations += 1
-                index[sc] = creations
-            else:
-                lines.append(f"E {index[move[1]]}")
-        return "\n".join(lines) + "\n"
-
-    raise TypeError(f"not a pebbling: {p!r}")
+    if not isinstance(p, (LabelledPebbling, BlobPebbling)):
+        raise TypeError(f"not a pebbling: {p!r}")
+    blob_game = isinstance(p, BlobPebbling)
+    lines = ["game blob" if blob_game else "game labelled"]
+    index = {}  # subconfiguration -> latest creation id
+    creations = 0
+    for t in range(1, len(p.steps)):
+        move = _subconf_move(p.host, p.steps[t - 1].subconfs, p.steps[t].subconfs, t)
+        sc = move[-1]
+        if move[0] == "erase":
+            lines.append(f"E {index[sc]}")
+            continue
+        if move[0] == "intro":
+            (v,) = sc.blob
+            lines.append(f"I {v}")
+        elif move[0] == "merge":
+            _, first, second, v, _ = move
+            lines.append(f"M {index[first]} {index[second]}" + (f" {v}" if blob_game else ""))
+        else:
+            lines.append(
+                f"X {index[move[1]]} : {' '.join(sorted(sc.blob))} / {' '.join(sorted(sc.support))}"
+            )
+        creations += 1
+        index[sc] = creations
+    return "\n".join(lines) + "\n"
 
 
 def parse_pebbling_trace(text: str, host: Dag):
@@ -687,19 +651,12 @@ def parse_pebbling_trace(text: str, host: Dag):
             present.remove(fetch(fields[1], lineno))
             steps.append(config(frozenset(present)))
             continue
-        elif labelled and fields[0] == "M" and len(fields) == 3:
-            first = fetch(fields[1], lineno)
-            second = fetch(fields[2], lineno)
-            if second.vertex not in first.support:
-                raise TraceError(f"merger pivot {second.vertex} not in support of {first}", line=lineno)
-            try:
-                sc = Subconf(first.vertex, (first.support | second.support) - {second.vertex})
-            except ValueError as e:
-                raise TraceError(str(e), line=lineno) from None
-        elif not labelled and fields[0] == "M" and len(fields) in (3, 4):
+        elif fields[0] == "M" and (len(fields) == 3 or not labelled and len(fields) == 4):
             first = fetch(fields[1], lineno)
             second = fetch(fields[2], lineno)
             pivots = sorted(first.support & second.blob)
+            if labelled and not pivots:
+                raise TraceError(f"merger pivot {second.vertex} not in support of {first}", line=lineno)
             if len(fields) == 4:
                 if fields[3] not in pivots:
                     raise TraceError(f"{fields[3]!r} is not a merger pivot for this pair", line=lineno)
@@ -709,9 +666,10 @@ def parse_pebbling_trace(text: str, host: Dag):
                     f"merger pivot ambiguous ({pivots}); use 'M i j v'", line=lineno
                 )
             v = pivots[0]
+            support = (first.support - {v}) | second.support
             try:
-                sc = BlobSubconf(first.blob | (second.blob - {v}),
-                                 (first.support - {v}) | second.support)
+                sc = (Subconf(first.vertex, support) if labelled
+                      else BlobSubconf(first.blob | (second.blob - {v}), support))
             except ValueError as e:
                 raise TraceError(str(e), line=lineno) from None
         elif not labelled and fields[0] == "X" and ":" in fields and "/" in fields:

@@ -33,7 +33,7 @@ from .resolution import (
 )
 
 _VAR_CAP = 24  # truth tables enumerate 2^(d * |base vars|) assignments
-_LOCAL_CAP = 12  # local projection enumerates 2^|D| subsets
+_LOCAL_CAP = 12  # local_projection_variables enumerates 2^|D| subsets
 
 
 def _repeating_mask(position: int, total: int) -> int:
@@ -157,32 +157,48 @@ def project(d, f: BooleanFunction) -> frozenset[Clause]:
     return prime_implicates(world.block_image(world.config_mask(d)), world.base_vars)
 
 
-def local_project(d, f: BooleanFunction, minimize: bool = True) -> frozenset[Clause]:
+def local_project(d, f: BooleanFunction) -> frozenset[Clause]:
     """Union of project over all subsets of D, subsumption-minimized.
 
-    Every subset is projected in D's world: a base variable that the
-    subset leaves unmentioned is free in its block image, so no prime
-    implicate mentions it.
+    Only the subsets D_V, the clauses of D whose base variables lie in V,
+    for V a union of clauses' base-variable sets, need projecting: any
+    subset D' lies in D_V for V = Vars(D'), so a prime implicate of D_V
+    subsumes each clause of project(D').  _VAR_CAP bounds the 2^|base
+    vars| choices of V.  Each D_V is projected in D's world, where the
+    base variables it leaves unmentioned are free.
+    """
+    d = set(d)
+    world = ProjectionWorld(_mentioned_base_vars(d), f)
+    clause_vars = {c: frozenset(_mentioned_base_vars([c])) for c in d}
+    unions = {frozenset()}
+    for vs in set(clause_vars.values()):
+        unions |= {u | vs for u in unions}
+    closed = {frozenset(c for c in d if clause_vars[c] <= u) for u in unions}
+    out: set[Clause] = set()
+    for d_v in closed:
+        out |= prime_implicates(world.block_image(world.config_mask(d_v)), world.base_vars)
+    return minimized(out)
+
+
+def local_projection_variables(d, f: BooleanFunction) -> frozenset[str]:
+    """Base variables mentioned by the unminimized union of project over
+    all 2^|D| subsets of D.  The union over local_project's subsets D_V
+    can mention fewer, so every subset is enumerated.
     """
     d = sorted(set(d), key=Clause.sort_key)
     if len(d) > _LOCAL_CAP:
         raise BudgetExceeded(len(d), _LOCAL_CAP, "local projection subset enumeration", unit="clauses")
     world = ProjectionWorld(_mentioned_base_vars(d), f)
     clause_masks = [world.clause_mask(c) for c in d]
-    out: set[Clause] = set()
+    out: set[str] = set()
     for bits in range(1 << len(d)):
         dmask = world.full
         for i, mask in enumerate(clause_masks):
             if (bits >> i) & 1:
                 dmask &= mask
-        out |= prime_implicates(world.block_image(dmask), world.base_vars)
-    return minimized(out) if minimize else frozenset(out)
-
-
-def local_projection_variables(d, f: BooleanFunction) -> frozenset[str]:
-    """Base variables mentioned by the full (unminimized) local projection."""
-    raw = local_project(d, f, minimize=False)
-    return frozenset(v for c in raw for v in c.variables())
+        for c in prime_implicates(world.block_image(dmask), world.base_vars):
+            out |= c.variables()
+    return frozenset(out)
 
 
 # -- refutation extraction -------------------------------------------------
@@ -391,12 +407,12 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
         world = ProjectionWorld(base_vars, f)
         dmask = world.config_mask(d)
         proj = project(d, f)
-        lproj = local_project(d, f, minimize=False)
+        lproj = local_project(d, f)
 
         # the reference: every candidate clause, by brute force
         candidates = [(c, world.disjunction_mask(c)) for c in _candidate_clauses(base_vars)]
         checks += _check_complete(world, dmask, candidates, proj)
-        checks += _check_complete(world, dmask, candidates, minimized(lproj))
+        checks += _check_complete(world, dmask, candidates, lproj)
 
         # monotone: strengthen D with an implied clause
         if d and base_vars:
@@ -414,8 +430,8 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
                     raise InternalContractViolation(
                         f"monotonicity failed for ({c}) after adding ({implied})"
                     )
-            slproj = minimized(local_project(stronger, f, minimize=False))
-            for c in minimized(lproj):
+            slproj = local_project(stronger, f)
+            for c in lproj:
                 checks += 1
                 if not any(p.subsumes(c) for p in slproj):
                     raise InternalContractViolation(
@@ -435,8 +451,8 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
                     after = project(bigger, f)
                     before = proj
                 else:
-                    after = minimized(local_project(bigger, f, minimize=False))
-                    before = minimized(lproj)
+                    after = local_project(bigger, f)
+                    before = lproj
                 for c in after:
                     for lit in axiom.literals - c.literals:
                         checks += 1
@@ -451,7 +467,7 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
             index=index,
             clause_count=len(d),
             projected=len(proj),
-            local_projected=len(minimized(lproj)),
+            local_projected=len(lproj),
         ))
     return SuiteReport(samples=tuple(results), checks=checks)
 

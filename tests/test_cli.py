@@ -4,6 +4,8 @@ import json
 import stat
 import sys
 
+import pytest
+
 
 
 from peblab import cli, dag, formulas, pebbling, resolution
@@ -117,6 +119,20 @@ def test_compile_lift_extract_pipeline(tmp_path, capsys):
     back = tmp_path / "back.trace"
     assert run("extract", "--formula", str(subst), "--proof", str(lifted),
                "--fn", "xor:2", "--out", str(back)) == 0
+    assert run("check", "--formula", str(base), "--proof", str(back)) == 0
+
+
+def test_local_extract_of_lifted_pyramid(tmp_path):
+    # a configuration of the lifted proof holds 13 clauses
+    proof, base = tmp_path / "cs.trace", tmp_path / "peb.cnf"
+    assert run("const-space", "--graph", "pyramid:2",
+               "--out", str(proof), "--emit-formula", str(base)) == 0
+    lifted, subst = tmp_path / "lifted.trace", tmp_path / "subst.cnf"
+    assert run("lift", "--formula", str(base), "--proof", str(proof),
+               "--fn", "xor:2", "--out", str(lifted), "--emit-formula", str(subst)) == 0
+    back = tmp_path / "back.trace"
+    assert run("extract", "--formula", str(subst), "--proof", str(lifted),
+               "--fn", "xor:2", "--local", "--out", str(back)) == 0
     assert run("check", "--formula", str(base), "--proof", str(back)) == 0
 
 
@@ -254,10 +270,14 @@ def test_bench_missing_solver(tmp_path):
 def test_bench_rejects_jobs_below_one(tmp_path, capsys):
     out_dir = tmp_path / "corpus"
     run("gen", "--graph", "path:3", "--fn", "none", "--out-dir", str(out_dir))
-    for jobs in ("0", "-1"):
-        assert run("bench", "--manifest", str(out_dir / "manifest.csv"),
-                   "--solver", "true {file}", "--jobs", jobs) == 1
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+    argv = ["bench", "--manifest", str(out_dir / "manifest.csv"), "--solver", "true {file}"]
+    assert run(*argv, "--jobs", "0") == 1
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    # a sign is not a decimal integer: argparse rejects it before the command runs
+    with pytest.raises(SystemExit) as info:
+        run(*argv, "--jobs", "-1")
+    assert info.value.code == 2
+    assert "not a decimal integer: '-1'" in capsys.readouterr().err
 
 
 def test_bench_jobs_keep_manifest_order(tmp_path):
@@ -277,3 +297,26 @@ def test_budget_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PEBLAB_BUDGET", "3")
     assert run("pebble-price", "--graph", "pyramid:2", "--game", "black") == 1
     assert "budget" in capsys.readouterr().err
+
+
+def test_budget_env_must_be_decimal(monkeypatch, capsys):
+    # int() would read 1_000 as 1000
+    monkeypatch.setenv("PEBLAB_BUDGET", "1_000")
+    assert run("pebble-price", "--graph", "pyramid:2", "--game", "black") == 1
+    assert "PEBLAB_BUDGET must be a decimal integer, got '1_000'" in capsys.readouterr().err
+
+
+def test_minwidth_rejects_negative_cap(tmp_path, capsys):
+    base = tmp_path / "peb.cnf"
+    run("gen", "--graph", "path:2", "--fn", "none", "--out", str(base))
+    with pytest.raises(SystemExit) as info:
+        run("minwidth", "--formula", str(base), "--cap", "-1")
+    assert info.value.code == 2
+    assert "not a decimal integer: '-1'" in capsys.readouterr().err
+
+
+def test_report_rejects_underscored_range(capsys):
+    with pytest.raises(SystemExit) as info:
+        run("report", "--family", "path", "--range", "1_0:1_1")
+    assert info.value.code == 2
+    assert "not a decimal integer: '1_0'" in capsys.readouterr().err

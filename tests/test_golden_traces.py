@@ -61,6 +61,20 @@ def test_min_width_answers(g, f, width):
     assert resolution.min_width(target, 8) == width
 
 
+def test_labelled_greedy_pebbling_pyramid3():
+    g = dag.build_pyramid(3)
+    text = pebbling.serialize_pebbling(
+        pebbling.black_to_labelled(pebbling.greedy_black_strategy(g))
+    )
+    assert sha256(text) == (
+        "2b845007f4ce8f96882b5b1e36280e67823656129919279e82c42ca67d1e7902"
+    )
+    blob = pebbling.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
+    assert sha256(pebbling.serialize_pebbling(blob)) == (
+        "0ff6f169950d5dbd4483cc26fe1468584acb4e18bc43ba96156052acaccdec37"
+    )
+
+
 def test_optimal_pebbling_witnesses_pyramid3():
     g = dag.build_pyramid(3)
     assert sha256(pebbling.serialize_pebbling(pebbling.optimal_black_pebbling(g))) == (

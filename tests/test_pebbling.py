@@ -220,6 +220,14 @@ class TestLabelled:
         with pytest.raises(IllegalMove):
             pebbling.validate_labelled(p)
 
+    def test_no_inflation(self):
+        # <a,{}> -> <a,{z}> is a blob inflation but no labelled move
+        g = dag.parse_dag("v a\nv z\ne a z\n")
+        seq = [frozenset(), {Subconf("a")}, {Subconf("a"), Subconf("a", frozenset({"z"}))}]
+        p = LabelledPebbling(host=g, steps=tuple(LabelledConfiguration(frozenset(s)) for s in seq))
+        with pytest.raises(IllegalMove, match="step 2: <a,{z}> is neither an introduction nor a merger"):
+            pebbling.validate_labelled(p)
+
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_black_to_labelled_path_bound(self, n):
         bp = pebbling.greedy_black_strategy(dag.build_path(n))
@@ -340,6 +348,20 @@ class TestTraces:
         text = pebbling.serialize_pebbling(p)
         assert "M 1 2 a" in text
         assert pebbling.parse_pebbling_trace(text, g) == p
+
+    @pytest.mark.parametrize("spec", ["path:1", "path:4", "pyramid:1", "pyramid:3", "tree:2", "tree:3"])
+    def test_labelled_trace_retagged_as_blob(self, spec):
+        # a labelled subconfiguration is a single-vertex blob: the same moves
+        # replay in the blob game, and only a merger gains its pivot
+        g = dag.parse_family(spec)
+        lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(g))
+        text = pebbling.serialize_pebbling(lp)
+        bp = pebbling.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
+        assert pebbling.validate_blob(bp).time == pebbling.validate_labelled(lp).time
+        moves = pebbling.serialize_pebbling(bp).splitlines()
+        assert moves[0] == "game blob"
+        assert all(len(m.split()) == (4 if m[0] == "M" else 2) for m in moves[1:])
+        assert [" ".join(m.split()[:3]) for m in moves[1:]] == text.splitlines()[1:]
 
     def test_blob_inflation_roundtrip(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")

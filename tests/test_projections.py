@@ -114,7 +114,9 @@ class TestProject:
             if len(config) == 13:
                 break
         with pytest.raises(BudgetExceeded, match=r"exceeded budget: 13 clauses"):
-            projections.local_project(sorted(config, key=lambda c: c.sort_key()), XOR2)
+            projections.local_projection_variables(
+                sorted(config, key=lambda c: c.sort_key()), XOR2
+            )
 
 
 def mentioned_base_vars(d):
