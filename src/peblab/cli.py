@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import math
 import subprocess
 import sys
 import time
@@ -351,6 +352,13 @@ def _natural(text: str) -> int:
     return int(text)
 
 
+def _seconds(text: str) -> float:
+    """argparse type: a non-negative finite decimal such as 10, 0.5 or .25."""
+    if not is_decimal(text.replace(".", "", 1)) or math.isinf(float(text)):
+        raise argparse.ArgumentTypeError(f"not a non-negative decimal: {text!r}")
+    return float(text)
+
+
 def _size_range(text: str) -> range:
     """argparse type: `A:B`, or `A` alone, as the inclusive range A..B."""
     lo, _, hi = text.partition(":")
@@ -470,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="run an external SAT solver over a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--solver", required=True, help="command template with {file}")
-    p.add_argument("--timeout", type=float, default=60.0)
+    p.add_argument("--timeout", type=_seconds, default=60.0)
     p.add_argument("--jobs", type=_natural, default=1)
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_bench)

@@ -257,6 +257,15 @@ def test_bench_timeout_zero(tmp_path):
     assert "timeout" in bench_out.read_text().splitlines()[1]
 
 
+@pytest.mark.parametrize("timeout", ["1_0", "nan", "inf", "-1", "1e3", "1" * 400])
+def test_bench_rejects_timeout_that_is_not_a_finite_decimal(timeout, capsys):
+    # float() takes all of these; nan and inf made every entry fail
+    with pytest.raises(SystemExit) as info:
+        run("bench", "--manifest", "manifest.csv", "--solver", "true {file}", "--timeout", timeout)
+    assert info.value.code == 2
+    assert f"not a non-negative decimal: {timeout!r}" in capsys.readouterr().err
+
+
 def test_bench_missing_solver(tmp_path):
     out_dir = tmp_path / "corpus"
     run("gen", "--graph", "path:3", "--fn", "none", "--out-dir", str(out_dir))

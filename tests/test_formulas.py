@@ -1,9 +1,12 @@
+import time
+from collections import deque
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peblab import boolfunc, dag, formulas
 from peblab.cnf import Clause, CnfFormula, clause, formula
-from peblab.errors import DagError, DimacsError, PeblabError, TraceError, TrivialClause
+from peblab.errors import BudgetExceeded, DagError, DimacsError, PeblabError, TraceError, TrivialClause
 
 OR2 = boolfunc.or_fn(2)
 XOR2 = boolfunc.xor_fn(2)
@@ -135,6 +138,131 @@ def test_brute_force_sat_is_lexicographically_first():
     assert formulas.brute_force_sat(formula(["x y"])) == {"x": False, "y": True}
 
 
+def test_brute_force_sat_budget(monkeypatch):
+    # pyramid:4 maj:3 needs tens of thousands of assignments
+    F = _sink_split(dag.build_pyramid(4), boolfunc.majority_fn(3))[0]
+    with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 "):
+        formulas.brute_force_sat(F, budget=1000)
+    monkeypatch.setenv("PEBLAB_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 "):
+        formulas.brute_force_sat(F)
+
+
+def test_brute_force_sat_pyramid4_maj3():
+    # plain DPLL, a tree-like refutation, exceeds 2 * 10^7 assignments on
+    # the full formula; clause learning refutes it in about 45,000
+    full, sink_deleted = _sink_split(dag.build_pyramid(4), boolfunc.majority_fn(3))
+    start = time.process_time()
+    assert formulas.brute_force_sat(full, budget=10**6) is None
+    model = formulas.brute_force_sat(sink_deleted, budget=10**6)
+    assert time.process_time() - start < 2
+    assert all(any(model[name] == positive for name, positive in c.literals)
+               for c in sink_deleted.clauses)
+
+
+def _sink_split(g, f):
+    """F[f] of Peb_G, and F[f] without its sink block."""
+    peb = formulas.pebbling_contradiction(g)
+    target = formulas.substitute(peb, f)
+    sink_block = formulas.substitution_images(peb, f)[Clause(frozenset({(g.sink, False)}))]
+    return target, CnfFormula(target.clauses - sink_block)
+
+
+def reference_sat(F: CnfFormula) -> dict[str, bool] | None:
+    """Backtracking with unit propagation and no learning: the lowest
+    unassigned variable in canonical order, False before True, so the
+    first model found is the lexicographically first."""
+    names = F.variables()
+    n = len(names)
+    index = {v: i for i, v in enumerate(names)}
+    clause_lits = [
+        [(index[name], polarity) for name, polarity in c.sorted_literals()]
+        for c in F.sorted_clauses()
+    ]
+    if any(not lits for lits in clause_lits):
+        return None
+    if n == 0:
+        return {}
+
+    occur: list[list[tuple[int, bool]]] = [[] for _ in range(n)]
+    for ci, lits in enumerate(clause_lits):
+        for vi, polarity in lits:
+            occur[vi].append((ci, polarity))
+    sat_count = [0] * len(clause_lits)
+    open_lits = [len(lits) for lits in clause_lits]
+    value = [False] * n
+    assigned = [False] * n
+    trail: list[int] = []
+
+    def do_assign(vi: int, val: bool):
+        assigned[vi] = True
+        value[vi] = val
+        trail.append(vi)
+        conflict = False
+        units = []
+        for ci, polarity in occur[vi]:
+            open_lits[ci] -= 1
+            if polarity == val:
+                sat_count[ci] += 1
+            elif sat_count[ci] == 0:
+                if open_lits[ci] == 0:
+                    conflict = True
+                elif open_lits[ci] == 1:
+                    units.append(ci)
+        return conflict, units
+
+    def undo_to(length: int) -> None:
+        while len(trail) > length:
+            vi = trail.pop()
+            val = value[vi]
+            assigned[vi] = False
+            for ci, polarity in occur[vi]:
+                open_lits[ci] += 1
+                if polarity == val:
+                    sat_count[ci] -= 1
+
+    def propagate(units) -> bool:
+        queue = deque(units)
+        while queue:
+            ci = queue.popleft()
+            if sat_count[ci] > 0 or open_lits[ci] != 1:
+                continue
+            for vj, polarity in clause_lits[ci]:
+                if not assigned[vj]:
+                    conflict, more = do_assign(vj, polarity)
+                    if conflict:
+                        return False
+                    queue.extend(more)
+                    break
+        return True
+
+    if not propagate([ci for ci, lits in enumerate(clause_lits) if len(lits) == 1]):
+        return None
+
+    # decision stack: (variable, trying_true, trail length before the decision)
+    levels: list[tuple[int, bool, int]] = []
+    while True:
+        cursor = 0
+        while cursor < n and assigned[cursor]:
+            cursor += 1
+        if cursor == n:
+            return {names[i]: value[i] for i in range(n)}
+        levels.append((cursor, False, len(trail)))
+        conflict, units = do_assign(cursor, False)
+        ok = not conflict and propagate(units)
+        while not ok:
+            while levels and levels[-1][1]:
+                _, _, mark = levels.pop()
+                undo_to(mark)
+            if not levels:
+                return None
+            vi, _, mark = levels.pop()
+            undo_to(mark)
+            levels.append((vi, True, mark))
+            conflict, units = do_assign(vi, True)
+            ok = not conflict and propagate(units)
+
+
 def test_minimally_unsat():
     assert formulas.is_minimally_unsat(formulas.pebbling_contradiction(dag.build_pyramid(2)))
     assert formulas.is_minimally_unsat(formulas.pebbling_contradiction(dag.build_path(4)))
@@ -209,13 +337,13 @@ def test_trivial_clause_rejected():
 
 
 @st.composite
-def small_formulas(draw):
-    nvars = draw(st.integers(min_value=1, max_value=5))
+def small_formulas(draw, max_vars=5, max_clauses=6, max_width=None):
+    nvars = draw(st.integers(min_value=1, max_value=max_vars))
     names = [f"q{i}" for i in range(nvars)]
-    nclauses = draw(st.integers(min_value=1, max_value=6))
+    nclauses = draw(st.integers(min_value=1, max_value=max_clauses))
     out = set()
     for _ in range(nclauses):
-        chosen = draw(st.sets(st.sampled_from(names), min_size=1, max_size=nvars))
+        chosen = draw(st.sets(st.sampled_from(names), min_size=1, max_size=max_width or nvars))
         lits = frozenset((v, draw(st.booleans())) for v in sorted(chosen))
         out.add(Clause(lits))
     return CnfFormula(frozenset(out))
@@ -241,3 +369,12 @@ def test_substitution_preserves_satisfiability_random(F):
     sub = formulas.substitute(F, XOR2)
     assert (formulas.brute_force_sat(F) is None) == (formulas.brute_force_sat(sub) is None)
     assert len(sub.variables()) == 2 * len(F.variables())
+
+
+@given(small_formulas(max_vars=8, max_clauses=32, max_width=3))
+# the learned clause (a c) backjumps from level 3 to level 1, over b's level
+@example(formula(["a c e", "a c -e", "a -c f", "a -c -f", "b d"]))
+@example(formula(["x", "-y", "z"]))
+@settings(max_examples=200, deadline=None)
+def test_brute_force_sat_matches_enumeration(F):
+    assert formulas.brute_force_sat(F) == reference_sat(F)

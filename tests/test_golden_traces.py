@@ -5,14 +5,17 @@ and the sorted substitution images through one fixed template per
 function, the price search follows its move order, and extraction
 follows the sorted projected clause sets.  A change to any of these
 orders, to the template, to a projection, or to the trace format,
-changes a digest here.
+changes a digest here.  SAT models are the first in canonical order,
+whatever search finds them.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from peblab import boolfunc, dag, formulas, pebbling, projections, resolution
+from peblab.cnf import Clause, CnfFormula
 
 XOR2 = boolfunc.xor_fn(2)
 
@@ -99,3 +102,86 @@ def test_extracted_refutation(g, f, use_local, digest):
     lifted = resolution.lift_refutation(resolution.constant_space_refutation(g), f)
     r = projections.extract_refutation(lifted, f, use_local=use_local)
     assert sha256(resolution.serialize_refutation(r)) == digest
+
+
+# SHA-256 of json.dumps(model, sort_keys=True) after deleting the sink
+# block from each of criterion 9's targets; every full target is UNSAT,
+# so its model dumps to "null".
+SINK_DELETED_MODELS = {
+    ("path:1", "none"): "e9aaa82b197991ec7c9709db5644beaa5004910752cdf1641b377a2845efd5f8",
+    ("path:1", "or:2"): "c29d70a14d2bc7eddb29cef6bd215248f07d3e85e8ef37df4ccccd38b1b24188",
+    ("path:1", "xor:2"): "c29d70a14d2bc7eddb29cef6bd215248f07d3e85e8ef37df4ccccd38b1b24188",
+    ("path:2", "none"): "2db7fe7d7a5f124b298a36bb657616e0b02276eeeebc5d749684e3fa4b783f78",
+    ("path:2", "or:2"): "a36a6a5c6f2cffad42a11e7440c0779353b0fb132d797c4e7ef2215d46165851",
+    ("path:2", "xor:2"): "a36a6a5c6f2cffad42a11e7440c0779353b0fb132d797c4e7ef2215d46165851",
+    ("path:3", "none"): "ddc27dda99640e3c1b9aabd2324d7f42455767023005440d553afeac0abe9b85",
+    ("path:3", "or:2"): "349989e77c9da412eaf4322c2e9d42e03ee5cf4995a8816306dbe828dc71fb78",
+    ("path:3", "xor:2"): "349989e77c9da412eaf4322c2e9d42e03ee5cf4995a8816306dbe828dc71fb78",
+    ("path:4", "none"): "ab6e37958e67e9e8515898d046683d4286b57fa98b965566eb7699a96303b573",
+    ("path:4", "or:2"): "bbf46b00b1940e36a2c3fba36a40df5048b1799f72bfbd1a1e71171d6ac44ae9",
+    ("path:4", "xor:2"): "bbf46b00b1940e36a2c3fba36a40df5048b1799f72bfbd1a1e71171d6ac44ae9",
+    ("path:5", "none"): "073e6664705b25ce90ccfb3e986fd071003fd220b934793595acaeedcae16f33",
+    ("path:5", "or:2"): "708ae02046643b17b797aaada65980800a6d16fb2324db23c93b1931e443d9ff",
+    ("path:5", "xor:2"): "708ae02046643b17b797aaada65980800a6d16fb2324db23c93b1931e443d9ff",
+    ("path:6", "none"): "5ec4a08d8f053cdcd1fe1c879a0ea8f8ca951a6fb0566f1bb42ac92e0781343c",
+    ("path:6", "or:2"): "bb97e3b8c6008f7aef08101f25aedf54d8fc53bf25c62c699a67ba16718cf34a",
+    ("path:6", "xor:2"): "bb97e3b8c6008f7aef08101f25aedf54d8fc53bf25c62c699a67ba16718cf34a",
+    ("path:7", "none"): "8de50a8204be369a99fabe5bf2be575e582ca9a686571e141ad88bff03799c16",
+    ("path:7", "or:2"): "9a780c6b644cddbf6d4b48d40365f75056290f5a4bf2fbbd25f181221993f8ba",
+    ("path:7", "xor:2"): "9a780c6b644cddbf6d4b48d40365f75056290f5a4bf2fbbd25f181221993f8ba",
+    ("path:8", "none"): "6d0e7f90edf6ee2acef379c61c3be14f3fadfb59040b58addf8856f0663104d4",
+    ("path:8", "or:2"): "5537f75bc162ecd240503b9e796c848f3007fd8bf9a0611d135fd8d0a061cdce",
+    ("path:8", "xor:2"): "5537f75bc162ecd240503b9e796c848f3007fd8bf9a0611d135fd8d0a061cdce",
+    ("tree:0", "none"): "ac56e1efacc601d85c32922113cee6fac9baad2cb4e7fee39ad09cdb34752568",
+    ("tree:0", "or:2"): "035b000c5099207f94f9b6563f9d2ee9475a3ba37898031348490acaf651904c",
+    ("tree:0", "xor:2"): "035b000c5099207f94f9b6563f9d2ee9475a3ba37898031348490acaf651904c",
+    ("tree:1", "none"): "40fe59780a3ae904bf2d5523f3f07b8b7527be9675acd2721c2e9c8cc7334393",
+    ("tree:1", "or:2"): "c0879463d9de4f657b2bc19af41d31bc5ad8039451f760be2d39c1dc81dbed4d",
+    ("tree:1", "xor:2"): "c0879463d9de4f657b2bc19af41d31bc5ad8039451f760be2d39c1dc81dbed4d",
+    ("tree:2", "none"): "4d5ea4495c71f377222d226aa7250b764d263febec5feb3e91885e2300658334",
+    ("tree:2", "or:2"): "f510d4a060f25861f2b8472784321ede897bb94ac0d921cb4b2311215190531e",
+    ("tree:2", "xor:2"): "f510d4a060f25861f2b8472784321ede897bb94ac0d921cb4b2311215190531e",
+    ("tree:3", "none"): "71e37972d0a824d196975750d11ddf6561f620e9cc22d9a3d2c360412f540c0d",
+    ("tree:3", "or:2"): "075e26b916c6dce46c367ff3b69ae97cefacd0f8a7c0ad41b08973da86ce5c06",
+    ("tree:3", "xor:2"): "075e26b916c6dce46c367ff3b69ae97cefacd0f8a7c0ad41b08973da86ce5c06",
+    ("pyramid:1", "none"): "0950ecb1758315ca87ddb4f753a0137e84d6bde9a4db7628f2cc6d87f0fb0701",
+    ("pyramid:1", "or:2"): "203535157d9476d9e174d3ff88ca97df49fe3f355e68f39ed09b58660e5b121e",
+    ("pyramid:1", "xor:2"): "203535157d9476d9e174d3ff88ca97df49fe3f355e68f39ed09b58660e5b121e",
+    ("pyramid:2", "none"): "4341cb365805f0b26fe555f7df5b95722f42b0ab82c37d51312169586d28eb5e",
+    ("pyramid:2", "or:2"): "3aa03da1a7b935beacd177e828bdd4703b9d91feb3a7f9896b92a51b0b74720d",
+    ("pyramid:2", "xor:2"): "3aa03da1a7b935beacd177e828bdd4703b9d91feb3a7f9896b92a51b0b74720d",
+    ("pyramid:3", "none"): "35aa248a38abfec2ba207d1ea0e97e85555c6ab0dc62bd75fe006a0960db5913",
+    ("pyramid:3", "or:2"): "df6ff210096fd38e9e773700886c4be649db77e047e5b8c26d9d3190dbb92dff",
+    ("pyramid:3", "xor:2"): "df6ff210096fd38e9e773700886c4be649db77e047e5b8c26d9d3190dbb92dff",
+}
+
+
+@pytest.mark.parametrize("family,fn", list(SINK_DELETED_MODELS),
+                         ids=[f"{family}-{fn}" for family, fn in SINK_DELETED_MODELS])
+def test_sat_models_criterion_9(family, fn):
+    g, f = dag.parse_family(family), boolfunc.parse_function_literal(fn)
+    peb = formulas.pebbling_contradiction(g)
+    sink_axiom = Clause(frozenset({(g.sink, False)}))
+    if f is None:
+        target, sink_block = peb, frozenset({sink_axiom})
+    else:
+        target = formulas.substitute(peb, f)
+        sink_block = formulas.substitution_images(peb, f)[sink_axiom]
+    assert sha256(json.dumps(formulas.brute_force_sat(target), sort_keys=True)) == sha256("null")
+    model = formulas.brute_force_sat(CnfFormula(target.clauses - sink_block))
+    assert sha256(json.dumps(model, sort_keys=True)) == SINK_DELETED_MODELS[family, fn]
+
+
+def test_sat_verdicts_tree3_or2_through_dimacs():
+    """The `sat.json` the oracles benchmark writes for tree:3 or:2."""
+    g, f = dag.build_binary_tree(3), boolfunc.or_fn(2)
+    peb = formulas.pebbling_contradiction(g)
+    target = formulas.from_dimacs(formulas.to_dimacs(formulas.substitute(peb, f)))
+    sink_block = formulas.substitution_images(peb, f)[Clause(frozenset({(g.sink, False)}))]
+    verdicts = {
+        "full": formulas.brute_force_sat(target),
+        "without_sink_block": formulas.brute_force_sat(CnfFormula(target.clauses - sink_block)),
+    }
+    assert sha256(json.dumps(verdicts, sort_keys=True) + "\n") == (
+        "1ad2ced894d92fec4e65c92ea237a18d1b5e548c527500e829de44d16c50439c"
+    )
