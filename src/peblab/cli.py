@@ -353,9 +353,12 @@ def _natural(text: str) -> int:
 
 
 def _seconds(text: str) -> float:
-    """argparse type: a non-negative finite decimal such as 10, 0.5 or .25."""
+    """argparse type: a non-negative finite decimal such as 10, 0.5 or .25,
+    at most 2,147,483: `subprocess.run` waits at most 2**31 - 1 ms."""
     if not is_decimal(text.replace(".", "", 1)) or math.isinf(float(text)):
         raise argparse.ArgumentTypeError(f"not a non-negative decimal: {text!r}")
+    if float(text) > 2_147_483:
+        raise argparse.ArgumentTypeError(f"more than 2147483 seconds: {text!r}")
     return float(text)
 
 

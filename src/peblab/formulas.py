@@ -205,13 +205,13 @@ def brute_force_sat(f_formula: CnfFormula, budget=None) -> dict[str, bool] | Non
     trail: list[int] = []
     decisions: list[int] = []  # trail length at each decision, one per level
     limit = search_budget(budget)
-    nodes = 0
+    assigned = 0
 
     def assign(lit: int, why: int | None) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > limit:
-            raise BudgetExceeded(nodes, limit, "SAT oracle")
+        nonlocal assigned
+        assigned += 1
+        if assigned > limit:
+            raise BudgetExceeded(assigned, limit, "SAT oracle", unit="assignments")
         value[lit], value[lit ^ 1] = 1, -1
         level[lit >> 1] = len(decisions)
         reason[lit >> 1] = why

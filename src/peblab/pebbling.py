@@ -5,14 +5,13 @@ without inflation, so one move rule and one replay check both
 subconfiguration games.
 
 Validators are pure functions over immutable traces; optimal prices are
-computed by exact breadth-first search over configuration space with
-the moves explored in canonical vertex order (removals before
-placements), so repeated runs return identical prices and witnesses.
+computed by one exact search over configuration space, depth-first within
+each space bound, with the moves in canonical vertex order (removals
+before placements), so repeated runs return identical prices and witnesses.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .cnf import is_decimal
@@ -156,83 +155,84 @@ def greedy_black_strategy(g: Dag) -> BwPebbling:
 
 
 def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
-    """A minimum-space complete pebbling, by iterative deepening BFS.
+    """A minimum-space complete pebbling, by one search that raises its space bound.
 
     A state is one int, `black | white << n`, with bit i standing for the
     i-th vertex in topological order; black-only states are the black
-    masks themselves.
+    masks themselves.  At bound s a popped state with fewer than s pebbles
+    gets all its moves, and one with s only its removals; it waits in
+    `blocked` for its placements until no goal is left within s and s
+    rises.  So no state is popped twice, and the first goal has price s.
+    The work list is a stack, and the witness is its path, not a shortest one.
     """
     limit = search_budget(budget)
     order = g.topological_order()
-    n = len(order)
-    bit = {v: i for i, v in enumerate(order)}
-    pred_masks = [sum(1 << bit[u] for u in g.predecessors(v)) for v in order]
-    sink_bit = 1 << bit[g.sink]
-    black_mask = (1 << n) - 1
+    n, full = len(order), (1 << len(order)) - 1
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    pred_mask = {bit[v]: sum(bit[u] for u in g.predecessors(v)) for v in order}
+    sink_bit = bit[g.sink]
     what = "black pebbling price search" if black_only else "black-white pebbling price search"
-    visited_total = 0
+    parents: dict[int, int | None] = {0: None}
+    stack, blocked, visited, s = [0], [], 0, 1
 
-    for s in range(1, n + 1):
-        parents: dict[int, int | None] = {0: None}
-        queue = deque([0])
-        goal = None
-        while queue:
-            state = queue.popleft()
-            visited_total += 1
-            if visited_total > limit:
-                raise BudgetExceeded(visited_total, limit, what)
-            black, white = state & black_mask, state >> n
-            if black & sink_bit and not white:
-                goal = state
-                break
-            both = black | white
-            nxt = []
-            for i, pm in enumerate(pred_masks):  # removals first
-                b = 1 << i
-                if black & b:
-                    nxt.append(state & ~b)
-                elif white & b and both & pm == pm:
-                    nxt.append(state & ~(b << n))
-            if bin(both).count("1") < s:
-                for i, pm in enumerate(pred_masks):
-                    b = 1 << i
-                    if both & b:
-                        continue
-                    if both & pm == pm:
-                        nxt.append(state | b)
-                    if not black_only:
-                        nxt.append(state | b << n)
-            for new in nxt:
-                if new not in parents:
-                    parents[new] = state
-                    queue.append(new)
-        if goal is None:
-            continue
-        path = []
-        state = goal
-        while state is not None:
-            path.append(state)
-            state = parents[state]
-        path.reverse()
-        # strip extra pebbles to end at exactly {sink}
-        for i in range(n):
-            b = 1 << i
-            if goal & b and b != sink_bit:
-                goal &= ~b
-                path.append(goal)
-        steps = tuple(
-            BwConfiguration(
-                black=frozenset(v for i, v in enumerate(order) if st >> i & 1),
-                white=frozenset(v for i, v in enumerate(order) if st >> (n + i) & 1),
-            )
-            for st in path
-        )
-        return BwPebbling(host=g, steps=steps)
-    raise PeblabError("unreachable: every DAG admits a complete pebbling")
+    def push(new, state):
+        if new not in parents:
+            parents[new] = state
+            stack.append(new)
+
+    def place(state, both):  # lowest vertex first, so the highest is popped first
+        empty = full & ~both
+        while empty:
+            b = empty & -empty
+            empty ^= b
+            if not pred_mask[b] & ~both:
+                push(state | b, state)
+            if not black_only:
+                push(state | b << n, state)
+
+    while True:
+        if not stack:  # a blocked state always has a placement
+            s += 1
+            for state in blocked:
+                place(state, (state | state >> n) & full)
+            blocked = []
+        state = stack.pop()
+        visited += 1
+        if visited > limit:
+            raise BudgetExceeded(visited, limit, what)
+        black, white = state & full, state >> n
+        if black & sink_bit and not white:
+            break
+        rest = both = black | white
+        while rest:  # removals before placements
+            b = rest & -rest
+            rest ^= b
+            if black & b:
+                push(state & ~b, state)
+            elif not pred_mask[b] & ~both:
+                push(state & ~(b << n), state)
+        if both.bit_count() < s:
+            place(state, both)
+        else:
+            blocked.append(state)
+
+    path, extra = [], state & ~sink_bit
+    while state is not None:
+        path.append(state)
+        state = parents[state]
+    path.reverse()
+    while extra:  # strip extra pebbles, lowest first, to end at exactly {sink}
+        extra &= extra - 1
+        path.append(sink_bit | extra)
+    return BwPebbling(host=g, steps=tuple(
+        BwConfiguration(frozenset(v for v in order if st & bit[v]),
+                        frozenset(v for v in order if st >> n & bit[v]))
+        for st in path
+    ))
 
 
 def optimal_black_pebbling(g: Dag, budget=None) -> BwPebbling:
-    """A minimum-space complete black pebbling, by iterative deepening BFS."""
+    """A minimum-space complete black pebbling, by a one-pass space-bounded search."""
     return _optimal_pebbling(g, black_only=True, budget=budget)
 
 
@@ -242,7 +242,7 @@ def optimal_black_price(g: Dag, budget=None) -> int:
 
 
 def optimal_bw_pebbling(g: Dag, budget=None) -> BwPebbling:
-    """A minimum-space complete black-white pebbling."""
+    """A minimum-space complete black-white pebbling, by a one-pass space-bounded search."""
     return _optimal_pebbling(g, black_only=False, budget=budget)
 
 

@@ -266,6 +266,25 @@ def test_bench_rejects_timeout_that_is_not_a_finite_decimal(timeout, capsys):
     assert f"not a non-negative decimal: {timeout!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("timeout", ["2147484", "2147483.5", "10000000000"])
+def test_bench_rejects_timeout_above_the_subprocess_limit(timeout, capsys):
+    # subprocess.run raises OverflowError above 2**31 - 1 ms, which failed every entry
+    with pytest.raises(SystemExit) as info:
+        run("bench", "--manifest", "manifest.csv", "--solver", "true {file}", "--timeout", timeout)
+    assert info.value.code == 2
+    assert f"more than 2147483 seconds: {timeout!r}" in capsys.readouterr().err
+
+
+def test_bench_accepts_the_largest_timeout(tmp_path):
+    out_dir = tmp_path / "corpus"
+    run("gen", "--graph", "path:2", "--fn", "none", "--out-dir", str(out_dir))
+    bench_out = tmp_path / "bench.csv"
+    assert run("bench", "--manifest", str(out_dir / "manifest.csv"),
+               "--solver", _fake_solver(tmp_path, 20) + " {file}", "--timeout", "2147483",
+               "--out", str(bench_out)) == 0
+    assert bench_out.read_text().splitlines()[1].split(",")[1] == "UNSAT"
+
+
 def test_bench_missing_solver(tmp_path):
     out_dir = tmp_path / "corpus"
     run("gen", "--graph", "path:3", "--fn", "none", "--out-dir", str(out_dir))

@@ -141,10 +141,10 @@ def test_brute_force_sat_is_lexicographically_first():
 def test_brute_force_sat_budget(monkeypatch):
     # pyramid:4 maj:3 needs tens of thousands of assignments
     F = _sink_split(dag.build_pyramid(4), boolfunc.majority_fn(3))[0]
-    with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 "):
+    with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 assignments \(budget 1000\)$"):
         formulas.brute_force_sat(F, budget=1000)
     monkeypatch.setenv("PEBLAB_BUDGET", "1000")
-    with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 "):
+    with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 assignments \(budget 1000\)$"):
         formulas.brute_force_sat(F)
 
 

@@ -79,12 +79,13 @@ def test_labelled_greedy_pebbling_pyramid3():
 
 
 def test_optimal_pebbling_witnesses_pyramid3():
+    # the depth-first witnesses: 25 black and 79 black-white moves
     g = dag.build_pyramid(3)
     assert sha256(pebbling.serialize_pebbling(pebbling.optimal_black_pebbling(g))) == (
-        "1e82d438752daaf40e8430ab74e2596d794c9def3d5d17f20dcf76b2ab179ee3"
+        "d68f16f78b99b69d1aad3beeb8b6ced611796699066ae105f843403fcde01a3a"
     )
     assert sha256(pebbling.serialize_pebbling(pebbling.optimal_bw_pebbling(g))) == (
-        "3121315c4b7b92a36e1f95c763b63088861df465dc08684d4bef84a7f6cc2e1f"
+        "893b3ee062e8e550105632bac2249aaaa1f4ec9e1878fc39784d0aa2a733611b"
     )
 
 

@@ -1,5 +1,8 @@
+import time
+from collections import deque
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from peblab import dag, pebbling
 from peblab.errors import (
@@ -15,6 +18,7 @@ from peblab.pebbling import (
     LabelledPebbling,
     Subconf,
 )
+from test_dag import random_dags
 
 
 def bw(host, *steps):
@@ -195,6 +199,97 @@ class TestPrices:
     def test_prices_match_independent_reference(self, g):
         assert pebbling.optimal_black_price(g) == self._reference_price(g, True)
         assert pebbling.optimal_bw_price(g) == self._reference_price(g, False)
+
+
+def reference_pebbling(g, black_only):
+    """A shortest minimum-space complete pebbling, by iterative deepening:
+    a breadth-first search from the empty configuration, restarted at
+    each space bound s = 1, 2, ..., with removals before placements in
+    topological order.  States are `black | white << n` as in the
+    library's search."""
+    order = g.topological_order()
+    n = len(order)
+    bit = {v: i for i, v in enumerate(order)}
+    pred_masks = [sum(1 << bit[u] for u in g.predecessors(v)) for v in order]
+    sink_bit = 1 << bit[g.sink]
+    for s in range(1, n + 1):
+        parents = {0: None}
+        queue = deque([0])
+        goal = None
+        while queue:
+            state = queue.popleft()
+            black, white = state & (1 << n) - 1, state >> n
+            if black & sink_bit and not white:
+                goal = state
+                break
+            both = black | white
+            nxt = []
+            for i, pm in enumerate(pred_masks):  # removals first
+                b = 1 << i
+                if black & b:
+                    nxt.append(state & ~b)
+                elif white & b and both & pm == pm:
+                    nxt.append(state & ~(b << n))
+            if bin(both).count("1") < s:
+                for i, pm in enumerate(pred_masks):
+                    b = 1 << i
+                    if both & b:
+                        continue
+                    if both & pm == pm:
+                        nxt.append(state | b)
+                    if not black_only:
+                        nxt.append(state | b << n)
+            for new in nxt:
+                if new not in parents:
+                    parents[new] = state
+                    queue.append(new)
+        if goal is None:
+            continue
+        path = []
+        state = goal
+        while state is not None:
+            path.append(state)
+            state = parents[state]
+        path.reverse()
+        for i in range(n):  # strip extra pebbles to end at exactly {sink}
+            if goal >> i & 1 and 1 << i != sink_bit:
+                goal &= ~(1 << i)
+                path.append(goal)
+        return BwPebbling(host=g, steps=tuple(
+            BwConfiguration(
+                black=frozenset(v for i, v in enumerate(order) if st >> i & 1),
+                white=frozenset(v for i, v in enumerate(order) if st >> (n + i) & 1),
+            )
+            for st in path
+        ))
+    raise AssertionError("every DAG admits a complete pebbling")
+
+
+@given(random_dags())
+@example(dag.build_path(2))
+@example(dag.parse_dag("v a\nv b\nv c\ne a c\ne b c\n"))  # cherry
+@example(dag.build_pyramid(1))
+@settings(max_examples=100, deadline=None)
+def test_prices_match_reference_search(g):
+    for black_only, optimal, price in (
+        (True, pebbling.optimal_black_pebbling, pebbling.optimal_black_price),
+        (False, pebbling.optimal_bw_pebbling, pebbling.optimal_bw_price),
+    ):
+        expected = pebbling.validate_bw(reference_pebbling(g, black_only), black_only).space
+        assert price(g) == expected
+        witness = optimal(g)
+        assert pebbling.validate_bw(witness, black_only).space == expected
+        assert optimal(g) == witness
+
+
+@pytest.mark.parametrize("spec", [f"pyramid:{h}" for h in range(1, 6)] + [f"tree:{h}" for h in range(1, 4)])
+def test_black_price_is_height_plus_two(spec):
+    # Cook (1974); the time bound catches a search that restarts at each
+    # space bound, which takes about 1 s on pyramid:5
+    height = int(spec.split(":")[1])
+    start = time.process_time()
+    assert pebbling.optimal_black_price(dag.parse_family(spec)) == height + 2
+    assert time.process_time() - start < 1
 
 
 class TestLabelled:
