@@ -1,11 +1,12 @@
 """Shared exception types and the search-budget knob.
 
-All searches that enumerate state spaces (pebbling prices, the SAT
-oracle, saturation, clause-space search) count visited nodes against a
-budget and raise BudgetExceeded instead of returning an approximate
-answer; lifting a refutation bounds the lifted proof's length by the
-same budget before it builds a line.  The default budget is 10**7 nodes and can be overridden with
-the PEBLAB_BUDGET environment variable.
+All searches that enumerate state spaces (the one space-bounded search
+behind pebbling prices and clause space, the SAT oracle, saturation)
+count visited nodes against a budget and raise BudgetExceeded instead of
+returning an approximate answer; lifting a refutation bounds the lifted
+proof's length by the same budget before it builds a line.  The default
+budget is 10**7 nodes and can be overridden with the PEBLAB_BUDGET
+environment variable.
 """
 
 import os

@@ -4,10 +4,10 @@ A labelled subconfiguration <v, W> is the single-vertex blob [{v}, W]
 without inflation, so one move rule and one replay check both
 subconfiguration games.
 
-Validators are pure functions over immutable traces; optimal prices are
-computed by one exact search over configuration space, depth-first within
-each space bound, with the moves in canonical vertex order (removals
-before placements), so repeated runs return identical prices and witnesses.
+Validators are pure functions over immutable traces.  Optimal prices come
+from `space_bounded_search`, the one search of both space games (it also
+runs `resolution.min_clause_space`), with the moves in canonical vertex
+order (removals before placements), so repeated runs give identical witnesses.
 """
 
 from __future__ import annotations
@@ -154,73 +154,90 @@ def greedy_black_strategy(g: Dag) -> BwPebbling:
 # -- optimal prices by exhaustive search ----------------------------------
 
 
-def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
-    """A minimum-space complete pebbling, by one search that raises its space bound.
+def space_bounded_search(start, shrink, grow, size, is_goal, budget, what, cap=None):
+    """(path, s): the least space bound s <= `cap` within which a goal is
+    reachable from `start`, and a path of states to it; (None, s) if none.
 
-    A state is one int, `black | white << n`, with bit i standing for the
-    i-th vertex in topological order; black-only states are the black
-    masks themselves.  At bound s a popped state with fewer than s pebbles
-    gets all its moves, and one with s only its removals; it waits in
-    `blocked` for its placements until no goal is left within s and s
-    rises.  So no state is popped twice, and the first goal has price s.
-    The work list is a stack, and the witness is its path, not a shortest one.
+    `shrink` and `grow` yield a state's successors that lower and raise
+    `size`.  At bound s a popped state below s gets both, one at s only
+    its shrinks; it waits in `blocked` for its grows until s rises.  One
+    `parents` dict serves all bounds, so no state is popped twice; each
+    pop costs one unit of `budget`, and the path is the stack's.
     """
     limit = search_budget(budget)
-    order = g.topological_order()
-    n, full = len(order), (1 << len(order)) - 1
-    bit = {v: 1 << i for i, v in enumerate(order)}
-    pred_mask = {bit[v]: sum(bit[u] for u in g.predecessors(v)) for v in order}
-    sink_bit = bit[g.sink]
-    what = "black pebbling price search" if black_only else "black-white pebbling price search"
-    parents: dict[int, int | None] = {0: None}
-    stack, blocked, visited, s = [0], [], 0, 1
+    parents = {start: None}
+    stack, blocked, visited, s = [start], [], 0, 0
 
-    def push(new, state):
-        if new not in parents:
-            parents[new] = state
-            stack.append(new)
-
-    def place(state, both):  # lowest vertex first, so the highest is popped first
-        empty = full & ~both
-        while empty:
-            b = empty & -empty
-            empty ^= b
-            if not pred_mask[b] & ~both:
-                push(state | b, state)
-            if not black_only:
-                push(state | b << n, state)
+    def push(moves, state):
+        for new in moves:
+            if new not in parents:
+                parents[new] = state
+                stack.append(new)
 
     while True:
-        if not stack:  # a blocked state always has a placement
+        while not stack:
+            if not blocked or cap is not None and s >= cap:
+                return None, s
             s += 1
             for state in blocked:
-                place(state, (state | state >> n) & full)
+                push(grow(state), state)
             blocked = []
         state = stack.pop()
         visited += 1
         if visited > limit:
             raise BudgetExceeded(visited, limit, what)
-        black, white = state & full, state >> n
-        if black & sink_bit and not white:
+        if is_goal(state):
             break
-        rest = both = black | white
-        while rest:  # removals before placements
-            b = rest & -rest
-            rest ^= b
-            if black & b:
-                push(state & ~b, state)
-            elif not pred_mask[b] & ~both:
-                push(state & ~(b << n), state)
-        if both.bit_count() < s:
-            place(state, both)
+        push(shrink(state), state)
+        if size(state) < s:
+            push(grow(state), state)
         else:
             blocked.append(state)
-
-    path, extra = [], state & ~sink_bit
+    path = []
     while state is not None:
         path.append(state)
         state = parents[state]
-    path.reverse()
+    return path[::-1], s
+
+
+def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
+    """A minimum-space complete pebbling, by `space_bounded_search` over
+    ints `black | white << n`, bit i the i-th vertex in topological order.
+    Removals shrink a state and placements grow it, each lowest vertex
+    first, so the highest placement is popped first."""
+    order = g.topological_order()
+    n, full = len(order), (1 << len(order)) - 1
+    bit = {v: 1 << i for i, v in enumerate(order)}
+    pred_mask = {bit[v]: sum(bit[u] for u in g.predecessors(v)) for v in order}
+    sink_bit = bit[g.sink]
+
+    def removals(state):
+        black = state & full
+        rest = both = black | state >> n
+        while rest:
+            b = rest & -rest
+            rest ^= b
+            if black & b:
+                yield state & ~b
+            elif not pred_mask[b] & ~both:
+                yield state & ~(b << n)
+
+    def placements(state):
+        both = (state | state >> n) & full
+        empty = full & ~both
+        while empty:
+            b = empty & -empty
+            empty ^= b
+            if not pred_mask[b] & ~both:
+                yield state | b
+            if not black_only:
+                yield state | b << n
+
+    path, _ = space_bounded_search(
+        0, removals, placements, int.bit_count,
+        lambda state: state & sink_bit and not state >> n, budget,
+        "black pebbling price search" if black_only else "black-white pebbling price search")
+    extra = path[-1] & ~sink_bit
     while extra:  # strip extra pebbles, lowest first, to end at exactly {sink}
         extra &= extra - 1
         path.append(sink_bit | extra)

@@ -8,8 +8,8 @@ refutation, compile pebblings into refutations, and lift refutations
 through substitution; all three write their steps directly, and a
 compiled refutation of Peb_G[f] is the lift of the compiled refutation
 of Peb_G.  A lift replays one fixed template per function for each
-resolution step, so no builder searches.  The bounded width and space
-oracles run the one saturation loop.
+resolution step, so no builder searches.  The width oracle is one
+saturation pass; the clause-space oracle is `space_bounded_search`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .boolfunc import BooleanFunction
@@ -38,7 +37,7 @@ from .errors import (
     search_budget,
 )
 from .formulas import SUBST_SEP, _generic_canonical, pebbling_contradiction, substitute, substitute_clause
-from .pebbling import BwPebbling, validate_bw
+from .pebbling import BwPebbling, space_bounded_search, validate_bw
 
 Term = frozenset[Lit]
 
@@ -766,47 +765,34 @@ def min_width(f_formula: CnfFormula, cap: int) -> int | None:
 
 def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None:
     """Exact minimal clause space over all refutations of <= cap clauses
-    per configuration, by BFS over reachable clause-set states (sets of
-    the loop codec's masks); None if no refutation fits within the cap."""
-    limit = search_budget(budget)
-    if EMPTY_CLAUSE in f_formula.clauses:
-        return 1
+    per configuration, else None: `space_bounded_search` over sets of the
+    saturation codec's masks, where erasures shrink a set and downloads
+    and resolvents grow it.  Satisfiable input answers None at once."""
     # a width cap of the variable count drops no clause
     codec, alive, _ = saturate(f_formula.clauses, len(f_formula.variables()), budget)
     if _EMPTY not in alive:
         return None  # satisfiable: no refutation at any cap
     axioms = [codec.encode(c) for c in f_formula.sorted_clauses()]
-    visited_total = 0
 
-    for s in range(1, cap + 1):
-        start: frozenset[_Mask] = frozenset()
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            state = queue.popleft()
-            visited_total += 1
-            if visited_total > limit:
-                raise BudgetExceeded(visited_total, limit, "clause space search")
-            nxt = [state - {c} for c in state]
-            if len(state) < s:
-                nxt.extend(state | {a} for a in axioms if a not in state)
-                for fp, fn in state:
-                    for sp, sn in state:
-                        pivots = fp & sn
-                        while pivots:
-                            pivot = pivots & -pivots
-                            pivots ^= pivot
-                            rp = (fp | sp) & ~pivot
-                            rn = (fn | sn) & ~pivot
-                            if not (rp or rn):
-                                return s
-                            if not rp & rn and (rp, rn) not in state:
-                                nxt.append(state | {(rp, rn)})
-            for new in nxt:
-                if new not in seen:
-                    seen.add(new)
-                    queue.append(new)
-    return None
+    def erasures(state):
+        return (state - {c} for c in state)
+
+    def derivations(state):
+        yield from (state | {a} for a in axioms if a not in state)
+        for fp, fn in state:
+            for sp, sn in state:
+                pivots = fp & sn
+                while pivots:
+                    pivot = pivots & -pivots
+                    pivots ^= pivot
+                    rp, rn = (fp | sp) & ~pivot, (fn | sn) & ~pivot
+                    if not rp & rn and (rp, rn) not in state:
+                        yield state | {(rp, rn)}
+
+    path, s = space_bounded_search(frozenset(), erasures, derivations, len,
+                                   lambda state: _EMPTY in state, budget,
+                                   "clause space search", cap)
+    return None if path is None else s
 
 
 # -- proof trace format ---------------------------------------------------------
@@ -841,21 +827,16 @@ def serialize_refutation(r: Refutation) -> str:
             lines.append(f"d {_format_line(step.line)}".rstrip())
         elif isinstance(step, Erase):
             lines.append(f"e {step.target}")
-        elif step.rule == "pivot":
-            i, j = step.premises
-            lines.append(f"r {_format_line(step.line)} <- {i} {j} pivot {step.pivot}".replace("  ", " "))
-        elif step.rule == "cut":
-            i, j = step.premises
-            lines.append(f"r {_format_line(step.line)} <- {i} {j} cut {_format_term(step.cut_term)}".replace("  ", " "))
-        elif step.rule == "andi":
-            i, j = step.premises
-            lines.append(f"r {_format_line(step.line)} <- {i} {j} andi".replace("  ", " "))
-        elif step.rule == "ande":
-            (i,) = step.premises
-            lines.append(f"r {_format_line(step.line)} <- {i} ande".replace("  ", " "))
-        elif step.rule == "weaken":
-            (i,) = step.premises
-            lines.append(f"w {_format_line(step.line)} <- {i}".replace("  ", " "))
+        elif step.rule in ("pivot", "cut", "andi", "ande", "weaken"):
+            words = ["w" if step.rule == "weaken" else "r", _format_line(step.line), "<-",
+                     *map(str, step.premises)]
+            if step.rule != "weaken":
+                words.append(step.rule)
+            if step.rule == "pivot":
+                words.append(step.pivot)
+            elif step.rule == "cut":
+                words.append(_format_term(step.cut_term))
+            lines.append(" ".join(filter(None, words)))  # an empty line is no word
         else:
             raise ValueError(f"cannot serialize step {step!r}")
     return "\n".join(lines) + "\n"

@@ -274,6 +274,10 @@ def test_criterion_10_width_space_relation(announce):
         formulas.pebbling_contradiction(dag.build_path(4)),
         formulas.pebbling_contradiction(dag.build_binary_tree(1)),
         formulas.pebbling_contradiction(dag.build_pyramid(1)),
+        *(formulas.pebbling_contradiction(dag.build_pyramid(h)) for h in range(2, 6)),
+        *(formulas.pebbling_contradiction(dag.build_binary_tree(h)) for h in range(2, 4)),
+        formulas.substitute(formulas.pebbling_contradiction(dag.build_path(2)), boolfunc.or_fn(2)),
+        formulas.substitute(formulas.pebbling_contradiction(dag.build_pyramid(1)), boolfunc.or_fn(2)),
     ]
     finished = 0
     for F in probes:

@@ -292,6 +292,18 @@ def test_black_price_is_height_plus_two(spec):
     assert time.process_time() - start < 1
 
 
+@pytest.mark.parametrize("spec, price, work", [
+    ("pyramid:5", pebbling.optimal_black_price, 44_344),
+    ("pyramid:4", pebbling.optimal_bw_price, 38_541),
+])
+def test_price_search_work_pin(spec, price, work):
+    # the configurations the search pops; a change in the shared search's work shows here
+    g = dag.parse_family(spec)
+    price(g, budget=work)
+    with pytest.raises(BudgetExceeded, match=rf" {work} nodes visited \(budget {work - 1}\)$"):
+        price(g, budget=work - 1)
+
+
 class TestLabelled:
     def test_two_vertex_example(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")

@@ -496,6 +496,20 @@ class TestBoundedOracles:
 
     def test_min_clause_space_respects_cap(self):
         assert resolution.min_clause_space(formula(["x", "-x"]), 2) is None
+        # below 1 nothing fits, not even an axiom that is the empty clause
+        for cap in (0, -1):
+            assert resolution.min_clause_space(formula([EMPTY_CLAUSE, "x"]), cap) is None
+            assert resolution.min_clause_space(formula(["x", "-x"]), cap) is None
+        assert resolution.min_clause_space(formula([EMPTY_CLAUSE, "x"]), 1) == 1
+
+    def test_min_clause_space_work_pin(self):
+        # the states the search pops; a change in the shared search's work shows here
+        F = formulas.pebbling_contradiction(dag.build_pyramid(4))
+        start = time.process_time()
+        assert resolution.min_clause_space(F, 4, budget=395) == 3
+        assert time.process_time() - start < 0.1
+        with pytest.raises(BudgetExceeded, match=r"^clause space search exceeded budget: 395 nodes visited \(budget 394\)$"):
+            resolution.min_clause_space(F, 4, budget=394)
 
     def test_width_space_relation_probe(self):
         probes = [
@@ -809,6 +823,60 @@ def reference_min_clause_space(F: CnfFormula, cap: int) -> int | None:
                     seen.add(new)
                     queue.append(new)
     return None
+
+
+def _resolvents(state):
+    """(c1, c2, pivot, resolvent) for each nontrivial resolution of two clauses in state."""
+    for c1 in state:
+        for c2 in state:
+            for name, positive in c1.literals:
+                if positive and (name, False) in c2:
+                    try:
+                        r = resolution.resolve(c1, c2, name)
+                    except TrivialResolvent:
+                        continue
+                    yield c1, c2, name, r
+
+
+def clause_space_certificate(F: CnfFormula, cap: int) -> Refutation:
+    """A refutation of F in least clause space: `space_bounded_search` over
+    sets of `Clause` values, its path replayed through `ProofBuilder`."""
+    axioms = F.sorted_clauses()
+
+    def erasures(state):
+        return (state - {c} for c in state)
+
+    def derivations(state):
+        yield from (state | {a} for a in axioms if a not in state)
+        yield from (state | {r} for _, _, _, r in _resolvents(state) if r not in state)
+
+    path, _ = pebbling.space_bounded_search(frozenset(), erasures, derivations, len,
+                                            lambda state: EMPTY_CLAUSE in state, None,
+                                            "certificate search", cap)
+    b = ProofBuilder(F)
+    for prev, cur in zip(path, path[1:]):
+        if prev - cur:
+            b.erase(*(prev - cur))
+            continue
+        (c,) = cur - prev
+        if c in F.clauses:
+            b.download(c)
+        else:
+            b.infer_resolve(*next(m[:3] for m in _resolvents(prev) if m[3] == c))
+    return b.build()
+
+
+@pytest.mark.parametrize("spec, fn, space", [
+    ("pyramid:3", "none", 3), ("pyramid:5", "none", 3), ("tree:3", "none", 3),
+    ("path:2", "or:2", 3), ("pyramid:1", "or:2", 4),
+])
+def test_min_clause_space_has_a_checked_certificate(spec, fn, space):
+    F = formulas.pebbling_contradiction(dag.parse_family(spec))
+    f = boolfunc.parse_function_literal(fn)
+    if f is not None:
+        F = formulas.substitute(F, f)
+    assert resolution.min_clause_space(F, 6) == space
+    assert resolution.check_refutation(clause_space_certificate(F, 6)).clause_space == space
 
 
 @st.composite
