@@ -1,36 +1,32 @@
 """Command-line surface: corpus generation, validation, compilation,
 checking, oracle runs, trade-off reports, and the external SAT-solver
-benchmark harness.
-
-Every command is deterministic given its flags (plus --seed where
-sampling is involved); all outputs are files or standard output.  The
-PEBLAB_BUDGET environment variable overrides search budgets.
+benchmark harness.  Every command is deterministic given its flags (plus
+--seed where sampling is involved); all outputs are files or standard
+output.  PEBLAB_BUDGET overrides search budgets.  Each command imports
+the modules it calls in its own body: every CLI call is a fresh process,
+and with bytecode writing off it compiles every module it imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import csv
-import json
 import math
-import subprocess
 import sys
-import time
 from pathlib import Path
 
-from . import boolfunc, dag, formulas, pebbling, projections, resolution
 from .cnf import is_decimal
 from .errors import BudgetExceeded, PeblabError
 
 
-def _load_graph(spec: str) -> dag.Dag:
+def _load_graph(spec: str):
+    from . import dag
     if spec.startswith("@"):
         return dag.parse_dag(Path(spec[1:]).read_text())
     return dag.parse_family(spec)
 
 
 def _load_formula(path: str):
+    from . import formulas
     return formulas.from_dimacs(Path(path).read_text())
 
 
@@ -49,6 +45,7 @@ def _write(path: str | None, text: str) -> None:
 def _emit_proof(args, r) -> int:
     """Write r's trace and, with --emit-formula, its target; check r and
     report its measures on stderr."""
+    from . import formulas, resolution
     _write(args.out, resolution.serialize_refutation(r))
     if args.emit_formula:
         _write(args.emit_formula, formulas.to_dimacs(r.target))
@@ -61,41 +58,42 @@ def _emit_proof(args, r) -> int:
 
 
 def cmd_gen(args) -> int:
+    from . import boolfunc, formulas
     pairs = [(g, fn) for g in args.graph for fn in args.fn]
     if args.out and len(pairs) != 1:
         return _fail("--out needs exactly one --graph and one --fn; use --out-dir for a corpus")
     out_dir = Path(args.out_dir) if args.out_dir else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-
-    def build(pair):
-        gspec, fn_literal = pair
-        g = _load_graph(gspec)
-        f = boolfunc.parse_function_literal(fn_literal)
-        formula = formulas.pebbling_contradiction(g)
-        if f is not None:
-            formula = formulas.substitute(formula, f)
-        if args.out:
-            path = Path(args.out)
-        else:
-            stem = f"peb-{gspec.replace(':', '')}-{fn_literal.replace(':', '')}.cnf"
-            path = (out_dir or Path(".")) / stem
-        path.write_text(formulas.to_dimacs(formula))
-        return {
+    rows, failures = [], []
+    for gspec, fn_literal in pairs:
+        try:
+            g = _load_graph(gspec)
+            f = boolfunc.parse_function_literal(fn_literal)
+            formula = formulas.pebbling_contradiction(g)
+            if f is not None:
+                formula = formulas.substitute(formula, f)
+            if args.out:
+                path = Path(args.out)
+            else:
+                stem = f"peb-{gspec.replace(':', '')}-{fn_literal.replace(':', '')}.cnf"
+                path = (out_dir or Path(".")) / stem
+            path.write_text(formulas.to_dimacs(formula))
+        except (PeblabError, OSError, ValueError) as exc:
+            failures.append(exc)
+            continue
+        rows.append({
             "graph": gspec,
             "function": fn_literal,
             "path": str(path),
             "variables": len(formula.variables()),
             "clauses": len(formula.clauses),
             "width": formula.width,
-        }
-
-    rows = _run_jobs(build, pairs)
-    failures = [r for r in rows if isinstance(r, Exception)]
-    rows = [r for r in rows if not isinstance(r, Exception)]
+        })
     manifest = args.manifest or (str(out_dir / "manifest.csv") if out_dir else None)
     header = ["graph", "function", "path", "variables", "clauses", "width"]
     if manifest:
+        import csv
         with open(manifest, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=header)
             writer.writeheader()
@@ -108,6 +106,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from . import dag
     if args.family:
         g = dag.parse_family(args.family)
     elif args.infile:
@@ -124,6 +123,7 @@ def cmd_graph(args) -> int:
 
 
 def cmd_pebble_validate(args) -> int:
+    from . import pebbling
     g = _load_graph(args.graph)
     trace = Path(args.trace).read_text()
     p = pebbling.parse_pebbling_trace(trace, g)
@@ -143,6 +143,7 @@ def cmd_pebble_validate(args) -> int:
 
 
 def cmd_pebble_price(args) -> int:
+    from . import pebbling
     g = _load_graph(args.graph)
     if args.game == "black":
         print(pebbling.optimal_black_price(g, args.budget))
@@ -152,6 +153,7 @@ def cmd_pebble_price(args) -> int:
 
 
 def cmd_compile(args) -> int:
+    from . import boolfunc, pebbling, resolution
     g = _load_graph(args.graph)
     f = boolfunc.parse_function_literal(args.fn)
     if args.trace:
@@ -164,11 +166,13 @@ def cmd_compile(args) -> int:
 
 
 def cmd_const_space(args) -> int:
+    from . import resolution
     g = _load_graph(args.graph)
     return _emit_proof(args, resolution.constant_space_refutation(g))
 
 
 def cmd_lift(args) -> int:
+    from . import boolfunc, resolution
     target = _load_formula(args.formula)
     f = boolfunc.parse_function_literal(args.fn)
     if f is None:
@@ -178,6 +182,7 @@ def cmd_lift(args) -> int:
 
 
 def cmd_extract(args) -> int:
+    from . import boolfunc, projections, resolution
     target = _load_formula(args.formula)
     f = boolfunc.parse_function_literal(args.fn)
     if f is None:
@@ -187,6 +192,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from . import resolution
     target = _load_formula(args.formula)
     r = resolution.parse_refutation_trace(Path(args.proof).read_text(), target)
     m = resolution.check_refutation(r)
@@ -195,6 +201,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_minspace(args) -> int:
+    from . import resolution
     f = _load_formula(args.formula)
     value = resolution.min_clause_space(f, args.cap, args.budget)
     print(value if value is not None else f">{args.cap}")
@@ -202,6 +209,7 @@ def cmd_minspace(args) -> int:
 
 
 def cmd_minwidth(args) -> int:
+    from . import resolution
     f = _load_formula(args.formula)
     value = resolution.min_width(f, args.cap)
     print(value if value is not None else f">{args.cap}")
@@ -209,6 +217,7 @@ def cmd_minwidth(args) -> int:
 
 
 def cmd_project(args) -> int:
+    from . import boolfunc, projections
     f = boolfunc.parse_function_literal(args.fn)
     if f is None:
         return _fail("project needs a real function, not 'none'")
@@ -227,6 +236,7 @@ def cmd_project(args) -> int:
     lines.extend(report.csv_lines())
     _write(args.space_csv, "\n".join(lines) + "\n")
     if args.witness:
+        import json
         with open(args.witness, "w") as fh:
             for cid in report.violations:
                 row = report.rows[cid]
@@ -244,6 +254,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import boolfunc, dag, pebbling, resolution
     f = boolfunc.parse_function_literal(args.fn)
     header = [
         "family", "n", "vertices", "black_price", "bw_price",
@@ -283,6 +294,7 @@ def cmd_report(args) -> int:
 def _run_jobs(fn, items, jobs=1):
     """fn over items on `jobs` threads, in item order; a raised exception
     becomes that item's result."""
+    import concurrent.futures
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         futures = [pool.submit(fn, item) for item in items]
     out = []
@@ -295,6 +307,9 @@ def _run_jobs(fn, items, jobs=1):
 
 
 def cmd_bench(args) -> int:
+    import csv
+    import subprocess
+    import time
     if "{file}" not in args.solver:
         return _fail("solver template must contain {file}")
     if args.jobs < 1:

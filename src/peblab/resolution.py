@@ -37,7 +37,6 @@ from .errors import (
     search_budget,
 )
 from .formulas import SUBST_SEP, _generic_canonical, pebbling_contradiction, substitute, substitute_clause
-from .pebbling import BwPebbling, space_bounded_search, validate_bw
 
 Term = frozenset[Lit]
 
@@ -557,6 +556,7 @@ def pebbling_to_refutation(
     meets the sink axiom.  With `f`, the result is that refutation's
     `lift_refutation` under the same budget.
     """
+    from .pebbling import validate_bw  # here, not at the top: check and lift never load pebbling
     try:
         validate_bw(p, black_only=True)
     except WrongEndpoints as e:
@@ -768,6 +768,7 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
     per configuration, else None: `space_bounded_search` over sets of the
     saturation codec's masks, where erasures shrink a set and downloads
     and resolvents grow it.  Satisfiable input answers None at once."""
+    from .pebbling import space_bounded_search
     # a width cap of the variable count drops no clause
     codec, alive, _ = saturate(f_formula.clauses, len(f_formula.variables()), budget)
     if _EMPTY not in alive:

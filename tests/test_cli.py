@@ -1,18 +1,26 @@
 import csv
 import json
-
+import os
 import stat
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-
-
 from peblab import cli, dag, formulas, pebbling, resolution
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def run_fresh(args, cwd):
+    """`args` in a new interpreter with PYTHONPATH=src, as a CLI stage runs."""
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
 
 
 def test_gen_single_pair(tmp_path, capsys):
@@ -53,6 +61,47 @@ def test_gen_bad_spec_fails(tmp_path, capsys):
     assert run("gen", "--graph", "blob:9", "--fn", "none",
                "--out-dir", str(tmp_path)) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_gen_reports_a_failed_pair_after_the_others(tmp_path, capsys):
+    assert run("gen", "--graph", "pyramid:x", "--graph", "path:2", "--fn", "none",
+               "--out-dir", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == f"path:2,none,{tmp_path / 'peb-path2-none.cnf'},2,3,2\n"
+    assert captured.err == "error: graph spec 'pyramid:x' needs a decimal size, e.g. pyramid:2\n"
+
+
+PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "pebbling", "projections", "resolution"}
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ("graph --family path:1", {"dag"}),
+    ("gen --graph path:2 --fn or:2 --out g.cnf", {"dag", "boolfunc", "formulas"}),
+    ("pebble-price --graph pyramid:2", {"dag", "pebbling"}),
+    ("check --formula base.cnf --proof p.trace", {"dag", "boolfunc", "formulas", "resolution"}),
+    ("lift --formula base.cnf --proof p.trace --fn xor:2 --out l.trace",
+     {"dag", "boolfunc", "formulas", "resolution"}),
+    ("minwidth --formula base.cnf --cap 4", {"dag", "boolfunc", "formulas", "resolution"}),
+    ("compile --graph path:2 --out c.trace",
+     {"dag", "boolfunc", "formulas", "pebbling", "resolution"}),
+])
+def test_command_imports_only_what_it_runs(tmp_path, argv, loaded):
+    # Each stage is a fresh process that compiles every module it imports.
+    assert run("compile", "--graph", "path:3", "--out", str(tmp_path / "p.trace"),
+               "--emit-formula", str(tmp_path / "base.cnf")) == 0
+    child = ("import sys; from peblab import cli; code = cli.main(sys.argv[1:]); "
+             "print(*sys.modules); sys.exit(code)")
+    proc = run_fresh(["-c", child, *argv.split()], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stdout.splitlines()[-1].split())
+    assert {m.removeprefix("peblab.") for m in modules} & PEBLAB_MODULES == loaded
+    assert not modules & {"concurrent.futures", "csv", "subprocess"}
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    proc = run_fresh(["-m", "peblab", "graph", "--family", "path:1"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "vertices=1 edges=0 sink=v1 sources=1 max_indegree=0\n"
 
 
 def test_graph_roundtrip(tmp_path, capsys):

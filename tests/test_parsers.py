@@ -1,0 +1,63 @@
+"""Every text parser is total: any input gives a value or a PeblabError.
+
+The inputs are valid pyramid:2 texts (a DAG file, DIMACS, pebbling
+traces of the three games and a proof trace) with a few spans replaced by
+tokens of the formats, by other spans of the same text, or by nothing.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from peblab import boolfunc, dag, formulas, pebbling, resolution
+from peblab.errors import PeblabError
+
+G = dag.build_pyramid(2)
+PEB = formulas.pebbling_contradiction(G)
+SUBST = formulas.substitute(PEB, boolfunc.parse_function_literal("xor:2"))
+LABELLED = pebbling.serialize_pebbling(pebbling.black_to_labelled(pebbling.greedy_black_strategy(G)))
+
+PARSERS = {
+    "dag": (dag.serialize_dag(G), dag.parse_dag),
+    "dimacs": (formulas.to_dimacs(SUBST), formulas.from_dimacs),
+    "bw": (pebbling.serialize_pebbling(pebbling.greedy_black_strategy(G)),
+           lambda text: pebbling.parse_pebbling_trace(text, G)),
+    "labelled": (LABELLED, lambda text: pebbling.parse_pebbling_trace(text, G)),
+    "blob": (LABELLED.replace("game labelled", "game blob"),
+             lambda text: pebbling.parse_pebbling_trace(text, G)),
+    "proof": (resolution.serialize_refutation(resolution.constant_space_refutation(G)),
+              lambda text: resolution.parse_refutation_trace(text, PEB)),
+}
+
+TOKENS = st.sampled_from([
+    " ", "\n", "\t", "\r", "#", "-", "~", "0", "1", "7", "-1", "00", "99999999999999999999", "_",
+    "١", "²", "\x00", " ", "+", ":", "/", "(", ")", "&", "()", "(x&)", "<-", "v", "e", "p",
+    "c", "cnf", "var", "game", "bw", "labelled", "blob", "B+", "B-", "W+", "W-", "I", "E", "M",
+    "X", "system", "res", "kdnf", "d", "r", "w", "pivot", "cut", "andi", "ande", "x1", "z", "u",
+])
+
+
+@st.composite
+def mutated(draw, text):
+    """`text` with one to four spans of up to 12 characters replaced."""
+    original = text
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(original)))
+            piece = original[k:draw(st.integers(k, len(original)))]
+        else:
+            piece = "".join(draw(st.lists(TOKENS, max_size=3)))
+        text = text[:i] + piece + text[j:]
+    return text
+
+
+@pytest.mark.parametrize("name", sorted(PARSERS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_parsers_are_total(name, data):
+    text, parse = PARSERS[name]
+    try:
+        parse(data.draw(mutated(text)))
+    except PeblabError:
+        pass
