@@ -79,7 +79,7 @@ def cmd_gen(args) -> int:
                 stem = f"peb-{gspec.replace(':', '')}-{fn_literal.replace(':', '')}.cnf"
                 path = (out_dir or Path(".")) / stem
             path.write_text(formulas.to_dimacs(formula))
-        except (PeblabError, OSError, ValueError) as exc:
+        except Exception as exc:
             failures.append(exc)
             continue
         rows.append({
@@ -291,7 +291,7 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _run_jobs(fn, items, jobs=1):
+def _run_jobs(fn, items, jobs):
     """fn over items on `jobs` threads, in item order; a raised exception
     becomes that item's result."""
     import concurrent.futures
@@ -511,6 +511,3 @@ def main(argv=None) -> int:
     except (PeblabError, OSError, ValueError) as exc:
         return _fail(str(exc))
 
-
-if __name__ == "__main__":
-    sys.exit(main())

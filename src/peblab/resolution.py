@@ -543,7 +543,7 @@ def constant_space_refutation(g: Dag) -> Refutation:
 
 def pebbling_to_refutation(
     g: Dag,
-    p: BwPebbling,
+    p,
     f: BooleanFunction | None = None,
     budget=None,
 ) -> Refutation:

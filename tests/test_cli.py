@@ -71,7 +71,34 @@ def test_gen_reports_a_failed_pair_after_the_others(tmp_path, capsys):
     assert captured.err == "error: graph spec 'pyramid:x' needs a decimal size, e.g. pyramid:2\n"
 
 
+def test_gen_keeps_later_pairs_after_an_unexpected_exception(tmp_path, capsys, monkeypatch):
+    parse_family = dag.parse_family
+
+    def deep(spec):
+        if spec == "pyramid:9":
+            raise RecursionError("too deep")
+        return parse_family(spec)
+
+    monkeypatch.setattr(dag, "parse_family", deep)
+    assert run("gen", "--graph", "pyramid:9", "--graph", "path:2", "--fn", "none",
+               "--out-dir", str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out.startswith("path:2,none,")
+    assert captured.err == "error: too deep\n"
+    assert (tmp_path / "manifest.csv").read_text().count("path:2") == 1
+
+
 PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "pebbling", "projections", "resolution"}
+
+
+@pytest.fixture(scope="module")
+def stage_dir(tmp_path_factory):
+    """base.cnf and p.trace of path:3, the inputs of the check, lift and
+    minwidth stages."""
+    d = tmp_path_factory.mktemp("stages")
+    assert run("compile", "--graph", "path:3", "--out", str(d / "p.trace"),
+               "--emit-formula", str(d / "base.cnf")) == 0
+    return d
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -85,13 +112,11 @@ PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "pebbling", "projections", "res
     ("compile --graph path:2 --out c.trace",
      {"dag", "boolfunc", "formulas", "pebbling", "resolution"}),
 ])
-def test_command_imports_only_what_it_runs(tmp_path, argv, loaded):
+def test_command_imports_only_what_it_runs(stage_dir, argv, loaded):
     # Each stage is a fresh process that compiles every module it imports.
-    assert run("compile", "--graph", "path:3", "--out", str(tmp_path / "p.trace"),
-               "--emit-formula", str(tmp_path / "base.cnf")) == 0
     child = ("import sys; from peblab import cli; code = cli.main(sys.argv[1:]); "
              "print(*sys.modules); sys.exit(code)")
-    proc = run_fresh(["-c", child, *argv.split()], tmp_path)
+    proc = run_fresh(["-c", child, *argv.split()], stage_dir)
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.splitlines()[-1].split())
     assert {m.removeprefix("peblab.") for m in modules} & PEBLAB_MODULES == loaded
