@@ -40,9 +40,7 @@ def is_decimal(token: str) -> bool:
 
 
 def parse_lit(token: str) -> Lit:
-    if token.startswith("-"):
-        return (token[1:], False)
-    if token.startswith("~"):
+    if token.startswith(("-", "~")):
         return (token[1:], False)
     return (token, True)
 

@@ -58,6 +58,18 @@ class BwPebbling:
     def time(self) -> int:
         return len(self.steps) - 1
 
+    def moves(self):
+        """(op, v) per step, op one of B+, B-, W+, W-; raises IllegalMove
+        at a step that changes other than exactly one pebble."""
+        for t, (prev, cur) in enumerate(zip(self.steps, self.steps[1:]), start=1):
+            changes = [(op, v) for op, vs in (("B+", cur.black - prev.black),
+                                              ("B-", prev.black - cur.black),
+                                              ("W+", cur.white - prev.white),
+                                              ("W-", prev.white - cur.white)) for v in vs]
+            if len(changes) != 1:
+                raise IllegalMove(t, f"exactly one pebble must change, {len(changes)} changed")
+            yield changes[0]
+
 
 @dataclass(frozen=True)
 class PebblingCost:
@@ -88,34 +100,14 @@ def validate_bw(pebbling: BwPebbling, black_only: bool = False) -> PebblingCost:
         raise WrongEndpoints("pebbling must start from the empty configuration")
 
     space = 0
-    for t in range(1, len(steps)):
-        prev, cur = steps[t - 1], steps[t]
-        black_add = cur.black - prev.black
-        black_rem = prev.black - cur.black
-        white_add = cur.white - prev.white
-        white_rem = prev.white - cur.white
-        changed = len(black_add) + len(black_rem) + len(white_add) + len(white_rem)
-        if changed != 1:
-            raise IllegalMove(t, f"exactly one pebble must change, {changed} changed")
-        pebbled = prev.black | prev.white
-        if black_add:
-            (v,) = black_add
-            if v in prev.white:
-                raise IllegalMove(t, f"black placed on white-pebbled vertex {v}")
+    for t, (op, v) in enumerate(pebbling.moves(), start=1):
+        pebbled = steps[t - 1].black | steps[t - 1].white
+        if op in ("B+", "W-"):  # rules 1 and 4; rules 2 and 3 always hold
             missing = [u for u in g.predecessors(v) if u not in pebbled]
             if missing:
-                raise IllegalMove(t, f"rule 1: predecessors {missing} of {v} unpebbled")
-        elif white_add:
-            (v,) = white_add
-            if v in prev.black:
-                raise IllegalMove(t, f"white placed on black-pebbled vertex {v}")
-        elif white_rem:
-            (v,) = white_rem
-            missing = [u for u in g.predecessors(v) if u not in pebbled]
-            if missing:
-                raise IllegalMove(t, f"rule 4: predecessors {missing} of {v} unpebbled")
-        # black removal (rule 2) is always legal
-        space = max(space, cur.size)
+                rule = 1 if op == "B+" else 4
+                raise IllegalMove(t, f"rule {rule}: predecessors {missing} of {v} unpebbled")
+        space = max(space, steps[t].size)
     last = steps[-1]
     if last.black != frozenset({g.sink}) or last.white:
         raise WrongEndpoints(f"pebbling must end at ({{{g.sink}}}, {{}}), got {last}")
@@ -355,12 +347,8 @@ def black_to_labelled(p: BwPebbling) -> LabelledPebbling:
     def snapshot():
         steps.append(LabelledConfiguration(frozenset(cur)))
 
-    for t in range(1, len(p.steps)):
-        prev_conf, conf = p.steps[t - 1], p.steps[t]
-        added = conf.black - prev_conf.black
-        removed = prev_conf.black - conf.black
-        if added:
-            (v,) = added
+    for op, v in p.moves():
+        if op == "B+":
             preds = g.predecessors(v)
             work = Subconf(v, frozenset(preds))
             cur.add(work)
@@ -373,7 +361,6 @@ def black_to_labelled(p: BwPebbling) -> LabelledPebbling:
                 snapshot()
                 work = merged
         else:
-            (v,) = removed
             cur.remove(Subconf(v))
             snapshot()
     return LabelledPebbling(host=g, steps=tuple(steps))
@@ -561,18 +548,7 @@ def validate_blob(p: BlobPebbling, budget=None) -> PebblingCost:
 
 def serialize_pebbling(p: BwPebbling | LabelledPebbling | BlobPebbling) -> str:
     if isinstance(p, BwPebbling):
-        lines = ["game bw"]
-        for t in range(1, len(p.steps)):
-            prev, cur = p.steps[t - 1], p.steps[t]
-            for v in sorted(cur.black - prev.black):
-                lines.append(f"B+ {v}")
-            for v in sorted(prev.black - cur.black):
-                lines.append(f"B- {v}")
-            for v in sorted(cur.white - prev.white):
-                lines.append(f"W+ {v}")
-            for v in sorted(prev.white - cur.white):
-                lines.append(f"W- {v}")
-        return "\n".join(lines) + "\n"
+        return "\n".join(["game bw", *(f"{op} {v}" for op, v in p.moves())]) + "\n"
 
     if not isinstance(p, (LabelledPebbling, BlobPebbling)):
         raise TypeError(f"not a pebbling: {p!r}")

@@ -22,15 +22,7 @@ from .boolfunc import BooleanFunction, is_k_nonauthoritarian, prime_implicates
 from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, minimized, neg
 from .errors import BudgetExceeded, InternalContractViolation, PeblabError
 from .formulas import base_of_substituted, block_vars, split_substituted, substitute_clause
-from .resolution import (
-    Download,
-    Erase,
-    Infer,
-    ProofBuilder,
-    Refutation,
-    check_refutation,
-    resolve,
-)
+from .resolution import Download, ProofBuilder, Refutation, _replay, resolve
 
 _VAR_CAP = 24  # truth tables enumerate 2^(d * |base vars|) assignments
 _LOCAL_CAP = 12  # local_projection_variables enumerates 2^|D| subsets
@@ -206,26 +198,16 @@ def local_projection_variables(d, f: BooleanFunction) -> frozenset[str]:
 
 def projected_sequence(r_f: Refutation, f: BooleanFunction, use_local: bool = False):
     """Projected clause sets C_t for every configuration D_t of r_f,
-    plus the per-step downloaded base axiom (None otherwise)."""
+    plus the per-step downloaded base axiom (None otherwise).  r_f is
+    checked as it is replayed, so an illegal step raises as in
+    `check_refutation`."""
     if r_f.system != "res":
         raise PeblabError("projections are computed for resolution refutations only")
     _base, axiom_map = base_of_substituted(r_f.target, f)
     projector = local_project if use_local else project
-    config: set[Clause] = set()
-    lines_by_id: dict[int, Clause] = {}
     out = [(frozenset(), None)]
-    for idx, step in enumerate(r_f.steps, start=1):
-        axiom = None
-        if isinstance(step, Download):
-            lines_by_id[idx] = step.line
-            config.add(step.line)
-            axiom = axiom_map[step.line]
-        elif isinstance(step, Infer):
-            lines_by_id[idx] = step.line
-            config.add(step.line)
-        elif isinstance(step, Erase):
-            config.discard(lines_by_id[step.target])
-        out.append((projector(config, f), axiom))
+    for step, line, _, config in _replay(r_f, False):
+        out.append((projector(config, f), axiom_map[line] if isinstance(step, Download) else None))
     return out
 
 
@@ -244,9 +226,8 @@ def extract_refutation(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
     handles axiom downloads by deriving each genuinely new projected
     clause from the guaranteed ~a v C clauses by successive resolutions
     with the downloaded base axiom.  Downloads at most one base axiom
-    per download of r_f.
+    per download of r_f.  r_f is checked by the replay that projects it.
     """
-    check_refutation(r_f)
     base, _axiom_map = base_of_substituted(r_f.target, f)
     sequence = projected_sequence(r_f, f, use_local)
     b = ProofBuilder(base)

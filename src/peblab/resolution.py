@@ -1,15 +1,18 @@
 """Configuration-style resolution and k-DNF resolution.
 
 Proof objects are sequences of axiom download / inference / erasure
-steps over clause (or k-DNF line) configurations.  The checker replays
-a proof, verifies each step against the system's rules, and returns
-exact length/width/space measures.  Builders emit the constant-space
-refutation, compile pebblings into refutations, and lift refutations
-through substitution; all three write their steps directly, and a
-compiled refutation of Peb_G[f] is the lift of the compiled refutation
-of Peb_G.  A lift replays one fixed template per function for each
-resolution step, so no builder searches.  The width oracle is one
-saturation pass; the clause-space oracle is `space_bounded_search`.
+steps over clause (or k-DNF line) configurations.  One checked replay,
+`_replay`, verifies each step against the system's rules and yields the
+configuration after it; the checker reads exact length/width/space
+measures off it, and lift and projection read their input through it,
+so they accept exactly the proofs the checker accepts.  Builders emit
+the constant-space refutation, compile pebblings into refutations, and
+lift refutations through substitution; all three write their steps
+directly, and a compiled refutation of Peb_G[f] is the lift of the
+compiled refutation of Peb_G.  A lift replays one fixed template per
+function for each resolution step, so no builder searches.  The width
+oracle is one saturation pass; the clause-space oracle is
+`space_bounded_search`.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ def term(spec: str) -> Term:
     return frozenset(parse_lit(tok) for tok in spec.replace("&", " ").split())
 
 
+def _term_lits(t: Term) -> tuple[str, ...]:
+    """A term's formatted literals, sorted: its sort key and its text."""
+    return tuple(sorted(map(format_lit, t)))
+
+
 @dataclass(frozen=True)
 class KDnfLine:
     """Disjunction of terms; each term a nontrivial conjunction of literals."""
@@ -75,14 +83,12 @@ class KDnfLine:
     def is_empty(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> tuple[Term, ...]:
-        return tuple(sorted(self.terms, key=lambda t: sorted(format_lit(l) for l in t)))
-
-    def sort_key(self):
-        return tuple(tuple(sorted(format_lit(l) for l in t)) for t in self.sorted_terms())
+    def sort_key(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(sorted(map(_term_lits, self.terms)))
 
     def __str__(self) -> str:
-        return _format_line(self) or "<empty>"
+        return " ".join(lits[0] if len(lits) == 1 else _format_term(lits)
+                        for lits in self.sort_key()) or "<empty>"
 
 
 EMPTY_LINE = KDnfLine()
@@ -235,6 +241,82 @@ def _check_kdnf_rule(step: Infer, premises: list, k: int, idx: int) -> None:
     raise IllegalStep(idx, f"unknown k-DNF rule {step.rule!r}")
 
 
+def _check_res_rule(step: Infer, premises: list, idx: int) -> None:
+    if not isinstance(step.line, Clause):
+        raise IllegalStep(idx, "resolution step must infer a clause")
+    if step.rule == "pivot":
+        if len(premises) != 2 or step.pivot is None:
+            raise IllegalStep(idx, "resolution takes two premises and a pivot")
+        try:
+            expected = resolve(premises[0], premises[1], step.pivot)
+        except (PivotAbsent, TrivialResolvent) as e:
+            raise IllegalStep(idx, str(e)) from None
+        if expected != step.line:
+            raise IllegalStep(idx, f"resolvent is ({expected}), not ({step.line})")
+    elif step.rule == "weaken":
+        if len(premises) != 1:
+            raise IllegalStep(idx, "weakening takes one premise")
+        if not premises[0].subsumes(step.line):
+            raise IllegalStep(idx, "weakening must extend the premise")
+    else:
+        raise IllegalStep(idx, f"unknown resolution rule {step.rule!r}")
+
+
+def _replay(r: Refutation, semantic_check: bool):
+    """Check `r` step by step, yielding (step, line, premises, config)
+    once each step is legal: the line it adds (for an erasure, the line
+    it erases), its premise lines, and the live configuration after it,
+    a set to read before the next step.  Raises IllegalStep at the first
+    illegal step and MissingBottom after the last if the empty line is
+    absent.  The one reading of a proof: check, lift and projection all
+    replay through it."""
+    if r.system not in ("res", "kdnf"):
+        raise ValueError(f"unknown proof system {r.system!r}")
+    kdnf = r.system == "kdnf"
+    if kdnf:
+        axioms = {KDnfLine.from_clause(c) for c in r.target.clauses}
+        bottom = EMPTY_LINE
+    else:
+        axioms = set(r.target.clauses)
+        bottom = EMPTY_CLAUSE
+    lines_by_id: dict[int, object] = {}
+    config: set = set()
+    for idx, step in enumerate(r.steps, start=1):
+        premises = []
+        if isinstance(step, Erase):
+            if step.target not in lines_by_id:
+                raise IllegalStep(idx, f"erase target {step.target} does not name a line")
+            line = lines_by_id[step.target]
+            if line not in config:
+                raise IllegalStep(idx, f"erasing ({line}) which is not present")
+            config.remove(line)
+        else:
+            if isinstance(step, Download):
+                if step.line not in axioms:
+                    raise IllegalStep(idx, f"({step.line}) is not an axiom of the target formula")
+            elif isinstance(step, Infer):
+                for pid in step.premises:
+                    if pid not in lines_by_id:
+                        raise IllegalStep(idx, f"premise {pid} does not name an earlier line")
+                    value = lines_by_id[pid]
+                    if value not in config:
+                        raise IllegalStep(idx, f"premise ({value}) not in the current configuration")
+                    premises.append(value)
+                if kdnf:
+                    _check_kdnf_rule(step, premises, r.k, idx)
+                else:
+                    _check_res_rule(step, premises, idx)
+                if semantic_check and _lines_imply(premises, step.line) is False:
+                    raise IllegalStep(idx, "inference is not semantically sound")
+            else:
+                raise IllegalStep(idx, f"unknown step {step!r}")
+            line = lines_by_id[idx] = step.line
+            config.add(line)
+        yield step, line, premises, config
+    if bottom not in config:
+        raise MissingBottom("final configuration does not contain the empty clause")
+
+
 def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measures:
     """Replay a refutation; accept iff every step is legal and the final
     configuration contains the empty clause.  Returns exact measures.
@@ -249,20 +331,7 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
     a line enters or leaves the configuration, so each step costs
     O(step width), not O(configuration).
     """
-    if r.system not in ("res", "kdnf"):
-        raise ValueError(f"unknown proof system {r.system!r}")
     kdnf = r.system == "kdnf"
-    if semantic_check is None:
-        semantic_check = kdnf
-    if kdnf:
-        axioms = {KDnfLine.from_clause(c) for c in r.target.clauses}
-        bottom = EMPTY_LINE
-    else:
-        axioms = set(r.target.clauses)
-        bottom = EMPTY_CLAUSE
-
-    lines_by_id: dict[int, object] = {}
-    config: set = set()
     occurrences: dict[str, int] = {}  # variable -> number of present lines mentioning it
     literals = 0  # literals over the present lines
     length = 0
@@ -270,87 +339,27 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
     clause_space = 0
     variable_space = 0
     total_space = 0
-
-    def add(line) -> None:
-        nonlocal literals, width, clause_space, variable_space, total_space
-        if line in config:
-            return
-        config.add(line)
+    size = 0  # lines present before the step
+    for step, line, _, config in _replay(r, kdnf if semantic_check is None else semantic_check):
         line_width = line.literal_count() if kdnf else line.width
-        for v in line.variables():
-            occurrences[v] = occurrences.get(v, 0) + 1
-        literals += line_width
-        width = max(width, line_width)
-        clause_space = max(clause_space, len(config))
-        variable_space = max(variable_space, len(occurrences))
-        total_space = max(total_space, literals)
-
-    def remove(line) -> None:
-        nonlocal literals
-        config.remove(line)
-        for v in line.variables():
-            if occurrences[v] == 1:
-                del occurrences[v]
-            else:
-                occurrences[v] -= 1
-        literals -= line.literal_count() if kdnf else line.width
-
-    for idx, step in enumerate(r.steps, start=1):
-        if isinstance(step, Download):
-            if step.line not in axioms:
-                raise IllegalStep(idx, f"({step.line}) is not an axiom of the target formula")
-            add(step.line)
-            lines_by_id[idx] = step.line
-            length += 1
-        elif isinstance(step, Infer):
-            premises = []
-            for pid in step.premises:
-                if pid not in lines_by_id:
-                    raise IllegalStep(idx, f"premise {pid} does not name an earlier line")
-                value = lines_by_id[pid]
-                if value not in config:
-                    raise IllegalStep(idx, f"premise ({value}) not in the current configuration")
-                premises.append(value)
-            if kdnf:
-                _check_kdnf_rule(step, premises, r.k, idx)
-            else:
-                if not isinstance(step.line, Clause):
-                    raise IllegalStep(idx, "resolution step must infer a clause")
-                if step.rule == "pivot":
-                    if len(premises) != 2 or step.pivot is None:
-                        raise IllegalStep(idx, "resolution takes two premises and a pivot")
-                    try:
-                        expected = resolve(premises[0], premises[1], step.pivot)
-                    except (PivotAbsent, TrivialResolvent) as e:
-                        raise IllegalStep(idx, str(e)) from None
-                    if expected != step.line:
-                        raise IllegalStep(idx, f"resolvent is ({expected}), not ({step.line})")
-                elif step.rule == "weaken":
-                    if len(premises) != 1:
-                        raise IllegalStep(idx, "weakening takes one premise")
-                    if not premises[0].subsumes(step.line):
-                        raise IllegalStep(idx, "weakening must extend the premise")
+        if isinstance(step, Erase):
+            for v in line.variables():
+                if occurrences[v] == 1:
+                    del occurrences[v]
                 else:
-                    raise IllegalStep(idx, f"unknown resolution rule {step.rule!r}")
-            if semantic_check:
-                sound = _lines_imply(premises, step.line)
-                if sound is False:
-                    raise IllegalStep(idx, "inference is not semantically sound")
-            add(step.line)
-            lines_by_id[idx] = step.line
-            length += 1
-        elif isinstance(step, Erase):
-            if step.target not in lines_by_id:
-                raise IllegalStep(idx, f"erase target {step.target} does not name a line")
-            value = lines_by_id[step.target]
-            if value not in config:
-                raise IllegalStep(idx, f"erasing ({value}) which is not present")
-            remove(value)
+                    occurrences[v] -= 1
+            literals -= line_width
         else:
-            raise IllegalStep(idx, f"unknown step {step!r}")
-
-    if bottom not in config:
-        raise MissingBottom("final configuration does not contain the empty clause")
+            length += 1
+            if len(config) > size:  # the line entered; a re-derived one is already counted
+                for v in line.variables():
+                    occurrences[v] = occurrences.get(v, 0) + 1
+                literals += line_width
+                width = max(width, line_width)
+                clause_space = max(clause_space, len(config))
+                variable_space = max(variable_space, len(occurrences))
+                total_space = max(total_space, literals)
+        size = len(config)
     return Measures(
         length=length,
         width=width,
@@ -566,10 +575,8 @@ def pebbling_to_refutation(
         return Clause(frozenset({(v, positive)}))
 
     b = ProofBuilder(pebbling_contradiction(g))
-    for prev, cur in zip(p.steps, p.steps[1:]):
-        placed = cur.black - prev.black
-        if placed:
-            (v,) = placed
+    for op, v in p.moves():
+        if op == "B+":
             line = Clause(frozenset({(u, False) for u in g.predecessors(v)} | {(v, True)}))
             b.download(line)
             for u in g.predecessors(v):
@@ -577,7 +584,6 @@ def pebbling_to_refutation(
                 b.erase(line)
                 line = resolvent
         else:
-            (v,) = prev.black - cur.black
             b.erase(unit(v))
     b.download(unit(g.sink, False))
     b.infer_resolve(unit(g.sink), unit(g.sink, False), g.sink)
@@ -675,13 +681,14 @@ def lift_refutation(
     last use.  A line has at most |t| + d literals, so the width stays
     within d*(w+1) for a base width of w.
 
-    Before building anything, the lifted length is bounded from the
-    image sizes of the steps; a bound above `search_budget(budget)`
-    raises BudgetExceeded in lifted lines.
+    Before building anything, `r` is checked by the checker's replay,
+    and the lifted length is bounded from the image sizes of the steps;
+    a bound above `search_budget(budget)` raises BudgetExceeded in
+    lifted lines.
     """
     if r.system != "res":
         raise ValueError("only resolution refutations can be lifted")
-    check_refutation(r)
+    replay = list(_replay(r, False))  # an illegal proof fails here, before any lifting
     template = _template(f)
     f_axioms = _generic_canonical(f, True)
     image_sizes = {True: len(f_axioms), False: len(template.target) - len(f_axioms)}
@@ -708,28 +715,26 @@ def lift_refutation(
         return lit[0].rpartition(SUBST_SEP)[0]
 
     b = ProofBuilder(substitute(r.target, f))
-    lines_by_id: dict[int, Clause] = {}
-    config: dict[Clause, list[Clause]] = {}  # present base clause -> its image, sorted
-    for idx, step in enumerate(r.steps, start=1):
+    images: dict[Clause, list[Clause]] = {}  # present base clause -> its image, sorted
+    for step, c, premises, _ in replay:
         if isinstance(step, Erase):
-            for d in config.pop(lines_by_id[step.target]):
+            for d in images.pop(c):
                 b.erase(d)
             continue
-        c = lines_by_id[idx] = step.line
-        if c in config:
+        if c in images:
             continue
-        targets = config[c] = sorted(substitute_clause(c, f), key=Clause.sort_key)
+        targets = images[c] = sorted(substitute_clause(c, f), key=Clause.sort_key)
         if isinstance(step, Download):
             for d in targets:
                 b.download(d)
         elif step.rule == "weaken":
-            kept = lines_by_id[step.premises[0]].variables()
+            kept = premises[0].variables()
             for t in targets:
                 b.weaken(Clause(frozenset(l for l in t.literals if base(l) in kept)), t)
         else:
             x = step.pivot
-            left = lines_by_id[step.premises[0]].variables() - {x}
-            right = lines_by_id[step.premises[1]].variables() - {x}
+            left = premises[0].variables() - {x}
+            right = premises[1].variables() - {x}
             on_block = [frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line.literals)
                         for s in template.steps]
             for t in targets:
@@ -810,15 +815,12 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
 
 
 def _format_line(line) -> str:
-    if isinstance(line, Clause):
-        return " ".join(format_lit(l) for l in line.sorted_literals())
-    return " ".join(
-        format_lit(next(iter(t))) if len(t) == 1 else _format_term(t) for t in line.sorted_terms()
-    )
+    """A line as a trace writes it: its text, or nothing for the empty line."""
+    return "" if line.is_empty() else str(line)
 
 
-def _format_term(t: Term) -> str:
-    return "(" + "&".join(sorted(format_lit(l) for l in t)) + ")"
+def _format_term(lits: tuple[str, ...]) -> str:
+    return "(" + "&".join(lits) + ")"
 
 
 def serialize_refutation(r: Refutation) -> str:
@@ -836,7 +838,7 @@ def serialize_refutation(r: Refutation) -> str:
             if step.rule == "pivot":
                 words.append(step.pivot)
             elif step.rule == "cut":
-                words.append(_format_term(step.cut_term))
+                words.append(_format_term(_term_lits(step.cut_term)))
             lines.append(" ".join(filter(None, words)))  # an empty line is no word
         else:
             raise ValueError(f"cannot serialize step {step!r}")
@@ -844,20 +846,17 @@ def serialize_refutation(r: Refutation) -> str:
 
 
 def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int):
-    if not kdnf:
-        try:
-            return Clause(frozenset(parse_lit(t) for t in tokens))
-        except TrivialClause as e:
-            raise TraceError(str(e), line=lineno) from None
-    terms = []
-    for tok in tokens:
-        if tok.startswith("(") and tok.endswith(")"):
-            terms.append(term(tok[1:-1]))
-        else:
-            terms.append(frozenset({parse_lit(tok)}))
+    if kdnf:
+        terms = frozenset(term(tok[1:-1]) if tok.startswith("(") and tok.endswith(")")
+                          else frozenset({parse_lit(tok)}) for tok in tokens)
+        lits = frozenset().union(*terms)
+    else:
+        lits = frozenset(map(parse_lit, tokens))
+    if any(not name for name, _ in lits):
+        raise TraceError("a literal has an empty variable name", line=lineno)
     try:
-        return KDnfLine(frozenset(terms))
-    except ValueError as e:
+        return KDnfLine(terms) if kdnf else Clause(lits)
+    except (TrivialClause, ValueError) as e:
         raise TraceError(str(e), line=lineno) from None
 
 
@@ -917,8 +916,8 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
                 tok = rest[3]
                 if not (tok.startswith("(") and tok.endswith(")")):
                     raise TraceError(f"cut term must be parenthesised: {raw!r}", line=lineno)
-                steps.append(Infer(line_val, (ref(rest[0]), ref(rest[1])), "cut",
-                                   cut_term=term(tok[1:-1])))
+                (cut_term,) = _parse_line_tokens([tok], True, lineno).terms
+                steps.append(Infer(line_val, (ref(rest[0]), ref(rest[1])), "cut", cut_term=cut_term))
             elif len(rest) == 3 and rest[2] == "andi":
                 steps.append(Infer(line_val, (ref(rest[0]), ref(rest[1])), "andi"))
             elif len(rest) == 2 and rest[1] == "ande":

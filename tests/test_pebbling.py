@@ -434,6 +434,12 @@ class TestTraces:
         text = pebbling.serialize_pebbling(p)
         assert pebbling.parse_pebbling_trace(text, pyr2) == p
 
+    def test_bw_multi_change_step_is_not_serialized(self, pyr2):
+        # written as one line per change, this step would parse back as two
+        p = black_seq(pyr2, "u v")
+        with pytest.raises(IllegalMove, match="exactly one pebble must change, 2 changed"):
+            pebbling.serialize_pebbling(p)
+
     def test_bw_trace_format(self):
         g = dag.build_path(2)
         text = "game bw\n# place source then slide\nB+ v1\nB+ v2\nB- v1\n"

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -9,8 +10,8 @@ import pytest
 import peblab
 from peblab import boolfunc, dag, formulas, pebbling, projections, resolution
 from peblab.cnf import Clause, EMPTY_CLAUSE, clause, formula, minimized
-from peblab.errors import BudgetExceeded, PeblabError
-from peblab.resolution import Download, ProofBuilder
+from peblab.errors import BudgetExceeded, IllegalStep, MissingBottom, PeblabError
+from peblab.resolution import Download, Erase, Infer, ProofBuilder, Refutation
 
 OR2 = boolfunc.or_fn(2)
 XOR2 = boolfunc.xor_fn(2)
@@ -262,6 +263,48 @@ class TestExtraction:
         b.infer_resolve(clause("x"), clause("-x"), "x")
         with pytest.raises(PeblabError):
             projections.extract_refutation(b.build(), XOR2)
+
+
+def broken(r: Refutation, how: str) -> Refutation:
+    """`r` with one illegal change; every other step keeps its id."""
+    steps = list(r.steps)
+    erase = next(i for i, s in enumerate(steps) if isinstance(s, Erase))
+    if how == "absent premise":  # the next inference uses the line just erased
+        i = next(i for i in range(erase, len(steps)) if isinstance(steps[i], Infer))
+        premises = (steps[erase].target, *steps[i].premises[1:])
+        steps[i] = dataclasses.replace(steps[i], premises=premises)
+    elif how == "absent erasure":
+        steps[erase + 1] = steps[erase]
+    elif how == "non-axiom download":
+        i = next(i for i, s in enumerate(steps) if isinstance(s, Download))
+        steps[i] = Download(Clause(steps[i].line.literals | {("z", True)}))
+    else:  # erase the empty clause at the end
+        steps.append(Erase(max(i for i, s in enumerate(steps, 1) if isinstance(s, Infer)
+                               and s.line == EMPTY_CLAUSE)))
+    return dataclasses.replace(r, steps=tuple(steps))
+
+
+@pytest.mark.parametrize("how,error,message", [
+    ("absent premise", IllegalStep, "not in the current configuration"),
+    ("absent erasure", IllegalStep, "which is not present"),
+    ("non-axiom download", IllegalStep, "is not an axiom"),
+    ("missing empty clause", MissingBottom, "does not contain the empty clause"),
+])
+def test_lift_and_extraction_reject_what_the_checker_rejects(how, error, message):
+    base = resolution.constant_space_refutation(dag.build_path(2))
+    lifted = resolution.lift_refutation(base, XOR2)
+    readers = [
+        (broken(base, how), lambda r: resolution.lift_refutation(r, XOR2)),
+        (broken(base, how), lambda r: resolution.lift_refutation(r, XOR2, budget=1)),
+        (broken(lifted, how), lambda r: projections.projected_sequence(r, XOR2)),
+        (broken(lifted, how), lambda r: projections.extract_refutation(r, XOR2)),
+    ]
+    for r, read in readers:
+        with pytest.raises(error, match=message) as checked:
+            resolution.check_refutation(r)
+        with pytest.raises(PeblabError) as raised:
+            read(r)
+        assert (type(raised.value), str(raised.value)) == (error, str(checked.value))
 
 
 BOUNDED_EXTRACTION = """

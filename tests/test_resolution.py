@@ -553,6 +553,10 @@ class TestTraceFormat:
                 resolution.parse_refutation_trace(f"# header\nsystem kdnf {k}\n", F)
         with pytest.raises(TraceError, match="^line 2: bad step reference"):
             resolution.parse_refutation_trace("system res\ne \u00b2\n", F)
+        for text in ("system res\nd -\n", "system res\nd x -\n", "system kdnf 2\nd (-&x)\n",
+                     "system kdnf 2\nr x <- 1 2 cut (-)\n"):
+            with pytest.raises(TraceError, match="^line 2: a literal has an empty variable name$"):
+                resolution.parse_refutation_trace(text, F)
 
     def test_comment_lines(self):
         F = formula(["x", "-x"])
