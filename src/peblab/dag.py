@@ -85,14 +85,8 @@ class Dag:
     def predecessors(self, v: str) -> tuple[str, ...]:
         return self._pred[v]
 
-    def successors(self, v: str) -> tuple[str, ...]:
-        return self._succ[v]
-
     def sources(self) -> tuple[str, ...]:
         return tuple(v for v in self.topological_order() if not self._pred[v])
-
-    def is_source(self, v: str) -> bool:
-        return not self._pred[v]
 
     def topological_order(self) -> tuple[str, ...]:
         return self._topo

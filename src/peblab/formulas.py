@@ -18,18 +18,18 @@ from .errors import BudgetExceeded, DimacsError, PeblabError, TrivialClause, sea
 SUBST_SEP = "#"
 
 
+def pebbling_axiom(g: Dag, v: str) -> Clause:
+    """The clause ~u1 v ... v ~ul v v over v's predecessors u1..ul; a
+    source's is its unit clause."""
+    return Clause(frozenset({(u, False) for u in g.predecessors(v)} | {(v, True)}))
+
+
 def pebbling_contradiction(g: Dag) -> CnfFormula:
     """Sources true, truth propagates along edges, sink false.
 
     One variable per vertex, n+1 clauses over n variables.
     """
-    clauses = []
-    for v in g.topological_order():
-        preds = g.predecessors(v)
-        if not preds:
-            clauses.append(Clause(frozenset({(v, True)})))
-        else:
-            clauses.append(Clause(frozenset({(u, False) for u in preds} | {(v, True)})))
+    clauses = [pebbling_axiom(g, v) for v in g.topological_order()]
     clauses.append(Clause(frozenset({(g.sink, False)})))
     return CnfFormula(frozenset(clauses))
 

@@ -1,8 +1,9 @@
 """Pebble games over DAGs: black-white, labelled, and blob variants.
 
-A labelled subconfiguration <v, W> is the single-vertex blob [{v}, W]
-without inflation, so one move rule and one replay check both
-subconfiguration games.
+A labelled subconfiguration `Subconf` <v, W> is the one-vertex
+`BlobSubconf` [{v}, W] that may not inflate, and each labelled type
+subclasses its blob counterpart, so one move rule and one replay check
+both subconfiguration games.
 
 Validators are pure functions over immutable traces.  Optimal prices come
 from `space_bounded_search`, the one search of both space games (it also
@@ -260,61 +261,130 @@ def optimal_bw_price(g: Dag, budget=None) -> int:
     return validate_bw(optimal_bw_pebbling(g, budget)).space
 
 
-# -- labelled (L-) pebblings ----------------------------------------------
+# -- subconfiguration games: blob and labelled (L-) pebblings ---------------
 
 
 @dataclass(frozen=True)
-class Subconf:
-    """Pebble subconfiguration <v, W>: black pebble on v supported by whites W."""
+class BlobSubconf:
+    """Blob subconfiguration [B, W]: black blob on vertex set B, whites W."""
 
-    vertex: str
+    blob: frozenset[str]
     support: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.vertex in self.support:
-            raise ValueError(f"black vertex {self.vertex} inside its own support")
+        if not self.blob:
+            raise ValueError("blob must be nonempty")
+        if self.blob & self.support:
+            raise ValueError(f"blob and support overlap: {sorted(self.blob & self.support)}")
+
+    def __str__(self) -> str:
+        return f"[{{{','.join(sorted(self.blob))}}},{{{','.join(sorted(self.support))}}}]"
+
+
+class Subconf(BlobSubconf):
+    """Pebble subconfiguration <v, W>: the single-vertex blob [{v}, W],
+    which may not inflate."""
+
+    def __init__(self, vertex: str, support: frozenset[str] = frozenset()):
+        super().__init__(frozenset({vertex}), support)
 
     @property
-    def blob(self) -> frozenset[str]:
-        return frozenset({self.vertex})
+    def vertex(self) -> str:
+        (v,) = self.blob
+        return v
 
     def __str__(self) -> str:
         return f"<{self.vertex},{{{','.join(sorted(self.support))}}}>"
 
 
 @dataclass(frozen=True)
-class LabelledConfiguration:
-    subconfs: frozenset[Subconf] = frozenset()
+class BlobConfiguration:
+    subconfs: frozenset[BlobSubconf] = frozenset()
 
-    def blacks(self) -> frozenset[str]:
-        return frozenset(sc.vertex for sc in self.subconfs)
 
-    def whites(self) -> frozenset[str]:
-        out: set[str] = set()
-        for sc in self.subconfs:
-            out |= sc.support
-        return frozenset(out)
-
+class LabelledConfiguration(BlobConfiguration):
     @property
     def size(self) -> int:
-        return len(self.blacks() | self.whites())
+        """The number of pebbled vertices, black or white."""
+        return len(frozenset().union(*(sc.blob | sc.support for sc in self.subconfs)))
 
 
 @dataclass(frozen=True)
-class LabelledPebbling:
+class BlobPebbling:
     host: Dag
-    steps: tuple[LabelledConfiguration, ...]
+    steps: tuple[BlobConfiguration, ...]
 
     @property
     def time(self) -> int:
         return len(self.steps) - 1
 
 
+class LabelledPebbling(BlobPebbling):
+    """A pebbling of `Subconf`s, checked by the labelled rules."""
+
+
 @dataclass(frozen=True)
-class LabelledCost:
-    time: int
-    space: int
+class LabelledCost(PebblingCost):
     bound: tuple[int, int]  # tightest (b, w)
+
+
+def _subconf_move(g: Dag, prev: frozenset, cur: frozenset, t: int):
+    """Classify one transition by the blob rules; returns a move descriptor
+    or raises IllegalMove.  Inflation is a blob move only: a labelled
+    subconfiguration is a single-vertex blob that may not inflate."""
+    added = cur - prev
+    removed = prev - cur
+    if len(removed) == 1 and not added:
+        return ("erase", next(iter(removed)))
+    if len(added) == 1 and not removed:
+        (sc,) = added
+        if len(sc.blob) == 1:
+            (v,) = sc.blob
+            if sc.support == frozenset(g.predecessors(v)):
+                return ("intro", sc)
+        for first in sorted(prev, key=str):
+            if not first.blob <= sc.blob:  # a merger keeps its first blob
+                continue
+            for second in sorted(prev, key=str):
+                # sc's blob and support are disjoint, so a match never has
+                # first's blob meeting second's support
+                for v in sorted(first.support & second.blob):
+                    b1, w1 = first.blob, first.support - {v}
+                    b2, w2 = second.blob - {v}, second.support
+                    if b1 | b2 == sc.blob and w1 | w2 == sc.support:
+                        return ("merge", first, second, v, sc)
+        if isinstance(sc, Subconf):
+            raise IllegalMove(t, f"{sc} is neither an introduction nor a merger")
+        for src in sorted(prev, key=str):
+            if src.blob <= sc.blob and src.support <= sc.support:
+                return ("inflate", src, sc)
+        raise IllegalMove(t, f"{sc} is not an introduction, merger, or inflation")
+    raise IllegalMove(t, "exactly one subconfiguration must be added or removed")
+
+
+def _replay(p: BlobPebbling):
+    """Check the endpoints and every move of a labelled or blob pebbling,
+    yielding each configuration after the move that reaches it is checked."""
+    g = p.host
+    steps = p.steps
+    if not steps:
+        raise WrongEndpoints("pebbling has no configurations")
+    for t, conf in enumerate(steps):
+        for sc in conf.subconfs:
+            for v in sc.blob | sc.support:
+                if not g.has_vertex(v):
+                    raise IllegalMove(t, f"unknown vertex {v!r}")
+    if isinstance(p, LabelledPebbling):
+        game, end = "L-pebbling", Subconf(g.sink)
+    else:
+        game, end = "blob pebbling", BlobSubconf(frozenset({g.sink}))
+    if steps[0].subconfs:
+        raise WrongEndpoints(f"{game} must start from the empty configuration")
+    for t in range(1, len(steps)):
+        _subconf_move(g, steps[t - 1].subconfs, steps[t].subconfs, t)
+        yield steps[t]
+    if steps[-1].subconfs != frozenset({end}):
+        raise WrongEndpoints(f"{game} must end at {{{end}}}")
 
 
 def validate_labelled(p: LabelledPebbling) -> LabelledCost:
@@ -390,103 +460,6 @@ def check_bounded_space_consequence(p: LabelledPebbling, budget=None) -> Bounded
     return BoundedSpaceReport(cost=cost, bw_price=price, bound_product=product)
 
 
-# -- blob pebblings --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BlobSubconf:
-    """Blob subconfiguration [B, W]: black blob on vertex set B, whites W."""
-
-    blob: frozenset[str]
-    support: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if not self.blob:
-            raise ValueError("blob must be nonempty")
-        if self.blob & self.support:
-            raise ValueError(f"blob and support overlap: {sorted(self.blob & self.support)}")
-
-    def __str__(self) -> str:
-        return f"[{{{','.join(sorted(self.blob))}}},{{{','.join(sorted(self.support))}}}]"
-
-
-@dataclass(frozen=True)
-class BlobConfiguration:
-    subconfs: frozenset[BlobSubconf] = frozenset()
-
-
-@dataclass(frozen=True)
-class BlobPebbling:
-    host: Dag
-    steps: tuple[BlobConfiguration, ...]
-
-    @property
-    def time(self) -> int:
-        return len(self.steps) - 1
-
-
-# -- one move rule for labelled and blob pebblings --------------------------
-
-
-def _subconf_move(g: Dag, prev: frozenset, cur: frozenset, t: int):
-    """Classify one transition by the blob rules; returns a move descriptor
-    or raises IllegalMove.  Inflation is a blob move only: a labelled
-    subconfiguration is a single-vertex blob that may not inflate."""
-    added = cur - prev
-    removed = prev - cur
-    if len(removed) == 1 and not added:
-        return ("erase", next(iter(removed)))
-    if len(added) == 1 and not removed:
-        (sc,) = added
-        if len(sc.blob) == 1:
-            (v,) = sc.blob
-            if sc.support == frozenset(g.predecessors(v)):
-                return ("intro", sc)
-        for first in sorted(prev, key=str):
-            if not first.blob <= sc.blob:  # a merger keeps its first blob
-                continue
-            for second in sorted(prev, key=str):
-                # sc's blob and support are disjoint, so a match never has
-                # first's blob meeting second's support
-                for v in sorted(first.support & second.blob):
-                    b1, w1 = first.blob, first.support - {v}
-                    b2, w2 = second.blob - {v}, second.support
-                    if b1 | b2 == sc.blob and w1 | w2 == sc.support:
-                        return ("merge", first, second, v, sc)
-        if not isinstance(sc, BlobSubconf):
-            raise IllegalMove(t, f"{sc} is neither an introduction nor a merger")
-        for src in sorted(prev, key=str):
-            if src.blob <= sc.blob and src.support <= sc.support:
-                return ("inflate", src, sc)
-        raise IllegalMove(t, f"{sc} is not an introduction, merger, or inflation")
-    raise IllegalMove(t, "exactly one subconfiguration must be added or removed")
-
-
-def _replay(p: LabelledPebbling | BlobPebbling):
-    """Check the endpoints and every move of a labelled or blob pebbling,
-    yielding each configuration after the move that reaches it is checked."""
-    g = p.host
-    steps = p.steps
-    if not steps:
-        raise WrongEndpoints("pebbling has no configurations")
-    for t, conf in enumerate(steps):
-        for sc in conf.subconfs:
-            for v in sc.blob | sc.support:
-                if not g.has_vertex(v):
-                    raise IllegalMove(t, f"unknown vertex {v!r}")
-    if isinstance(p, LabelledPebbling):
-        game, end = "L-pebbling", Subconf(g.sink)
-    else:
-        game, end = "blob pebbling", BlobSubconf(frozenset({g.sink}))
-    if steps[0].subconfs:
-        raise WrongEndpoints(f"{game} must start from the empty configuration")
-    for t in range(1, len(steps)):
-        _subconf_move(g, steps[t - 1].subconfs, steps[t].subconfs, t)
-        yield steps[t]
-    if steps[-1].subconfs != frozenset({end}):
-        raise WrongEndpoints(f"{game} must end at {{{end}}}")
-
-
 def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:
     """Chargeable cost of one blob configuration.
 
@@ -546,13 +519,13 @@ def validate_blob(p: BlobPebbling, budget=None) -> PebblingCost:
 # subconfiguration i to the given blob and support.
 
 
-def serialize_pebbling(p: BwPebbling | LabelledPebbling | BlobPebbling) -> str:
+def serialize_pebbling(p: BwPebbling | BlobPebbling) -> str:
     if isinstance(p, BwPebbling):
         return "\n".join(["game bw", *(f"{op} {v}" for op, v in p.moves())]) + "\n"
 
-    if not isinstance(p, (LabelledPebbling, BlobPebbling)):
+    if not isinstance(p, BlobPebbling):
         raise TypeError(f"not a pebbling: {p!r}")
-    blob_game = isinstance(p, BlobPebbling)
+    blob_game = not isinstance(p, LabelledPebbling)
     lines = ["game blob" if blob_game else "game labelled"]
     index = {}  # subconfiguration -> latest creation id
     creations = 0
@@ -648,8 +621,9 @@ def parse_pebbling_trace(text: str, host: Dag):
             first = fetch(fields[1], lineno)
             second = fetch(fields[2], lineno)
             pivots = sorted(first.support & second.blob)
-            if labelled and not pivots:
-                raise TraceError(f"merger pivot {second.vertex} not in support of {first}", line=lineno)
+            if not pivots:
+                raise TraceError(f"no merger pivot: {second} has no vertex in the support of {first}",
+                                 line=lineno)
             if len(fields) == 4:
                 if fields[3] not in pivots:
                     raise TraceError(f"{fields[3]!r} is not a merger pivot for this pair", line=lineno)

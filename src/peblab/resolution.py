@@ -39,7 +39,9 @@ from .errors import (
     WrongEndpoints,
     search_budget,
 )
-from .formulas import SUBST_SEP, _generic_canonical, pebbling_contradiction, substitute, substitute_clause
+from .formulas import (
+    SUBST_SEP, _generic_canonical, pebbling_axiom, pebbling_contradiction, substitute, substitute_clause,
+)
 
 Term = frozenset[Lit]
 
@@ -149,10 +151,10 @@ def resolve(c1: Clause, c2: Clause, pivot: str) -> Clause:
         raise PivotAbsent(f"{pivot} not positive in ({c1})")
     if (pivot, False) not in c2:
         raise PivotAbsent(f"{pivot} not negative in ({c2})")
-    lits = (c1.literals - {(pivot, True)}) | (c2.literals - {(pivot, False)})
-    if len({n for n, _ in lits}) != len(lits):
-        raise TrivialResolvent(f"resolving ({c1}) and ({c2}) on {pivot}")
-    return Clause(lits)
+    try:
+        return Clause((c1.literals - {(pivot, True)}) | (c2.literals - {(pivot, False)}))
+    except TrivialClause:
+        raise TrivialResolvent(f"resolving ({c1}) and ({c2}) on {pivot}") from None
 
 
 # -- semantic evaluation (truth-table cross-checks) ---------------------------
@@ -374,7 +376,8 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
 
 
 class ProofBuilder:
-    """Accumulates steps; tracks which line ids are currently present."""
+    """Accumulates steps; tracks which line ids are currently present.
+    Each method but `erase` returns the line its step adds."""
 
     def __init__(self, target: CnfFormula, system: str = "res", k: int = 1):
         self.target = target
@@ -383,44 +386,33 @@ class ProofBuilder:
         self.steps: list = []
         self._ids: dict[object, int] = {}  # present line value -> latest step id
 
-    def _added(self, line) -> int:
-        step_id = len(self.steps)
-        self._ids[line] = step_id
-        return step_id
-
-    def present(self) -> frozenset:
-        return frozenset(self._ids)
+    def _add(self, step):
+        """Append `step` and return the line it adds."""
+        self.steps.append(step)
+        self._ids[step.line] = len(self.steps)
+        return step.line
 
     def has(self, line) -> bool:
         return line in self._ids
 
-    def id_of(self, line) -> int:
-        return self._ids[line]
+    def download(self, line):
+        return self._add(Download(line))
 
-    def download(self, line) -> int:
-        self.steps.append(Download(line))
-        return self._added(line)
-
-    def infer_resolve(self, c1: Clause, c2: Clause, pivot: str) -> int:
+    def infer_resolve(self, c1: Clause, c2: Clause, pivot: str) -> Clause:
         result = resolve(c1, c2, pivot)
-        self.steps.append(Infer(result, (self._ids[c1], self._ids[c2]), "pivot", pivot=pivot))
-        return self._added(result)
+        return self._add(Infer(result, (self._ids[c1], self._ids[c2]), "pivot", pivot=pivot))
 
-    def weaken(self, source: Clause, result: Clause) -> int:
-        self.steps.append(Infer(result, (self._ids[source],), "weaken"))
-        return self._added(result)
+    def weaken(self, source: Clause, result: Clause) -> Clause:
+        return self._add(Infer(result, (self._ids[source],), "weaken"))
 
-    def cut(self, p1: KDnfLine, p2: KDnfLine, cut_term: Term, result: KDnfLine) -> int:
-        self.steps.append(Infer(result, (self._ids[p1], self._ids[p2]), "cut", cut_term=cut_term))
-        return self._added(result)
+    def cut(self, p1: KDnfLine, p2: KDnfLine, cut_term: Term, result: KDnfLine) -> KDnfLine:
+        return self._add(Infer(result, (self._ids[p1], self._ids[p2]), "cut", cut_term=cut_term))
 
-    def andi(self, p1: KDnfLine, p2: KDnfLine, result: KDnfLine) -> int:
-        self.steps.append(Infer(result, (self._ids[p1], self._ids[p2]), "andi"))
-        return self._added(result)
+    def andi(self, p1: KDnfLine, p2: KDnfLine, result: KDnfLine) -> KDnfLine:
+        return self._add(Infer(result, (self._ids[p1], self._ids[p2]), "andi"))
 
-    def ande(self, p: KDnfLine, result: KDnfLine) -> int:
-        self.steps.append(Infer(result, (self._ids[p],), "ande"))
-        return self._added(result)
+    def ande(self, p: KDnfLine, result: KDnfLine) -> KDnfLine:
+        return self._add(Infer(result, (self._ids[p],), "ande"))
 
     def erase(self, line) -> None:
         self.steps.append(Erase(self._ids[line]))
@@ -534,19 +526,15 @@ def constant_space_refutation(g: Dag) -> Refutation:
     clause with the pebbling axiom of its topologically-latest vertex;
     each vertex is expanded at most once.
     """
-    target = pebbling_contradiction(g)
-    b = ProofBuilder(target)
-    cur = Clause(frozenset({(g.sink, False)}))
-    b.download(cur)
+    b = ProofBuilder(pebbling_contradiction(g))
+    cur = b.download(Clause(frozenset({(g.sink, False)})))
     while not cur.is_empty():
         v = max(cur.variables(), key=g.topo_position)
-        preds = g.predecessors(v)
-        axiom = Clause(frozenset({(u, False) for u in preds} | {(v, True)}))
-        b.download(axiom)
-        nxt_id = b.infer_resolve(axiom, cur, v)
+        axiom = b.download(pebbling_axiom(g, v))
+        nxt = b.infer_resolve(axiom, cur, v)
         b.erase(cur)
         b.erase(axiom)
-        cur = b.steps[nxt_id - 1].line
+        cur = nxt
     return b.build()
 
 
@@ -577,10 +565,9 @@ def pebbling_to_refutation(
     b = ProofBuilder(pebbling_contradiction(g))
     for op, v in p.moves():
         if op == "B+":
-            line = Clause(frozenset({(u, False) for u in g.predecessors(v)} | {(v, True)}))
-            b.download(line)
+            line = b.download(pebbling_axiom(g, v))
             for u in g.predecessors(v):
-                resolvent = b.steps[b.infer_resolve(unit(u), line, u) - 1].line
+                resolvent = b.infer_resolve(unit(u), line, u)
                 b.erase(line)
                 line = resolvent
         else:

@@ -162,6 +162,10 @@ def test_pebble_validate_labelled(tmp_path, capsys):
     trace.write_text(pebbling.serialize_pebbling(lp))
     assert run("pebble-validate", "--graph", "path:3", "--trace", str(trace)) == 0
     assert "bound=(3,1)" in capsys.readouterr().out
+    blob = tmp_path / "b.trace"
+    blob.write_text(trace.read_text().replace("game labelled", "game blob", 1))
+    assert run("pebble-validate", "--graph", "path:3", "--trace", str(blob)) == 0
+    assert capsys.readouterr().out.startswith("ok blob time=")
 
 
 def test_compile_from_trace_file(tmp_path, capsys):

@@ -504,6 +504,10 @@ class TestTraces:
             pebbling.parse_pebbling_trace("game bw\nB- v1\n", g)
         with pytest.raises(TraceError, match="unknown vertex"):
             pebbling.parse_pebbling_trace("game labelled\nI bogus\n", g)
+        for game in ("blob", "labelled"):  # v1's support is empty, so no `M 1 2 v` can merge
+            with pytest.raises(TraceError, match="no merger pivot") as info:
+                pebbling.parse_pebbling_trace(f"game {game}\nI v1\nI v2\nM 1 2\n", g)
+            assert info.value.line == 4
 
     @pytest.mark.parametrize("game", ["labelled", "blob"])
     @pytest.mark.parametrize("move", ["E 0", "E -1", "E +1", "E \u00b2", "M 0 1"])

@@ -637,6 +637,29 @@ def handcrafted_kdnf_refutation() -> Refutation:
     return b.build()
 
 
+def test_builder_returns_the_line_it_adds():
+    b = ProofBuilder(formula(["x", "-x", "y"]))
+    k = ProofBuilder(path2_xor_formula(), system="kdnf", k=2)
+    X, S1, S2 = kline("v1#1 -v1#2 -v2#1 -v2#2"), kline("v2#1 -v2#2"), kline("-v2#1 v2#2")
+    B, C = kline("v1#1 -v1#2 -v2#1"), kline("v1#1 -v1#2 -v2#2")
+    D = kline("v1#1 -v1#2 (-v2#1&-v2#2)")
+    for builder, add, line in [
+        (b, lambda: b.download(clause("x")), clause("x")),
+        (b, lambda: b.weaken(clause("x"), clause("x y")), clause("x y")),
+        (b, lambda: b.download(clause("-x")), clause("-x")),
+        (b, lambda: b.infer_resolve(clause("x"), clause("-x"), "x"), EMPTY_CLAUSE),
+        (k, lambda: k.download(X), X),
+        (k, lambda: k.download(S1), S1),
+        (k, lambda: k.download(S2), S2),
+        (k, lambda: k.cut(X, S2, term("-v2#2"), B), B),
+        (k, lambda: k.cut(X, S1, term("-v2#1"), C), C),
+        (k, lambda: k.andi(B, C, D), D),
+        (k, lambda: k.ande(D, B), B),
+    ]:
+        assert add() == line == builder.steps[-1].line
+    resolution.check_refutation(b.build())
+
+
 class TestKDnf:
     def test_handcrafted_refutation_accepted(self):
         r = handcrafted_kdnf_refutation()
