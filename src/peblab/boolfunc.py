@@ -9,28 +9,27 @@ reproduces the standard clause sets for or, xor and threshold functions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .cnf import Clause
+from .cnf import Clause, Value
 from .errors import ConstantFunction
 
 MAX_ARITY = 16
 _CLAUSE_ARITY_LIMIT = 12  # 3^d subcube enumeration
 
 
-@dataclass(frozen=True)
-class BooleanFunction:
-    arity: int
-    table: int
+class BooleanFunction(Value):
+    __slots__ = _fields = ("arity", "table")
 
-    def __post_init__(self):
-        if not 1 <= self.arity <= MAX_ARITY:
-            raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {self.arity}")
-        full = (1 << (1 << self.arity)) - 1
-        if not 0 <= self.table <= full:
+    def __init__(self, arity: int, table: int):
+        if not 1 <= arity <= MAX_ARITY:
+            raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
+        full = (1 << (1 << arity)) - 1
+        if not 0 <= table <= full:
             raise ValueError("truth table has more bits than 2^arity")
-        if self.table == 0 or self.table == full:
-            raise ConstantFunction(f"function of arity {self.arity} is constant")
+        if table == 0 or table == full:
+            raise ConstantFunction(f"function of arity {arity} is constant")
+        self.arity = arity
+        self.table = table
 
     def value(self, index: int) -> bool:
         """f at the assignment with index bits (bit j = input j+1)."""

@@ -4,7 +4,10 @@ benchmark harness.  Every command is deterministic given its flags (plus
 --seed where sampling is involved); all outputs are files or standard
 output.  PEBLAB_BUDGET overrides search budgets.  Each command imports
 the modules it calls in its own body: every CLI call is a fresh process,
-and with bytecode writing off it compiles every module it imports.
+and with bytecode writing off it compiles every module it imports.  For
+the same reason the package's value types are `__slots__` classes, not
+dataclasses: `dataclasses` pulls in `inspect` and `ast`, and each frozen
+dataclass `exec`s its generated methods at import.
 """
 
 from __future__ import annotations

@@ -8,7 +8,6 @@ clauses collapse and clause identity is purely structural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import TrivialClause
@@ -45,14 +44,50 @@ def parse_lit(token: str) -> Lit:
     return (token, True)
 
 
-@dataclass(frozen=True)
-class Clause:
-    literals: frozenset[Lit] = field(default_factory=frozenset)
+class Value:
+    """Base of the package's immutable value types.
 
-    def __post_init__(self):
-        names = [name for name, _ in self.literals]
-        if len(names) != len(set(names)):
-            raise TrivialClause(f"variable occurs with both polarities in {sorted(self.literals)}")
+    A subclass names its fields in `_fields`, in constructor order, keeps
+    them in `__slots__` and sets them only in `__init__`.  Two values are
+    equal iff they are of exactly the same class with equal fields, the
+    hash agrees, and the repr is `Name(field=...)`.  Types hashed in inner
+    loops override `__eq__` and `__hash__` with direct field reads.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Clause(Value):
+    __slots__ = _fields = ("literals",)
+
+    def __init__(self, literals: frozenset[Lit] = frozenset()):
+        if len({name for name, _ in literals}) != len(literals):
+            raise TrivialClause(f"variable occurs with both polarities in {sorted(literals)}")
+        self.literals = literals
+
+    def __eq__(self, other):
+        if other.__class__ is not Clause:
+            return NotImplemented
+        return self.literals == other.literals
+
+    def __hash__(self) -> int:
+        return hash(self.literals)
 
     @property
     def width(self) -> int:
@@ -106,9 +141,11 @@ def clause(spec: str | Iterable[Lit]) -> Clause:
     return Clause(frozenset(spec))
 
 
-@dataclass(frozen=True)
-class CnfFormula:
-    clauses: frozenset[Clause] = field(default_factory=frozenset)
+class CnfFormula(Value):
+    __slots__ = _fields = ("clauses",)
+
+    def __init__(self, clauses: frozenset[Clause] = frozenset()):
+        self.clauses = clauses
 
     @property
     def width(self) -> int:

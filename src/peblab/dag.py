@@ -228,16 +228,33 @@ def serialize_dag(g: Dag) -> str:
     return "\n".join(lines) + "\n"
 
 
+MAX_FAMILY_VERTICES = 10**6
+_FAMILIES = {  # kind -> (builder, vertex count at a size)
+    "pyramid": (build_pyramid, lambda h: (h + 1) * (h + 2) // 2),
+    "tree": (build_binary_tree, lambda h: 2 ** (h + 1) - 1),
+    "path": (build_path, lambda n: n),
+}
+
+
 def parse_family(spec: str) -> Dag:
-    """Graph family literal for the CLI: pyramid:<h>, tree:<h>, path:<n>."""
+    """Graph family literal for the CLI: pyramid:<h>, tree:<h>, path:<n>.
+
+    The vertex count comes from the literal, and a family of more than
+    MAX_FAMILY_VERTICES vertices raises ValueError before anything is
+    built.  Every family has at least `size` vertices and a tree above
+    height 63 more than 2^64, so those sizes are refused before their
+    counts, which can be too large to compute or print, are formed.
+    """
     kind, _, arg = spec.partition(":")
     if not is_decimal(arg):
         raise ValueError(f"graph spec {spec!r} needs a decimal size, e.g. pyramid:2")
     size = int(arg)
-    if kind == "pyramid":
-        return build_pyramid(size)
-    if kind == "tree":
-        return build_binary_tree(size)
-    if kind == "path":
-        return build_path(size)
-    raise ValueError(f"unknown graph family {kind!r}")
+    if kind not in _FAMILIES:
+        raise ValueError(f"unknown graph family {kind!r}")
+    build, count = _FAMILIES[kind]
+    if size > MAX_FAMILY_VERTICES or kind == "tree" and size > 63:
+        raise ValueError(f"graph spec {spec!r} has more than {MAX_FAMILY_VERTICES} vertices")
+    if count(size) > MAX_FAMILY_VERTICES:
+        raise ValueError(f"graph spec {spec!r} has {count(size)} vertices, "
+                         f"more than {MAX_FAMILY_VERTICES}")
+    return build(size)

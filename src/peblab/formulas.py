@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+from typing import TYPE_CHECKING
 
-from .boolfunc import BooleanFunction, canonical_clauses
 from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, is_decimal, neg  # noqa: F401  (re-exported)
-from .dag import Dag
 from .errors import BudgetExceeded, DimacsError, PeblabError, TrivialClause, search_budget
+
+if TYPE_CHECKING:
+    from .boolfunc import BooleanFunction
+    from .dag import Dag
 
 SUBST_SEP = "#"
 
@@ -50,6 +53,7 @@ def split_substituted(name: str) -> tuple[str, int]:
 
 @functools.lru_cache(maxsize=None)
 def _generic_canonical(f: BooleanFunction, positive: bool) -> frozenset[Clause]:
+    from .boolfunc import canonical_clauses
     names = tuple(str(i) for i in range(1, f.arity + 1))
     return canonical_clauses(f, names, "positive" if positive else "negative")
 

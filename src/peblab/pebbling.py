@@ -13,10 +13,9 @@ order (removals before placements), so repeated runs give identical witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .cnf import is_decimal
-from .dag import Dag
+from .cnf import Value, is_decimal
 from .errors import (
     BudgetExceeded,
     IllegalMove,
@@ -27,18 +26,29 @@ from .errors import (
     search_budget,
 )
 
+if TYPE_CHECKING:
+    from .dag import Dag
+
 
 # -- black-white game -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BwConfiguration:
-    black: frozenset[str] = frozenset()
-    white: frozenset[str] = frozenset()
+class BwConfiguration(Value):
+    __slots__ = _fields = ("black", "white")
 
-    def __post_init__(self):
-        if self.black & self.white:
-            raise ValueError(f"vertices doubly pebbled: {sorted(self.black & self.white)}")
+    def __init__(self, black: frozenset[str] = frozenset(), white: frozenset[str] = frozenset()):
+        if black & white:
+            raise ValueError(f"vertices doubly pebbled: {sorted(black & white)}")
+        self.black = black
+        self.white = white
+
+    def __eq__(self, other):
+        if other.__class__ is not BwConfiguration:
+            return NotImplemented
+        return self.black == other.black and self.white == other.white
+
+    def __hash__(self) -> int:
+        return hash((self.black, self.white))
 
     @property
     def size(self) -> int:
@@ -50,10 +60,12 @@ class BwConfiguration:
         return f"(B:{b} W:{w})"
 
 
-@dataclass(frozen=True)
-class BwPebbling:
-    host: Dag
-    steps: tuple[BwConfiguration, ...]
+class BwPebbling(Value):
+    __slots__ = _fields = ("host", "steps")
+
+    def __init__(self, host: Dag, steps: tuple[BwConfiguration, ...]):
+        self.host = host
+        self.steps = steps
 
     @property
     def time(self) -> int:
@@ -72,10 +84,12 @@ class BwPebbling:
             yield changes[0]
 
 
-@dataclass(frozen=True)
-class PebblingCost:
-    time: int
-    space: int
+class PebblingCost(Value):
+    __slots__ = _fields = ("time", "space")
+
+    def __init__(self, time: int, space: int):
+        self.time = time
+        self.space = space
 
 
 def validate_bw(pebbling: BwPebbling, black_only: bool = False) -> PebblingCost:
@@ -116,31 +130,31 @@ def validate_bw(pebbling: BwPebbling, black_only: bool = False) -> PebblingCost:
 
 
 def greedy_black_strategy(g: Dag) -> BwPebbling:
-    """Pebble-the-predecessors-then-the-vertex recursion in canonical order.
+    """Pebble the unpebbled predecessors in canonical order, each the same
+    way, then the vertex, then remove the predecessors pebbled for it.
 
-    Valid complete black pebbling for any DAG; not space-optimal.
+    Valid complete black pebbling for any DAG; not space-optimal.  An
+    explicit stack of (vertex, remaining predecessors, predecessors
+    pebbled for it) frames runs the depth-first order, so deep graphs do
+    not hit the recursion limit.
     """
     cur: set[str] = set()
     steps = [BwConfiguration()]
-
-    def snapshot():
-        steps.append(BwConfiguration(black=frozenset(cur)))
-
-    def visit(v: str) -> None:
-        if v in cur:
-            return
-        placed_here = []
-        for u in g.predecessors(v):
+    stack = [(g.sink, iter(g.predecessors(g.sink)), [])]
+    while stack:
+        v, preds, placed = stack[-1]
+        for u in preds:
             if u not in cur:
-                visit(u)
-                placed_here.append(u)
-        cur.add(v)
-        snapshot()
-        for u in placed_here:
-            cur.remove(u)
-            snapshot()
-
-    visit(g.sink)
+                placed.append(u)
+                stack.append((u, iter(g.predecessors(u)), []))
+                break
+        else:
+            stack.pop()
+            cur.add(v)
+            steps.append(BwConfiguration(frozenset(cur)))
+            for u in placed:
+                cur.remove(u)
+                steps.append(BwConfiguration(frozenset(cur)))
     return BwPebbling(host=g, steps=tuple(steps))
 
 
@@ -264,18 +278,26 @@ def optimal_bw_price(g: Dag, budget=None) -> int:
 # -- subconfiguration games: blob and labelled (L-) pebblings ---------------
 
 
-@dataclass(frozen=True)
-class BlobSubconf:
+class BlobSubconf(Value):
     """Blob subconfiguration [B, W]: black blob on vertex set B, whites W."""
 
-    blob: frozenset[str]
-    support: frozenset[str] = frozenset()
+    __slots__ = _fields = ("blob", "support")
 
-    def __post_init__(self):
-        if not self.blob:
+    def __init__(self, blob: frozenset[str], support: frozenset[str] = frozenset()):
+        if not blob:
             raise ValueError("blob must be nonempty")
-        if self.blob & self.support:
-            raise ValueError(f"blob and support overlap: {sorted(self.blob & self.support)}")
+        if blob & support:
+            raise ValueError(f"blob and support overlap: {sorted(blob & support)}")
+        self.blob = blob
+        self.support = support
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blob == other.blob and self.support == other.support
+
+    def __hash__(self) -> int:
+        return hash((self.blob, self.support))
 
     def __str__(self) -> str:
         return f"[{{{','.join(sorted(self.blob))}}},{{{','.join(sorted(self.support))}}}]"
@@ -284,6 +306,8 @@ class BlobSubconf:
 class Subconf(BlobSubconf):
     """Pebble subconfiguration <v, W>: the single-vertex blob [{v}, W],
     which may not inflate."""
+
+    __slots__ = ()
 
     def __init__(self, vertex: str, support: frozenset[str] = frozenset()):
         super().__init__(frozenset({vertex}), support)
@@ -297,22 +321,28 @@ class Subconf(BlobSubconf):
         return f"<{self.vertex},{{{','.join(sorted(self.support))}}}>"
 
 
-@dataclass(frozen=True)
-class BlobConfiguration:
-    subconfs: frozenset[BlobSubconf] = frozenset()
+class BlobConfiguration(Value):
+    __slots__ = _fields = ("subconfs",)
+
+    def __init__(self, subconfs: frozenset[BlobSubconf] = frozenset()):
+        self.subconfs = subconfs
 
 
 class LabelledConfiguration(BlobConfiguration):
+    __slots__ = ()
+
     @property
     def size(self) -> int:
         """The number of pebbled vertices, black or white."""
         return len(frozenset().union(*(sc.blob | sc.support for sc in self.subconfs)))
 
 
-@dataclass(frozen=True)
-class BlobPebbling:
-    host: Dag
-    steps: tuple[BlobConfiguration, ...]
+class BlobPebbling(Value):
+    __slots__ = _fields = ("host", "steps")
+
+    def __init__(self, host: Dag, steps: tuple[BlobConfiguration, ...]):
+        self.host = host
+        self.steps = steps
 
     @property
     def time(self) -> int:
@@ -322,10 +352,16 @@ class BlobPebbling:
 class LabelledPebbling(BlobPebbling):
     """A pebbling of `Subconf`s, checked by the labelled rules."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class LabelledCost(PebblingCost):
-    bound: tuple[int, int]  # tightest (b, w)
+    __slots__ = ("bound",)
+    _fields = ("time", "space", "bound")
+
+    def __init__(self, time: int, space: int, bound: tuple[int, int]):
+        super().__init__(time, space)
+        self.bound = bound  # tightest (b, w)
 
 
 def _subconf_move(g: Dag, prev: frozenset, cur: frozenset, t: int):
@@ -436,11 +472,13 @@ def black_to_labelled(p: BwPebbling) -> LabelledPebbling:
     return LabelledPebbling(host=g, steps=tuple(steps))
 
 
-@dataclass(frozen=True)
-class BoundedSpaceReport:
-    cost: LabelledCost
-    bw_price: int
-    bound_product: int  # b * (w + 1)
+class BoundedSpaceReport(Value):
+    __slots__ = _fields = ("cost", "bw_price", "bound_product")
+
+    def __init__(self, cost: LabelledCost, bw_price: int, bound_product: int):
+        self.cost = cost
+        self.bw_price = bw_price
+        self.bound_product = bound_product  # b * (w + 1)
 
 
 def check_bounded_space_consequence(p: LabelledPebbling, budget=None) -> BoundedSpaceReport:

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
 
 from .boolfunc import BooleanFunction, is_k_nonauthoritarian, prime_implicates
-from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, minimized, neg
+from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, minimized, neg
 from .errors import BudgetExceeded, InternalContractViolation, PeblabError
 from .formulas import base_of_substituted, block_vars, split_substituted, substitute_clause
 from .resolution import Download, ProofBuilder, Refutation, _replay, resolve
@@ -312,10 +311,12 @@ def extract_refutation(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
 # -- property suites ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuiteReport:
-    sample_count: int
-    checks: int
+class SuiteReport(Value):
+    __slots__ = _fields = ("sample_count", "checks")
+
+    def __init__(self, sample_count: int, checks: int):
+        self.sample_count = sample_count
+        self.checks = checks
 
 
 def sample_configurations(
@@ -430,20 +431,25 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
     return SuiteReport(sample_count=len(samples), checks=checks)
 
 
-@dataclass(frozen=True)
-class SpaceRespectRow:
-    config_id: int
-    clause_count: int
-    projected_variables: int
-    within_bound: bool
+class SpaceRespectRow(Value):
+    __slots__ = _fields = ("config_id", "clause_count", "projected_variables", "within_bound")
+
+    def __init__(self, config_id: int, clause_count: int, projected_variables: int, within_bound: bool):
+        self.config_id = config_id
+        self.clause_count = clause_count
+        self.projected_variables = projected_variables
+        self.within_bound = within_bound
 
 
-@dataclass(frozen=True)
-class SpaceRespectReport:
-    rows: tuple[SpaceRespectRow, ...]
-    enforced: bool
-    max_ratio: float
-    violations: tuple[int, ...] = field(default_factory=tuple)
+class SpaceRespectReport(Value):
+    __slots__ = _fields = ("rows", "enforced", "max_ratio", "violations")
+
+    def __init__(self, rows: tuple[SpaceRespectRow, ...], enforced: bool, max_ratio: float,
+                 violations: tuple[int, ...] = ()):
+        self.rows = rows
+        self.enforced = enforced
+        self.max_ratio = max_ratio
+        self.violations = violations
 
     def csv_lines(self):
         yield "config_id,clauses,projected_variables,within_bound"

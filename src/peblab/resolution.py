@@ -20,13 +20,11 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .boolfunc import BooleanFunction
 from .cnf import (
-    Clause, CnfFormula, EMPTY_CLAUSE, Lit, format_lit, is_decimal, minimized, neg, parse_lit,
+    Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, format_lit, is_decimal, minimized, neg, parse_lit,
 )
-from .dag import Dag
 from .errors import (
     BudgetExceeded,
     IllegalStep,
@@ -43,6 +41,10 @@ from .formulas import (
     SUBST_SEP, _generic_canonical, pebbling_axiom, pebbling_contradiction, substitute, substitute_clause,
 )
 
+if TYPE_CHECKING:
+    from .boolfunc import BooleanFunction
+    from .dag import Dag
+
 Term = frozenset[Lit]
 
 
@@ -55,19 +57,27 @@ def _term_lits(t: Term) -> tuple[str, ...]:
     return tuple(sorted(map(format_lit, t)))
 
 
-@dataclass(frozen=True)
-class KDnfLine:
+class KDnfLine(Value):
     """Disjunction of terms; each term a nontrivial conjunction of literals."""
 
-    terms: frozenset[Term] = frozenset()
+    __slots__ = _fields = ("terms",)
 
-    def __post_init__(self):
-        for t in self.terms:
+    def __init__(self, terms: frozenset[Term] = frozenset()):
+        for t in terms:
             if not t:
                 raise ValueError("empty term (constant true) not allowed in a line")
             names = [n for n, _ in t]
             if len(names) != len(set(names)):
                 raise ValueError(f"trivial term {sorted(t)}")
+        self.terms = terms
+
+    def __eq__(self, other):
+        if other.__class__ is not KDnfLine:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash(self.terms)
 
     @classmethod
     def from_clause(cls, c: Clause) -> "KDnfLine":
@@ -98,41 +108,54 @@ EMPTY_LINE = KDnfLine()
 # step kinds ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Download:
-    line: object  # Clause | KDnfLine
+class Download(Value):
+    __slots__ = _fields = ("line",)
+
+    def __init__(self, line):
+        self.line = line  # Clause | KDnfLine
 
 
-@dataclass(frozen=True)
-class Infer:
-    line: object
-    premises: tuple[int, ...]
-    rule: str  # pivot | weaken | cut | andi | ande
-    pivot: str | None = None
-    cut_term: Term | None = None
+class Infer(Value):
+    __slots__ = _fields = ("line", "premises", "rule", "pivot", "cut_term")
+
+    def __init__(self, line, premises: tuple[int, ...], rule: str,
+                 pivot: str | None = None, cut_term: Term | None = None):
+        self.line = line
+        self.premises = premises
+        self.rule = rule  # pivot | weaken | cut | andi | ande
+        self.pivot = pivot
+        self.cut_term = cut_term
 
 
-@dataclass(frozen=True)
-class Erase:
-    target: int
+class Erase(Value):
+    __slots__ = _fields = ("target",)
+
+    def __init__(self, target: int):
+        self.target = target
 
 
-@dataclass(frozen=True)
-class Refutation:
-    target: CnfFormula
-    steps: tuple = ()
-    system: str = "res"  # res | kdnf
-    k: int = 1
+class Refutation(Value):
+    __slots__ = _fields = ("target", "steps", "system", "k")
+
+    def __init__(self, target: CnfFormula, steps: tuple = (), system: str = "res", k: int = 1):
+        self.target = target
+        self.steps = steps
+        self.system = system  # res | kdnf
+        self.k = k
 
 
-@dataclass(frozen=True)
-class Measures:
-    length: int
-    width: int
-    clause_space: int
-    variable_space: int
-    total_space: int
-    formula_space: int
+class Measures(Value):
+    __slots__ = _fields = ("length", "width", "clause_space", "variable_space", "total_space",
+                           "formula_space")
+
+    def __init__(self, length: int, width: int, clause_space: int, variable_space: int,
+                 total_space: int, formula_space: int):
+        self.length = length
+        self.width = width
+        self.clause_space = clause_space
+        self.variable_space = variable_space
+        self.total_space = total_space
+        self.formula_space = formula_space
 
     def __str__(self) -> str:
         return (
@@ -578,10 +601,12 @@ def pebbling_to_refutation(
     return r if f is None else lift_refutation(r, f, budget)
 
 
-@dataclass(frozen=True)
-class SimulationConstants:
-    length_factor: int
-    space_factor: int
+class SimulationConstants(Value):
+    __slots__ = _fields = ("length_factor", "space_factor")
+
+    def __init__(self, length_factor: int, space_factor: int):
+        self.length_factor = length_factor
+        self.space_factor = space_factor
 
 
 _PINNED_CONSTANTS = {

@@ -93,11 +93,15 @@ PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "pebbling", "projections", "res
 
 @pytest.fixture(scope="module")
 def stage_dir(tmp_path_factory):
-    """base.cnf and p.trace of path:3, the inputs of the check, lift and
-    minwidth stages."""
+    """base.cnf and p.trace of path:3, the inputs of the check, lift,
+    minwidth and minspace stages, and their xor:2 lift sub.cnf and
+    sub.trace, the inputs of the extract stage."""
     d = tmp_path_factory.mktemp("stages")
     assert run("compile", "--graph", "path:3", "--out", str(d / "p.trace"),
                "--emit-formula", str(d / "base.cnf")) == 0
+    assert run("lift", "--formula", str(d / "base.cnf"), "--proof", str(d / "p.trace"),
+               "--fn", "xor:2", "--out", str(d / "sub.trace"),
+               "--emit-formula", str(d / "sub.cnf")) == 0
     return d
 
 
@@ -105,12 +109,16 @@ def stage_dir(tmp_path_factory):
     ("graph --family path:1", {"dag"}),
     ("gen --graph path:2 --fn or:2 --out g.cnf", {"dag", "boolfunc", "formulas"}),
     ("pebble-price --graph pyramid:2", {"dag", "pebbling"}),
-    ("check --formula base.cnf --proof p.trace", {"dag", "boolfunc", "formulas", "resolution"}),
+    ("check --formula base.cnf --proof p.trace", {"formulas", "resolution"}),
     ("lift --formula base.cnf --proof p.trace --fn xor:2 --out l.trace",
-     {"dag", "boolfunc", "formulas", "resolution"}),
-    ("minwidth --formula base.cnf --cap 4", {"dag", "boolfunc", "formulas", "resolution"}),
+     {"boolfunc", "formulas", "resolution"}),
+    ("minwidth --formula base.cnf --cap 4", {"formulas", "resolution"}),
     ("compile --graph path:2 --out c.trace",
      {"dag", "boolfunc", "formulas", "pebbling", "resolution"}),
+    ("const-space --graph path:2 --out cs.trace", {"dag", "formulas", "resolution"}),
+    ("minspace --formula base.cnf --cap 4", {"formulas", "pebbling", "resolution"}),
+    ("extract --formula sub.cnf --proof sub.trace --fn xor:2 --out e.trace",
+     {"boolfunc", "formulas", "projections", "resolution"}),
 ])
 def test_command_imports_only_what_it_runs(stage_dir, argv, loaded):
     # Each stage is a fresh process that compiles every module it imports.
@@ -120,7 +128,26 @@ def test_command_imports_only_what_it_runs(stage_dir, argv, loaded):
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stdout.splitlines()[-1].split())
     assert {m.removeprefix("peblab.") for m in modules} & PEBLAB_MODULES == loaded
-    assert not modules & {"concurrent.futures", "csv", "subprocess"}
+    assert not modules & {"concurrent.futures", "csv", "dataclasses", "inspect", "subprocess"}
+
+
+def test_graph_too_large_to_build_is_an_error(tmp_path):
+    # under a 600 MB address-space cap, as a desk machine's share would be
+    cap = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20)); "
+           "from peblab import cli; sys.exit(cli.main(sys.argv[1:]))")
+    for spec in ("tree:30", "pyramid:3000"):
+        proc = run_fresh(["-c", cap, "graph", "--family", spec], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: graph spec '{spec}' has ")
+        assert "Traceback" not in proc.stderr
+
+
+def test_compile_of_a_path_deeper_than_the_recursion_limit_checks(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 200
+    trace, cnf = tmp_path / "p.trace", tmp_path / "p.cnf"
+    assert run("compile", "--graph", f"path:{n}", "--out", str(trace), "--emit-formula", str(cnf)) == 0
+    assert run("check", "--formula", str(cnf), "--proof", str(trace)) == 0
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"ok length={2 * n + 1} ")
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

@@ -127,6 +127,33 @@ def test_parse_family():
             dag.parse_family(spec)
 
 
+@pytest.mark.parametrize("spec, count", [
+    ("tree:30", "has 2147483647 vertices"),
+    ("pyramid:1413", "has 1000405 vertices"),
+    ("pyramid:3000", "has 4504501 vertices"),
+    ("path:1000001", "has more than 1000000 vertices"),
+    ("tree:64", "has more than 1000000 vertices"),
+    pytest.param("pyramid:" + "9" * 4000, "has more than 1000000 vertices", id="pyramid:9*4000"),
+])
+def test_parse_family_refuses_a_family_too_large_to_build(monkeypatch, spec, count):
+    def refuse(size):
+        raise AssertionError(f"built size {size}")
+
+    for kind, (_, vertices) in dag._FAMILIES.items():
+        monkeypatch.setitem(dag._FAMILIES, kind, (refuse, vertices))
+    with pytest.raises(ValueError, match=f"^graph spec '.*' {count}"):
+        dag.parse_family(spec)
+
+
+def test_parse_family_builds_up_to_the_limit(monkeypatch):
+    for kind, (_, vertices) in dag._FAMILIES.items():
+        monkeypatch.setitem(dag._FAMILIES, kind, (lambda size, kind=kind: (kind, size), vertices))
+    # 998,991, 524,287 and 10^6 vertices
+    for spec in ("pyramid:1412", "tree:18", "path:1000000"):
+        kind, size = spec.split(":")
+        assert dag.parse_family(spec) == (kind, int(size))
+
+
 @st.composite
 def random_dags(draw):
     n = draw(st.integers(min_value=1, max_value=8))

@@ -1,3 +1,4 @@
+import sys
 import time
 from collections import deque
 
@@ -115,6 +116,46 @@ class TestGreedy:
     def test_greedy_handles_cross_edges(self):
         g = dag.Dag(["a", "b", "c"], [("a", "b"), ("a", "c"), ("b", "c")])
         pebbling.validate_bw(pebbling.greedy_black_strategy(g), black_only=True)
+
+    @pytest.mark.parametrize("g", CORPUS + [dag.build_pyramid(8)], ids=lambda g: f"{len(g.vertices)}v")
+    def test_greedy_matches_the_recursive_reference(self, g):
+        assert pebbling.greedy_black_strategy(g).steps == recursive_greedy(g)
+
+    @given(random_dags())
+    @settings(max_examples=60, deadline=None)
+    def test_greedy_matches_the_recursive_reference_on_random_dags(self, g):
+        assert pebbling.greedy_black_strategy(g).steps == recursive_greedy(g)
+
+    def test_greedy_pyramid8_move_count(self):
+        assert pebbling.greedy_black_strategy(dag.build_pyramid(8)).time == 1021
+
+    def test_greedy_runs_past_the_recursion_limit(self):
+        n = sys.getrecursionlimit() + 200
+        cost = pebbling.validate_bw(pebbling.greedy_black_strategy(dag.build_path(n)), black_only=True)
+        assert (cost.time, cost.space) == (2 * n - 1, 2)
+
+
+def recursive_greedy(g):
+    """The recursive form of the greedy strategy, the reference for the
+    moves of `greedy_black_strategy`: pebble each unpebbled predecessor
+    in canonical order, then the vertex, then remove those predecessors."""
+    cur = set()
+    steps = [BwConfiguration()]
+
+    def visit(v):
+        placed_here = []
+        for u in g.predecessors(v):
+            if u not in cur:
+                visit(u)
+                placed_here.append(u)
+        cur.add(v)
+        steps.append(BwConfiguration(frozenset(cur)))
+        for u in placed_here:
+            cur.remove(u)
+            steps.append(BwConfiguration(frozenset(cur)))
+
+    visit(g.sink)
+    return tuple(steps)
 
 
 class TestPrices:

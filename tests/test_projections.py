@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import subprocess
@@ -271,8 +270,9 @@ def broken(r: Refutation, how: str) -> Refutation:
     erase = next(i for i, s in enumerate(steps) if isinstance(s, Erase))
     if how == "absent premise":  # the next inference uses the line just erased
         i = next(i for i in range(erase, len(steps)) if isinstance(steps[i], Infer))
-        premises = (steps[erase].target, *steps[i].premises[1:])
-        steps[i] = dataclasses.replace(steps[i], premises=premises)
+        s = steps[i]
+        premises = (steps[erase].target, *s.premises[1:])
+        steps[i] = Infer(s.line, premises, s.rule, pivot=s.pivot, cut_term=s.cut_term)
     elif how == "absent erasure":
         steps[erase + 1] = steps[erase]
     elif how == "non-axiom download":
@@ -281,7 +281,7 @@ def broken(r: Refutation, how: str) -> Refutation:
     else:  # erase the empty clause at the end
         steps.append(Erase(max(i for i, s in enumerate(steps, 1) if isinstance(s, Infer)
                                and s.line == EMPTY_CLAUSE)))
-    return dataclasses.replace(r, steps=tuple(steps))
+    return Refutation(r.target, tuple(steps), system=r.system, k=r.k)
 
 
 @pytest.mark.parametrize("how,error,message", [

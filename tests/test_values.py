@@ -1,0 +1,106 @@
+"""Value semantics of the immutable types built on `cnf.Value`."""
+
+import pytest
+
+from peblab import dag
+from peblab.boolfunc import BooleanFunction
+from peblab.cnf import Clause, CnfFormula, Value
+from peblab.errors import ConstantFunction, TrivialClause
+from peblab.pebbling import (
+    BlobConfiguration, BlobPebbling, BlobSubconf, BoundedSpaceReport, BwConfiguration, BwPebbling,
+    LabelledConfiguration, LabelledCost, LabelledPebbling, PebblingCost, Subconf,
+)
+from peblab.projections import SpaceRespectReport, SpaceRespectRow, SuiteReport
+from peblab.resolution import (
+    Download, Erase, Infer, KDnfLine, Measures, Refutation, SimulationConstants,
+)
+
+G = dag.build_path(2)
+X = Clause(frozenset({("x", True)}))
+ROW = SpaceRespectRow(config_id=0, clause_count=2, projected_variables=1, within_bound=True)
+
+# each type with keyword arguments in constructor order
+VALUES = [
+    (Clause, dict(literals=frozenset({("x", True), ("y", False)}))),
+    (CnfFormula, dict(clauses=frozenset({X}))),
+    (BooleanFunction, dict(arity=2, table=0b0110)),
+    (BwConfiguration, dict(black=frozenset({"v1"}), white=frozenset({"v2"}))),
+    (BwPebbling, dict(host=G, steps=(BwConfiguration(),))),
+    (PebblingCost, dict(time=3, space=2)),
+    (LabelledCost, dict(time=3, space=2, bound=(1, 2))),
+    (BlobSubconf, dict(blob=frozenset({"v1", "v2"}), support=frozenset({"v3"}))),
+    (Subconf, dict(vertex="v2", support=frozenset({"v1"}))),
+    (BlobConfiguration, dict(subconfs=frozenset({BlobSubconf(frozenset({"v1"}))}))),
+    (LabelledConfiguration, dict(subconfs=frozenset({Subconf("v1")}))),
+    (BlobPebbling, dict(host=G, steps=(BlobConfiguration(),))),
+    (LabelledPebbling, dict(host=G, steps=(LabelledConfiguration(),))),
+    (BoundedSpaceReport, dict(cost=LabelledCost(3, 2, (1, 2)), bw_price=2, bound_product=3)),
+    (KDnfLine, dict(terms=frozenset({frozenset({("x", True), ("y", False)})}))),
+    (Download, dict(line=X)),
+    (Infer, dict(line=X, premises=(1, 2), rule="pivot", pivot="y", cut_term=None)),
+    (Erase, dict(target=1)),
+    (Refutation, dict(target=CnfFormula(frozenset({X})), steps=(Download(X),), system="res", k=1)),
+    (Measures, dict(length=1, width=2, clause_space=3, variable_space=4, total_space=5,
+                    formula_space=3)),
+    (SimulationConstants, dict(length_factor=4, space_factor=4)),
+    (SuiteReport, dict(sample_count=3, checks=7)),
+    (SpaceRespectRow, dict(config_id=0, clause_count=2, projected_variables=1, within_bound=True)),
+    (SpaceRespectReport, dict(rows=(ROW,), enforced=True, max_ratio=0.5, violations=())),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs", VALUES, ids=lambda v: getattr(v, "__name__", ""))
+def test_value_semantics(cls, kwargs):
+    by_keyword = cls(**kwargs)
+    by_position = cls(*kwargs.values())
+    assert isinstance(by_keyword, Value)
+    assert by_keyword == by_position and not by_keyword != by_position
+    assert hash(by_keyword) == hash(by_position)
+    assert len({by_keyword, by_position}) == 1
+    assert by_keyword != object() and by_keyword != tuple(kwargs.values())
+    assert not hasattr(by_keyword, "__dict__")
+    if cls is Clause:
+        assert repr(by_keyword) == str(by_keyword) == "x -y"
+    else:
+        assert repr(by_keyword).startswith(f"{cls.__qualname__}(")
+        for name in cls._fields:
+            assert f"{name}=" in repr(by_keyword)
+    for name in cls._fields:
+        assert getattr(by_keyword, name) == getattr(by_position, name)
+
+
+def test_a_changed_field_makes_a_different_value():
+    assert PebblingCost(3, 2) != PebblingCost(3, 3)
+    assert Infer(X, (1, 2), "pivot", pivot="y") != Infer(X, (1, 2), "pivot", pivot="z")
+    assert Refutation(CnfFormula()) != Refutation(CnfFormula(), k=2)
+
+
+@pytest.mark.parametrize("labelled, blob", [
+    (Subconf("v"), BlobSubconf(frozenset({"v"}))),
+    (LabelledConfiguration(frozenset({Subconf("v")})), BlobConfiguration(frozenset({Subconf("v")}))),
+    (LabelledPebbling(G, (LabelledConfiguration(),)), BlobPebbling(G, (LabelledConfiguration(),))),
+    (LabelledCost(3, 2, (1, 1)), PebblingCost(3, 2)),
+], ids=["subconf", "configuration", "pebbling", "cost"])
+def test_subclass_values_differ_from_their_base(labelled, blob):
+    assert labelled != blob and blob != labelled
+    assert len({labelled, blob}) == 2
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Clause(frozenset({("x", True), ("x", False)})), TrivialClause, "both polarities"),
+    (lambda: BwConfiguration(frozenset({"v"}), frozenset({"v"})), ValueError, "doubly pebbled"),
+    (lambda: BlobSubconf(frozenset({"v"}), frozenset({"v", "w"})), ValueError, "overlap"),
+    (lambda: Subconf("v", frozenset({"v"})), ValueError, "overlap"),
+    (lambda: BlobSubconf(frozenset()), ValueError, "blob must be nonempty"),
+    (lambda: KDnfLine(frozenset({frozenset()})), ValueError, "empty term"),
+    (lambda: KDnfLine(frozenset({frozenset({("x", True), ("x", False)})})), ValueError, "trivial term"),
+    (lambda: BooleanFunction(0, 1), ValueError, "arity must be in"),
+    (lambda: BooleanFunction(17, 1), ValueError, "arity must be in"),
+    (lambda: BooleanFunction(1, 4), ValueError, "more bits"),
+    (lambda: BooleanFunction(1, -1), ValueError, "more bits"),
+    (lambda: BooleanFunction(1, 0), ConstantFunction, "constant"),
+    (lambda: BooleanFunction(1, 3), ConstantFunction, "constant"),
+])
+def test_constructor_checks_raise(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
