@@ -35,13 +35,6 @@ class BooleanFunction(Value):
         """f at the assignment with index bits (bit j = input j+1)."""
         return bool((self.table >> index) & 1)
 
-    def evaluate(self, inputs) -> bool:
-        index = 0
-        for j, bit in enumerate(inputs):
-            if bit:
-                index |= 1 << j
-        return self.value(index)
-
     def negated(self) -> "BooleanFunction":
         full = (1 << (1 << self.arity)) - 1
         return BooleanFunction(self.arity, self.table ^ full)

@@ -513,4 +513,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PeblabError, OSError, ValueError) as exc:
         return _fail(str(exc))
+    except MemoryError:  # carries no message
+        return _fail("out of memory")
 

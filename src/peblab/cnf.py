@@ -105,9 +105,6 @@ class Clause(Value):
     def subsumes(self, other: "Clause") -> bool:
         return self.literals <= other.literals
 
-    def union(self, other: "Clause") -> "Clause":
-        return Clause(self.literals | other.literals)
-
     def without(self, literal: Lit) -> "Clause":
         return Clause(self.literals - {literal})
 

@@ -1,5 +1,5 @@
-"""Pebbling contradictions, substitution formulas, 3-CNF conversion,
-the clause-learning SAT oracle, and DIMACS I/O.
+"""Pebbling contradictions, substitution formulas, the clause-learning
+SAT oracle, and DIMACS I/O.
 
 Substituted variables are named x#1..x#d so the mapping back to base
 variables is collision-free and reversible.
@@ -11,7 +11,7 @@ import functools
 import itertools
 from typing import TYPE_CHECKING
 
-from .cnf import Clause, CnfFormula, EMPTY_CLAUSE, Lit, is_decimal, neg  # noqa: F401  (re-exported)
+from .cnf import Clause, CnfFormula, Lit, is_decimal
 from .errors import BudgetExceeded, DimacsError, PeblabError, TrivialClause, search_budget
 
 if TYPE_CHECKING:
@@ -124,49 +124,6 @@ def base_of_substituted(sub_formula: CnfFormula, f: BooleanFunction) -> tuple[Cn
     if substitute(base_formula, f) != sub_formula:
         raise PeblabError("formula is not a full substitution image (incomplete clause blocks)")
     return base_formula, mapping
-
-
-# -- 3-CNF conversion ----------------------------------------------------
-
-
-def extended_3cnf(f_formula: CnfFormula) -> CnfFormula:
-    """Replace every clause of width > 3 by its chain encoding.
-
-    A clause a_1 v ... v a_m becomes  ~y_0, (y_{i-1} v a_i v ~y_i) for
-    i in 1..m, and y_m, with auxiliary variables fresh and unique to the
-    clause.  Equisatisfiable with the input; output width <= 3.
-
-    Auxiliary names extend the lexicographically largest existing name
-    so they sort after every original variable; the SAT oracle then
-    decides original variables first and chain variables propagate.
-    """
-    existing = set(f_formula.variables())
-    prefix = (max(existing) + "_aux") if existing else "aux"
-    while any(v.startswith(prefix) for v in existing):
-        prefix += "a"
-    out = set()
-    for k, c in enumerate(f_formula.sorted_clauses()):
-        if c.width <= 3:
-            out.add(c)
-            continue
-        names = [f"{prefix}{k}_{i}" for i in range(c.width + 1)]
-        out.add(Clause(frozenset({(names[0], False)})))
-        for i, lit in enumerate(c.sorted_literals(), start=1):
-            out.add(Clause(frozenset({(names[i - 1], True), lit, (names[i], False)})))
-        out.add(Clause(frozenset({(names[c.width], True)})))
-    return CnfFormula(frozenset(out))
-
-
-def is_weight_constrained(f_formula: CnfFormula) -> bool:
-    """Every clause of width >= 4 is accompanied by all its ~a_i v ~a_j pairs."""
-    for c in f_formula.clauses:
-        if c.width < 4:
-            continue
-        lits = c.sorted_literals()
-        for a, b in itertools.combinations(lits, 2):
-            if Clause(frozenset({neg(a), neg(b)})) not in f_formula.clauses:
-                return False
-    return True
 
 
 # -- SAT oracle ----------------------------------------------------------

@@ -19,7 +19,6 @@ from .cnf import Value, is_decimal
 from .errors import (
     BudgetExceeded,
     IllegalMove,
-    PeblabError,
     TraceError,
     WhitePebbleInBlackOnly,
     WrongEndpoints,
@@ -470,32 +469,6 @@ def black_to_labelled(p: BwPebbling) -> LabelledPebbling:
             cur.remove(Subconf(v))
             snapshot()
     return LabelledPebbling(host=g, steps=tuple(steps))
-
-
-class BoundedSpaceReport(Value):
-    __slots__ = _fields = ("cost", "bw_price", "bound_product")
-
-    def __init__(self, cost: LabelledCost, bw_price: int, bound_product: int):
-        self.cost = cost
-        self.bw_price = bw_price
-        self.bound_product = bound_product  # b * (w + 1)
-
-
-def check_bounded_space_consequence(p: LabelledPebbling, budget=None) -> BoundedSpaceReport:
-    """Check the testable consequences of the L-to-black-white simulation:
-    BW-Peb(host) <= space(p), and space(p) <= b(w+1) for the tightest (b,w)."""
-    cost = validate_labelled(p)
-    price = optimal_bw_price(p.host, budget)
-    product = cost.bound[0] * (cost.bound[1] + 1)
-    if price > cost.space:
-        raise PeblabError(
-            f"bounded-space consequence violated: BW-Peb={price} > space {cost.space}"
-        )
-    if cost.space > product:
-        raise PeblabError(
-            f"bounded-space consequence violated: space {cost.space} > b(w+1)={product}"
-        )
-    return BoundedSpaceReport(cost=cost, bw_price=price, bound_product=product)
 
 
 def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:

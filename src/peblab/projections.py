@@ -25,6 +25,10 @@ from .resolution import Download, ProofBuilder, Refutation, _replay, resolve
 
 _VAR_CAP = 24  # truth tables enumerate 2^(d * |base vars|) assignments
 _LOCAL_CAP = 12  # local_projection_variables enumerates 2^|D| subsets
+# the shape of a sample_configurations configuration
+_SAMPLE_CLAUSES = 8
+_SAMPLE_BASE_VARS = 4
+_SAMPLE_WIDTH = 4
 
 
 def _repeating_mask(position: int, total: int) -> int:
@@ -200,9 +204,13 @@ def projected_sequence(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
     plus the per-step downloaded base axiom (None otherwise).  r_f is
     checked as it is replayed, so an illegal step raises as in
     `check_refutation`."""
+    return _projected_sequence(r_f, f, use_local, base_of_substituted(r_f.target, f)[1])
+
+
+def _projected_sequence(r_f: Refutation, f: BooleanFunction, use_local: bool, axiom_map):
+    # axiom_map: the substituted-to-base clause map of base_of_substituted(r_f.target, f)
     if r_f.system != "res":
         raise PeblabError("projections are computed for resolution refutations only")
-    _base, axiom_map = base_of_substituted(r_f.target, f)
     projector = local_project if use_local else project
     out = [(frozenset(), None)]
     for step, line, _, config in _replay(r_f, False):
@@ -227,8 +235,8 @@ def extract_refutation(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
     with the downloaded base axiom.  Downloads at most one base axiom
     per download of r_f.  r_f is checked by the replay that projects it.
     """
-    base, _axiom_map = base_of_substituted(r_f.target, f)
-    sequence = projected_sequence(r_f, f, use_local)
+    base, axiom_map = base_of_substituted(r_f.target, f)
+    sequence = _projected_sequence(r_f, f, use_local, axiom_map)
     b = ProofBuilder(base)
     prev: frozenset[Clause] = frozenset()
 
@@ -319,40 +327,21 @@ class SuiteReport(Value):
         self.checks = checks
 
 
-def sample_configurations(
-    f: BooleanFunction,
-    count: int,
-    seed: int,
-    max_clauses: int = 8,
-    max_base_vars: int = 4,
-    max_width: int = 4,
-):
+def sample_configurations(f: BooleanFunction, count: int, seed: int):
     """Seeded random configurations over substituted variables."""
     rng = random.Random(seed)
-    names = [chr(ord("p") + i) for i in range(max_base_vars)]
+    names = [chr(ord("p") + i) for i in range(_SAMPLE_BASE_VARS)]
     universe = [v for x in names for v in block_vars(x, f.arity)]
     out = []
     for _ in range(count):
-        nclauses = rng.randint(1, max_clauses)
+        nclauses = rng.randint(1, _SAMPLE_CLAUSES)
         config = set()
         for _ in range(nclauses):
-            width = rng.randint(1, min(max_width, len(universe)))
+            width = rng.randint(1, min(_SAMPLE_WIDTH, len(universe)))
             chosen = rng.sample(universe, width)
             config.add(Clause(frozenset((v, rng.random() < 0.5) for v in chosen)))
         out.append(sorted(config, key=Clause.sort_key))
     return out
-
-
-def _check_complete(world, dmask, candidates, projection) -> int:
-    checks = 0
-    for cand, mask in candidates:
-        checks += 1
-        if world.implies(dmask, mask):
-            if not any(p.subsumes(cand) for p in projection):
-                raise InternalContractViolation(
-                    f"completeness failed: ({cand}) implied but not weakening-derivable"
-                )
-    return checks
 
 
 def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteReport:
@@ -371,15 +360,11 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
         base_vars = _mentioned_base_vars(d)
         world = ProjectionWorld(base_vars, f)
         dmask = world.config_mask(d)
-        proj = project(d, f)
-        lproj = local_project(d, f)
-
         # the reference: every candidate clause, by brute force
         candidates = [(c, world.disjunction_mask(c)) for c in _candidate_clauses(base_vars)]
-        checks += _check_complete(world, dmask, candidates, proj)
-        checks += _check_complete(world, dmask, candidates, lproj)
 
         # monotone: strengthen D with an implied clause
+        implied = None
         if d and base_vars:
             extra_lits = set(d[rng.randrange(len(d))].literals)
             pool = [v for v in world.sub_vars if v not in {n for n, _ in extra_lits}]
@@ -387,45 +372,43 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
                 v = rng.choice(pool)
                 extra_lits.add((v, rng.random() < 0.5))
             implied = Clause(frozenset(extra_lits))
-            stronger = d + [implied]
-            sproj = project(stronger, f)
-            for c in proj:
-                checks += 1
-                if not any(p.subsumes(c) for p in sproj):
-                    raise InternalContractViolation(
-                        f"monotonicity failed for ({c}) after adding ({implied})"
-                    )
-            slproj = local_project(stronger, f)
-            for c in lproj:
-                checks += 1
-                if not any(p.subsumes(c) for p in slproj):
-                    raise InternalContractViolation(
-                        f"local monotonicity failed for ({c})"
-                    )
 
         # incrementally sound: add an encoding of a random base axiom
+        axiom = None
         if base_vars:
             width = rng.randint(1, len(base_vars))
             chosen = rng.sample(list(base_vars), width)
             axiom = Clause(frozenset((x, rng.random() < 0.5) for x in chosen))
             encodings = sorted(substitute_clause(axiom, f), key=Clause.sort_key)
             line = encodings[rng.randrange(len(encodings))]
-            bigger = d + [line]
-            for projector in ("plain", "local"):
-                if projector == "plain":
-                    after = project(bigger, f)
-                    before = proj
-                else:
-                    after = local_project(bigger, f)
-                    before = lproj
-                for c in after:
+
+        for name, projector in (("plain", project), ("local", local_project)):
+            proj = projector(d, f)
+            for cand, mask in candidates:
+                checks += 1
+                if world.implies(dmask, mask) and not any(p.subsumes(cand) for p in proj):
+                    raise InternalContractViolation(
+                        f"completeness failed: ({cand}) implied but not weakening-derivable "
+                        f"({name} projection)"
+                    )
+            if implied is not None:
+                stronger = projector(d + [implied], f)
+                for c in proj:
+                    checks += 1
+                    if not any(p.subsumes(c) for p in stronger):
+                        raise InternalContractViolation(
+                            f"monotonicity failed for ({c}) after adding ({implied}) "
+                            f"({name} projection)"
+                        )
+            if axiom is not None:
+                for c in projector(d + [line], f):
                     for lit in axiom.literals - c.literals:
                         checks += 1
                         want = Clause(frozenset({neg(lit)}) | c.literals)
-                        if not any(p.subsumes(want) for p in before):
+                        if not any(p.subsumes(want) for p in proj):
                             raise InternalContractViolation(
                                 f"incremental soundness failed: ({want}) not derivable "
-                                f"({projector} projection)"
+                                f"({name} projection)"
                             )
 
     return SuiteReport(sample_count=len(samples), checks=checks)

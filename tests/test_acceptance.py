@@ -217,7 +217,7 @@ def test_criterion_6_substitution_lift_bounds(announce):
 
 
 def test_criterion_7_projection_suite(announce):
-    samples = projections.sample_configurations(XOR2, 200, seed=7, max_clauses=8, max_base_vars=4)
+    samples = projections.sample_configurations(XOR2, 200, seed=7)
     assert len(samples) == 200
     suite = projections.projection_axiom_suite(XOR2, samples, seed=7)
     assert suite.sample_count == 200

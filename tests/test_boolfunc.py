@@ -112,6 +112,5 @@ def test_function_literals():
 
 def test_evaluate_conventions():
     f = boolfunc.threshold_fn(3, 2)
-    assert f.evaluate((True, True, False))
-    assert not f.evaluate((True, False, False))
     assert f.value(0b011)
+    assert not f.value(0b001)

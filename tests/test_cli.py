@@ -142,6 +142,17 @@ def test_graph_too_large_to_build_is_an_error(tmp_path):
         assert "Traceback" not in proc.stderr
 
 
+def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
+    def exhausted(spec):
+        raise MemoryError
+
+    monkeypatch.setattr(dag, "parse_family", exhausted)
+    assert run("graph", "--family", "path:1000000") == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory\n"
+    assert "Traceback" not in err
+
+
 def test_compile_of_a_path_deeper_than_the_recursion_limit_checks(tmp_path, capsys):
     n = sys.getrecursionlimit() + 200
     trace, cnf = tmp_path / "p.trace", tmp_path / "p.cnf"

@@ -42,7 +42,6 @@ def test_subsume_union_without():
     c = clause("a b")
     assert c.subsumes(clause("a b -c"))
     assert not c.subsumes(clause("a -b"))
-    assert c.union(clause("-c")) == clause("a b -c")
     assert c.without(("a", True)) == clause("b")
 
 

@@ -89,41 +89,6 @@ def test_base_of_substituted_roundtrip():
         formulas.base_of_substituted(sub, OR2)
 
 
-def test_extended_3cnf_passthrough_and_chain():
-    narrow = formula(["a b", "-a c"])
-    assert formulas.extended_3cnf(narrow) == narrow
-    wide = formula(["a b c d"])
-    ext = formulas.extended_3cnf(wide)
-    assert ext.width <= 3
-    assert len(ext.clauses) == 6
-    assert formulas.brute_force_sat(ext) is not None
-    # chain structure: unit -aux0, four links, unit aux4
-    units = [c for c in ext.clauses if c.width == 1]
-    assert len(units) == 2
-
-
-def test_extended_3cnf_equisatisfiable():
-    F = formulas.substitute(formulas.pebbling_contradiction(dag.build_pyramid(2)), XOR2)
-    ext = formulas.extended_3cnf(F)
-    assert ext.width <= 3
-    assert formulas.brute_force_sat(ext) is None
-    # removing the whole sink block flips both to SAT
-    sat = CnfFormula(frozenset(
-        c for c in F.clauses if not c.variables() <= {"z#1", "z#2"}
-    ))
-    assert formulas.brute_force_sat(formulas.extended_3cnf(sat)) is not None
-
-
-def test_weight_constrained():
-    assert formulas.is_weight_constrained(formula(["a b c"]))
-    assert not formulas.is_weight_constrained(formula(["a b c d"]))
-    closure = ["a b c d"] + [
-        f"-{x} -{y}" for x, y in
-        (("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d"))
-    ]
-    assert formulas.is_weight_constrained(formula(closure))
-
-
 def test_brute_force_sat_examples():
     assert formulas.brute_force_sat(formula(["x"])) == {"x": True}
     peb = formulas.pebbling_contradiction(dag.build_pyramid(2))
@@ -353,14 +318,6 @@ def small_formulas(draw, max_vars=5, max_clauses=6, max_width=None):
 @settings(max_examples=60, deadline=None)
 def test_dimacs_roundtrip_random(F):
     assert formulas.from_dimacs(formulas.to_dimacs(F)) == F
-
-
-@given(small_formulas())
-@settings(max_examples=40, deadline=None)
-def test_extended_3cnf_equisatisfiable_random(F):
-    ext = formulas.extended_3cnf(F)
-    assert ext.width <= 3
-    assert (formulas.brute_force_sat(F) is None) == (formulas.brute_force_sat(ext) is None)
 
 
 @given(small_formulas())

@@ -393,8 +393,9 @@ class TestLabelled:
     def test_bounded_space_consequence(self, pyr2):
         for g in (dag.build_path(3), pyr2):
             lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(g))
-            report = pebbling.check_bounded_space_consequence(lp)
-            assert report.bw_price <= report.cost.space <= report.bound_product
+            cost = pebbling.validate_labelled(lp)
+            b, w = cost.bound
+            assert pebbling.optimal_bw_price(g) <= cost.space <= b * (w + 1)
 
     def test_no_op_step_rejected(self):
         g = dag.build_path(1)

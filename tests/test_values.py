@@ -7,7 +7,7 @@ from peblab.boolfunc import BooleanFunction
 from peblab.cnf import Clause, CnfFormula, Value
 from peblab.errors import ConstantFunction, TrivialClause
 from peblab.pebbling import (
-    BlobConfiguration, BlobPebbling, BlobSubconf, BoundedSpaceReport, BwConfiguration, BwPebbling,
+    BlobConfiguration, BlobPebbling, BlobSubconf, BwConfiguration, BwPebbling,
     LabelledConfiguration, LabelledCost, LabelledPebbling, PebblingCost, Subconf,
 )
 from peblab.projections import SpaceRespectReport, SpaceRespectRow, SuiteReport
@@ -34,7 +34,6 @@ VALUES = [
     (LabelledConfiguration, dict(subconfs=frozenset({Subconf("v1")}))),
     (BlobPebbling, dict(host=G, steps=(BlobConfiguration(),))),
     (LabelledPebbling, dict(host=G, steps=(LabelledConfiguration(),))),
-    (BoundedSpaceReport, dict(cost=LabelledCost(3, 2, (1, 2)), bw_price=2, bound_product=3)),
     (KDnfLine, dict(terms=frozenset({frozenset({("x", True), ("y", False)})}))),
     (Download, dict(line=X)),
     (Infer, dict(line=X, premises=(1, 2), rule="pivot", pivot="y", cut_term=None)),
