@@ -46,13 +46,14 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _emit_proof(args, r) -> int:
-    """Write r's trace and, with --emit-formula, its target; check r and
-    report its measures on stderr."""
+    """Check r; then write its trace and, with --emit-formula, its target,
+    and report its measures on stderr.  A proof the checker rejects
+    leaves no file behind."""
     from . import formulas, resolution
+    m = resolution.check_refutation(r)
     _write(args.out, resolution.serialize_refutation(r))
     if args.emit_formula:
         _write(args.emit_formula, formulas.to_dimacs(r.target))
-    m = resolution.check_refutation(r)
     print(f"ok {m}", file=sys.stderr)
     return 0
 

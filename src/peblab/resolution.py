@@ -12,7 +12,11 @@ directly, and a compiled refutation of Peb_G[f] is the lift of the
 compiled refutation of Peb_G.  A lift replays one fixed template per
 function for each resolution step, so no builder searches.  The width
 oracle is one saturation pass; the clause-space oracle is
-`space_bounded_search`.
+`space_bounded_search`.  Within one call, lift, the builder, the trace
+reader and writer and the replay keep per-proof tables, so a line or
+inference that recurs (a pebbling re-pebbles, so its refutation
+re-derives) is built, formatted, read or checked once; a table keeps
+only what occurs twice or more, and dies with the call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+from collections import Counter
 from typing import TYPE_CHECKING
 
 from .cnf import (
@@ -208,6 +213,12 @@ def _lines_imply(premises, conclusion) -> bool | None:
 # -- the checker --------------------------------------------------------------
 
 
+def _recurring(items) -> set:
+    """The items that occur more than once: what a per-proof table keeps,
+    so a proof without repeats builds no table."""
+    return {item for item, n in Counter(items).items() if n > 1}
+
+
 def _check_kdnf_rule(step: Infer, premises: list, k: int, idx: int) -> None:
     line = step.line
     if not isinstance(line, KDnfLine):
@@ -294,7 +305,9 @@ def _replay(r: Refutation, semantic_check: bool):
     a set to read before the next step.  Raises IllegalStep at the first
     illegal step and MissingBottom after the last if the empty line is
     absent.  The one reading of a proof: check, lift and projection all
-    replay through it."""
+    replay through it.  An inference whose line, rule, pivot, cut term
+    and premise lines equal those of an earlier legal one is not checked
+    again."""
     if r.system not in ("res", "kdnf"):
         raise ValueError(f"unknown proof system {r.system!r}")
     kdnf = r.system == "kdnf"
@@ -306,6 +319,9 @@ def _replay(r: Refutation, semantic_check: bool):
         bottom = EMPTY_CLAUSE
     lines_by_id: dict[int, object] = {}
     config: set = set()
+    # an inference can recur only if its line does; the legal ones of those are kept
+    recurring = _recurring(s.line for s in r.steps if isinstance(s, (Download, Infer)))
+    legal: set[tuple] = set()
     for idx, step in enumerate(r.steps, start=1):
         premises = []
         if isinstance(step, Erase):
@@ -327,12 +343,18 @@ def _replay(r: Refutation, semantic_check: bool):
                     if value not in config:
                         raise IllegalStep(idx, f"premise ({value}) not in the current configuration")
                     premises.append(value)
-                if kdnf:
-                    _check_kdnf_rule(step, premises, r.k, idx)
-                else:
-                    _check_res_rule(step, premises, idx)
-                if semantic_check and _lines_imply(premises, step.line) is False:
-                    raise IllegalStep(idx, "inference is not semantically sound")
+                key = None
+                if step.line in recurring:
+                    key = (step.line, step.rule, step.pivot, step.cut_term, *premises)
+                if key is None or key not in legal:
+                    if kdnf:
+                        _check_kdnf_rule(step, premises, r.k, idx)
+                    else:
+                        _check_res_rule(step, premises, idx)
+                    if semantic_check and _lines_imply(premises, step.line) is False:
+                        raise IllegalStep(idx, "inference is not semantically sound")
+                    if key is not None:
+                        legal.add(key)
             else:
                 raise IllegalStep(idx, f"unknown step {step!r}")
             line = lines_by_id[idx] = step.line
@@ -354,7 +376,9 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
     The measures are kept incrementally: a per-variable occurrence count
     over the present lines and a running literal total change only when
     a line enters or leaves the configuration, so each step costs
-    O(step width), not O(configuration).
+    O(step width), not O(configuration).  A clause's variables are read
+    straight off its literals, which name each variable once, so no step
+    builds a set.
     """
     kdnf = r.system == "kdnf"
     occurrences: dict[str, int] = {}  # variable -> number of present lines mentioning it
@@ -366,9 +390,12 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
     total_space = 0
     size = 0  # lines present before the step
     for step, line, _, config in _replay(r, kdnf if semantic_check is None else semantic_check):
-        line_width = line.literal_count() if kdnf else line.width
+        if kdnf:  # one (variable, _) pair per variable: terms may share one
+            line_width, pairs = line.literal_count(), [(v, None) for v in line.variables()]
+        else:
+            line_width, pairs = len(line.literals), line.literals
         if isinstance(step, Erase):
-            for v in line.variables():
+            for v, _ in pairs:
                 if occurrences[v] == 1:
                     del occurrences[v]
                 else:
@@ -377,7 +404,7 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
         else:
             length += 1
             if len(config) > size:  # the line entered; a re-derived one is already counted
-                for v in line.variables():
+                for v, _ in pairs:
                     occurrences[v] = occurrences.get(v, 0) + 1
                 literals += line_width
                 width = max(width, line_width)
@@ -400,7 +427,9 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
 
 class ProofBuilder:
     """Accumulates steps; tracks which line ids are currently present.
-    Each method but `erase` returns the line its step adds."""
+    Each method but `erase` returns the line its step adds.  Equal lines
+    are one object across the steps, and each resolvent is computed once
+    per (premise, premise, pivot)."""
 
     def __init__(self, target: CnfFormula, system: str = "res", k: int = 1):
         self.target = target
@@ -408,38 +437,44 @@ class ProofBuilder:
         self.k = k
         self.steps: list = []
         self._ids: dict[object, int] = {}  # present line value -> latest step id
+        self._lines: dict = {}  # line value -> the one object that stands for it
+        self._resolvents: dict[tuple[Clause, Clause, str], Clause] = {}
 
-    def _add(self, step):
-        """Append `step` and return the line it adds."""
-        self.steps.append(step)
-        self._ids[step.line] = len(self.steps)
-        return step.line
+    def _add(self, kind, line, *args, **kwargs):
+        """Append a `kind` step that adds `line` and return the line."""
+        line = self._lines.setdefault(line, line)
+        self.steps.append(kind(line, *args, **kwargs))
+        self._ids[line] = len(self.steps)
+        return line
 
     def has(self, line) -> bool:
         return line in self._ids
 
     def download(self, line):
-        return self._add(Download(line))
+        return self._add(Download, line)
 
     def infer_resolve(self, c1: Clause, c2: Clause, pivot: str) -> Clause:
-        result = resolve(c1, c2, pivot)
-        return self._add(Infer(result, (self._ids[c1], self._ids[c2]), "pivot", pivot=pivot))
+        known = self._resolvents.get((c1, c2, pivot))
+        line = self._add(Infer, resolve(c1, c2, pivot) if known is None else known,
+                         (self._ids[c1], self._ids[c2]), "pivot", pivot=pivot)
+        if known is None:  # keyed by the shared premises, so it keeps no copy alive
+            self._resolvents[self._lines[c1], self._lines[c2], pivot] = line
+        return line
 
     def weaken(self, source: Clause, result: Clause) -> Clause:
-        return self._add(Infer(result, (self._ids[source],), "weaken"))
+        return self._add(Infer, result, (self._ids[source],), "weaken")
 
     def cut(self, p1: KDnfLine, p2: KDnfLine, cut_term: Term, result: KDnfLine) -> KDnfLine:
-        return self._add(Infer(result, (self._ids[p1], self._ids[p2]), "cut", cut_term=cut_term))
+        return self._add(Infer, result, (self._ids[p1], self._ids[p2]), "cut", cut_term=cut_term)
 
     def andi(self, p1: KDnfLine, p2: KDnfLine, result: KDnfLine) -> KDnfLine:
-        return self._add(Infer(result, (self._ids[p1], self._ids[p2]), "andi"))
+        return self._add(Infer, result, (self._ids[p1], self._ids[p2]), "andi")
 
     def ande(self, p: KDnfLine, result: KDnfLine) -> KDnfLine:
-        return self._add(Infer(result, (self._ids[p],), "ande"))
+        return self._add(Infer, result, (self._ids[p],), "ande")
 
     def erase(self, line) -> None:
-        self.steps.append(Erase(self._ids[line]))
-        del self._ids[line]
+        self.steps.append(Erase(self._ids.pop(line)))
 
     def build(self) -> Refutation:
         return Refutation(target=self.target, steps=tuple(self.steps),
@@ -715,58 +750,89 @@ def lift_refutation(
         raise BudgetExceeded(bound, limit, "lift", unit="lifted lines")
 
     sides: list[int] = []  # per template line: 1 from f's axioms, 2 from not-f's, 3 both
+    inferences: list[tuple[int, int, int]] = []  # (line, premise line, premise line)
     last_use: dict[int, int] = {}
     for k, s in enumerate(template.steps):
         if isinstance(s, Download):
             sides.append(1 if s.line in f_axioms else 2)
         else:
-            sides.append(sides[s.premises[0] - 1] | sides[s.premises[1] - 1])
-            last_use.update((i - 1, k) for i in s.premises)
+            i, j = s.premises[0] - 1, s.premises[1] - 1
+            sides.append(sides[i] | sides[j])
+            inferences.append((k, i, j))
+            last_use[i] = last_use[j] = k
 
     def base(lit: Lit) -> str:
         return lit[0].rpartition(SUBST_SEP)[0]
 
+    @functools.lru_cache(maxsize=None)
+    def block(x: str) -> tuple[list[Term], list[str | None]]:
+        """The template's lines and pivots on x's block, built once per pivot."""
+        return ([frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line.literals)
+                 for s in template.steps],
+                [f"{x}{SUBST_SEP}{s.pivot}" if isinstance(s, Infer) else None for s in template.steps])
+
+    def derivations(step, c: Clause, premises: list):
+        """Yield each clause t of c's image, sorted, with what derives it:
+        None for a download, the premise image's clause that t extends for
+        a weakening, and the template's lines on the pivot's block with
+        t's literals attached for a resolution."""
+        targets = sorted(substitute_clause(c, f), key=Clause.sort_key)
+        if isinstance(step, Download):
+            yield from ((t, None) for t in targets)
+        elif step.rule == "weaken":
+            kept = premises[0].variables()
+            for t in targets:
+                yield t, Clause(frozenset(l for l in t.literals if base(l) in kept))
+        else:
+            x = step.pivot
+            on_block = block(x)[0]
+            left = premises[0].variables() - {x}
+            right = premises[1].variables() - {x}
+            for t in targets:
+                attached = {1: frozenset(l for l in t.literals if base(l) in left),
+                            2: frozenset(l for l in t.literals if base(l) in right),
+                            3: t.literals}  # by sides: P', Q', both
+                yield t, [Clause(line | attached[side]) for line, side in zip(on_block, sides)]
+
+    # A step's derivations depend only on (c, premise lines, pivot): keep
+    # them for each such key that occurs twice or more, and build the
+    # others one image clause at a time.
+    keys = [None if isinstance(step, Erase) else (c, *premises, step.pivot) if isinstance(step, Infer) else c
+            for step, c, premises, _ in replay]
+    repeated = _recurring(keys)
+    plans: dict = {}
+
     b = ProofBuilder(substitute(r.target, f))
     images: dict[Clause, list[Clause]] = {}  # present base clause -> its image, sorted
-    for step, c, premises, _ in replay:
+    for (step, c, premises, _), key in zip(replay, keys):
         if isinstance(step, Erase):
             for d in images.pop(c):
                 b.erase(d)
             continue
         if c in images:
             continue
-        targets = images[c] = sorted(substitute_clause(c, f), key=Clause.sort_key)
-        if isinstance(step, Download):
-            for d in targets:
-                b.download(d)
-        elif step.rule == "weaken":
-            kept = premises[0].variables()
-            for t in targets:
-                b.weaken(Clause(frozenset(l for l in t.literals if base(l) in kept)), t)
-        else:
-            x = step.pivot
-            left = premises[0].variables() - {x}
-            right = premises[1].variables() - {x}
-            on_block = [frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line.literals)
-                        for s in template.steps]
-            for t in targets:
-                attached = {1: frozenset(l for l in t.literals if base(l) in left),
-                            2: frozenset(l for l in t.literals if base(l) in right),
-                            3: t.literals}  # by sides: P', Q', both
-                lifted: list[Clause] = []
+        plan = plans.get(key)
+        if plan is None:
+            plan = derivations(step, c, premises)
+            if key in repeated:
+                plan = plans[key] = list(plan)
+        image = images[c] = []
+        for t, derivation in plan:
+            image.append(t)
+            if isinstance(step, Download):
+                b.download(t)
+            elif step.rule == "weaken":
+                b.weaken(derivation, t)
+            else:
+                pivots = block(step.pivot)[1]
                 derived: set[int] = set()
-                for k, s in enumerate(template.steps):
-                    line = Clause(on_block[k] | attached[sides[k]])
-                    lifted.append(line)
-                    if isinstance(s, Download):
-                        continue
-                    i, j = s.premises[0] - 1, s.premises[1] - 1
-                    if not b.has(line):
-                        b.infer_resolve(lifted[i], lifted[j], f"{x}{SUBST_SEP}{s.pivot}")
+                for k, i, j in inferences:
+                    if not b.has(derivation[k]):
+                        b.infer_resolve(derivation[i], derivation[j], pivots[k])
                         derived.add(k)
                     for premise in (i, j):
                         if last_use[premise] == k and premise in derived:
-                            b.erase(lifted[premise])
+                            b.erase(derivation[premise])
     return b.build()
 
 
@@ -837,39 +903,59 @@ def _format_term(lits: tuple[str, ...]) -> str:
 
 def serialize_refutation(r: Refutation) -> str:
     lines = [f"system {r.system}" if r.system == "res" else f"system kdnf {r.k}"]
+    recurring = _recurring(s.line for s in r.steps if isinstance(s, (Download, Infer)))
+    texts: dict = {}  # recurring line -> its text, formatted once
     for step in r.steps:
-        if isinstance(step, Download):
-            lines.append(f"d {_format_line(step.line)}".rstrip())
-        elif isinstance(step, Erase):
+        if isinstance(step, Erase):
             lines.append(f"e {step.target}")
-        elif step.rule in ("pivot", "cut", "andi", "ande", "weaken"):
-            words = ["w" if step.rule == "weaken" else "r", _format_line(step.line), "<-",
-                     *map(str, step.premises)]
-            if step.rule != "weaken":
-                words.append(step.rule)
-            if step.rule == "pivot":
-                words.append(step.pivot)
-            elif step.rule == "cut":
-                words.append(_format_term(_term_lits(step.cut_term)))
-            lines.append(" ".join(filter(None, words)))  # an empty line is no word
-        else:
+            continue
+        if not isinstance(step, Download) and step.rule not in ("pivot", "cut", "andi", "ande", "weaken"):
             raise ValueError(f"cannot serialize step {step!r}")
-    return "\n".join(lines) + "\n"
+        if step.line not in recurring:
+            text = _format_line(step.line)
+        elif step.line in texts:
+            text = texts[step.line]
+        else:
+            text = texts[step.line] = _format_line(step.line)
+        if isinstance(step, Download):
+            lines.append(f"d {text}".rstrip())
+            continue
+        words = ["w" if step.rule == "weaken" else "r", text, "<-", *map(str, step.premises)]
+        if step.rule != "weaken":
+            words.append(step.rule)
+        if step.rule == "pivot":
+            words.append(step.pivot)
+        elif step.rule == "cut":
+            words.append(_format_term(_term_lits(step.cut_term)))
+        lines.append(" ".join(filter(None, words)))  # an empty line is no word
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
-def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int):
-    if kdnf:
-        terms = frozenset(term(tok[1:-1]) if tok.startswith("(") and tok.endswith(")")
-                          else frozenset({parse_lit(tok)}) for tok in tokens)
-        lits = frozenset().union(*terms)
-    else:
-        lits = frozenset(map(parse_lit, tokens))
-    if any(not name for name, _ in lits):
-        raise TraceError("a literal has an empty variable name", line=lineno)
-    try:
-        return KDnfLine(terms) if kdnf else Clause(lits)
-    except (TrivialClause, ValueError) as e:
-        raise TraceError(str(e), line=lineno) from None
+def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
+    """The line `tokens` write.  `tables` is (literal or term by token,
+    line by literal or term set) for one parse, so each distinct token
+    is read once and each distinct line is checked and built once."""
+    atoms, lines = ({}, {}) if tables is None else tables
+    for tok in tokens:
+        if tok in atoms:
+            continue
+        if not kdnf:
+            atoms[tok] = parse_lit(tok)
+        elif tok.startswith("(") and tok.endswith(")"):
+            atoms[tok] = term(tok[1:-1])
+        else:
+            atoms[tok] = frozenset({parse_lit(tok)})
+    key = frozenset(map(atoms.__getitem__, tokens))
+    if key not in lines:
+        lits = frozenset().union(*key) if kdnf else key
+        if any(not name for name, _ in lits):
+            raise TraceError("a literal has an empty variable name", line=lineno)
+        try:
+            lines[key] = KDnfLine(key) if kdnf else Clause(key)
+        except (TrivialClause, ValueError) as e:
+            raise TraceError(str(e), line=lineno) from None
+    return lines[key]
 
 
 def _is_count(tok: str) -> bool:
@@ -881,6 +967,13 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
     system = None
     k = 1
     steps: list = []
+    tables = ({}, {})  # see `_parse_line_tokens`
+
+    def ref(tok):
+        if not _is_count(tok):
+            raise TraceError(f"bad step reference {tok!r}", line=lineno)
+        return int(tok)
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # whole-line comments only: substituted variable names contain '#'
         line = raw.strip()
@@ -900,14 +993,8 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
             continue
         kdnf = system == "kdnf"
         op = fields[0]
-
-        def ref(tok):
-            if not _is_count(tok):
-                raise TraceError(f"bad step reference {tok!r}", line=lineno)
-            return int(tok)
-
         if op == "d":
-            steps.append(Download(_parse_line_tokens(fields[1:], kdnf, lineno)))
+            steps.append(Download(_parse_line_tokens(fields[1:], kdnf, lineno, tables)))
         elif op == "e":
             if len(fields) != 2:
                 raise TraceError(f"bad erase {raw!r}", line=lineno)
@@ -916,7 +1003,7 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
             if "<-" not in fields:
                 raise TraceError(f"missing '<-' in {raw!r}", line=lineno)
             arrow = fields.index("<-")
-            line_val = _parse_line_tokens(fields[1:arrow], kdnf, lineno)
+            line_val = _parse_line_tokens(fields[1:arrow], kdnf, lineno, tables)
             rest = fields[arrow + 1:]
             if op == "w":
                 if len(rest) != 1:

@@ -275,6 +275,19 @@ def test_check_rejects_tampered_trace(tmp_path, capsys):
     assert run("check", "--formula", str(base), "--proof", str(proof)) == 1
 
 
+def test_compile_writes_nothing_for_a_proof_the_checker_rejects(tmp_path, capsys, monkeypatch):
+    def broken(g, p, f=None, budget=None):
+        r = resolution.constant_space_refutation(g)
+        return resolution.Refutation(r.target, (*r.steps, resolution.Erase(1)))  # erased already
+
+    monkeypatch.setattr(resolution, "pebbling_to_refutation", broken)
+    proof, base = tmp_path / "c.trace", tmp_path / "c.cnf"
+    assert run("compile", "--graph", "path:3", "--out", str(proof), "--emit-formula", str(base)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: step ") and err.endswith(": erasing (-v3) which is not present\n")
+    assert not proof.exists() and not base.exists()
+
+
 def test_check_kdnf_trace(tmp_path, capsys):
     from test_resolution import handcrafted_kdnf_refutation
 

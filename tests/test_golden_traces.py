@@ -54,6 +54,21 @@ def test_lifted_constant_space_refutation_pyramid4_xor2():
     )
 
 
+@pytest.mark.parametrize("g,f,digest", [
+    (dag.build_binary_tree(3), boolfunc.or_fn(2),
+     "fea9eba866ec4c2a1b5fae7b7d06d0a5bfc59287a6ae3df28073fb169c4adb20"),
+    (dag.build_binary_tree(3), boolfunc.majority_fn(3),
+     "5cfba44106a172a4b2d8e40a89fea934c2b538c3aff575f8706e1a4b7b52888f"),
+    (dag.build_pyramid(5), boolfunc.or_fn(2),
+     "7da90c72df83e74202a54eace5d5d19828c1bd0590b87529b3c920d29032253a"),
+    (dag.build_pyramid(5), boolfunc.majority_fn(3),
+     "7c36a15789cfbc7496db19d90ed624a9434fde755d1f2ad6b6d6cb0a0a8b9898"),
+], ids=["tree3-or2", "tree3-maj3", "pyramid5-or2", "pyramid5-maj3"])
+def test_compiled_greedy_refutation_beyond_xor2(g, f, digest):
+    r = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), f)
+    assert sha256(resolution.serialize_refutation(r)) == digest
+
+
 @pytest.mark.parametrize("g,f,width", [
     (dag.build_binary_tree(2), boolfunc.majority_fn(3), 6),
     (dag.build_pyramid(3), XOR2, 6),

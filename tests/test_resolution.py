@@ -10,7 +10,7 @@ from peblab.errors import (
     BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, TraceError, TrivialResolvent,
 )
 from peblab.resolution import (
-    Download, Erase, Infer, KDnfLine, ProofBuilder, Refutation, term,
+    EMPTY_LINE, Download, Erase, Infer, KDnfLine, ProofBuilder, Refutation, term,
 )
 
 OR2 = boolfunc.or_fn(2)
@@ -262,6 +262,49 @@ def test_incremental_measures_match_replay(ops, system):
     assert (m.length, m.width, m.clause_space, m.variable_space, m.total_space) == (
         replayed_measures(r)
     )
+
+
+def first_illegal(r):
+    """(index, reason) of r's first illegal step, or None if every step is legal."""
+    try:
+        resolution.check_refutation(r)
+    except IllegalStep as e:
+        return e.index, e.reason
+    except MissingBottom:
+        pass
+    return None
+
+
+@given(st.lists(st.tuples(st.sampled_from(PROOF_OPS), st.integers(0, 63), st.integers(0, 63)),
+                max_size=30),
+       st.sampled_from(["res", "kdnf"]), st.integers(0, 63),
+       st.sampled_from(["premise", "pivot", "line"]), st.integers(0, 63))
+@example([], "res", 0, "pivot", 0)
+@example([], "kdnf", 0, "pivot", 0)
+@example(_EXAMPLE_OPS, "res", 0, "premise", 1)
+@settings(max_examples=200, deadline=None)
+def test_a_repeated_inference_never_skips_checking_a_changed_copy(ops, system, pick, change, choice):
+    """A legal inference twice, then a copy with one premise, its pivot
+    (k-DNF: its cut term) or its line changed: the copy is judged as if
+    it stood alone, at its own index, with the same reason."""
+    r = random_proof(ops, system)
+    at = [i for i, s in enumerate(r.steps) if isinstance(s, Infer)]
+    i = at[pick % len(at)]
+    prefix, step = r.steps[:i], r.steps[i]
+    pivot, cut_term, line, premises = step.pivot, step.cut_term, step.line, list(step.premises)
+    if change == "premise":
+        premises[choice % len(premises)] = choice % i + 1
+    elif change == "pivot" and system == "res":
+        pivot = "abcx"[choice % 4]
+    elif change == "pivot":
+        cut_term = frozenset({PROOF_LITERALS[choice % len(PROOF_LITERALS)]})
+    else:
+        others = [s.line for s in prefix if not isinstance(s, Erase)]
+        line = [EMPTY_LINE if system == "kdnf" else EMPTY_CLAUSE, *others][choice % (len(others) + 1)]
+    copy = Infer(line, tuple(premises), step.rule, pivot=pivot, cut_term=cut_term)
+    alone = first_illegal(Refutation(r.target, (*prefix, copy), system, r.k))
+    repeated = first_illegal(Refutation(r.target, (*prefix, step, step, copy), system, r.k))
+    assert repeated == (None if alone is None else (alone[0] + 2, alone[1]))
 
 
 def saturated(premises):
@@ -557,6 +600,26 @@ class TestTraceFormat:
                      "system kdnf 2\nr x <- 1 2 cut (-)\n"):
             with pytest.raises(TraceError, match="^line 2: a literal has an empty variable name$"):
                 resolution.parse_refutation_trace(text, F)
+
+    def test_an_invalid_line_fails_at_its_first_occurrence(self):
+        F = formula(["x", "-x"])
+        with pytest.raises(TraceError, match="^line 3: variable occurs with both polarities"):
+            resolution.parse_refutation_trace("system res\nd x\nd x -x\nd -x\nd x -x\n", F)
+
+    def test_equal_lines_and_literals_are_one_object(self):
+        g = dag.build_pyramid(4)
+        built = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2)
+        parsed = resolution.parse_refutation_trace(resolution.serialize_refutation(built), built.target)
+        assert parsed == built
+        for r in (built, parsed):
+            lines = [s.line for s in r.steps if not isinstance(s, Erase)]
+            distinct = set(lines)
+            assert len(distinct) < len(lines)  # a greedy compile re-derives lines
+            assert len({id(line) for line in lines}) == len(distinct)
+        literals: dict = {}  # over the parsed lines: one tuple per literal
+        for line in {s.line for s in parsed.steps if not isinstance(s, Erase)}:
+            for lit in line.literals:
+                assert literals.setdefault(lit, lit) is lit
 
     def test_comment_lines(self):
         F = formula(["x", "-x"])
