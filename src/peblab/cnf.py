@@ -8,7 +8,7 @@ clauses collapse and clause identity is purely structural.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import TrivialClause
 
@@ -100,7 +100,8 @@ class Clause(Value):
         return not self.literals
 
     def sorted_literals(self) -> tuple[Lit, ...]:
-        return tuple(sorted(self.literals, key=_lit_key))
+        """The literals by variable name: a clause names each variable once."""
+        return tuple(sorted(self.literals))
 
     def subsumes(self, other: "Clause") -> bool:
         return self.literals <= other.literals
@@ -111,9 +112,6 @@ class Clause(Value):
     def __contains__(self, literal: Lit) -> bool:
         return literal in self.literals
 
-    def __iter__(self) -> Iterator[Lit]:
-        return iter(self.sorted_literals())
-
     def __len__(self) -> int:
         return len(self.literals)
 
@@ -123,7 +121,7 @@ class Clause(Value):
     def __str__(self) -> str:
         if not self.literals:
             return "<empty>"
-        return " ".join(format_lit(l) for l in self.sorted_literals())
+        return " ".join(map(format_lit, sorted(self.literals)))
 
     __repr__ = __str__
 
@@ -131,11 +129,9 @@ class Clause(Value):
 EMPTY_CLAUSE = Clause()
 
 
-def clause(spec: str | Iterable[Lit]) -> Clause:
-    """Build a clause from 'x -y z' shorthand or an iterable of literals."""
-    if isinstance(spec, str):
-        return Clause(frozenset(parse_lit(tok) for tok in spec.split()))
-    return Clause(frozenset(spec))
+def clause(spec: str) -> Clause:
+    """Build a clause from 'x -y z' shorthand."""
+    return Clause(frozenset(parse_lit(tok) for tok in spec.split()))
 
 
 class CnfFormula(Value):
@@ -158,17 +154,11 @@ class CnfFormula(Value):
     def __len__(self) -> int:
         return len(self.clauses)
 
-    def __iter__(self) -> Iterator[Clause]:
-        return iter(self.sorted_clauses())
-
     def __contains__(self, c: Clause) -> bool:
         return c in self.clauses
 
     def without_clause(self, c: Clause) -> "CnfFormula":
         return CnfFormula(self.clauses - {c})
-
-    def __str__(self) -> str:
-        return " & ".join(f"({c})" for c in self.sorted_clauses())
 
 
 def minimized(clauses: Iterable[Clause]) -> frozenset[Clause]:

@@ -108,9 +108,6 @@ class Dag:
                 stack.extend(self._succ[w])
         return frozenset(out)
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Dag) and self.vertices == other.vertices and set(self.edges) == set(other.edges)
 

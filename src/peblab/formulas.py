@@ -58,19 +58,15 @@ def _generic_canonical(f: BooleanFunction, positive: bool) -> frozenset[Clause]:
     return canonical_clauses(f, names, "positive" if positive else "negative")
 
 
-def _literal_image(literal: Lit, f: BooleanFunction) -> tuple[Clause, ...]:
+def _literal_image(literal: Lit, f: BooleanFunction) -> list[Clause]:
     name, positive = literal
-    generic = _generic_canonical(f, positive)
-    renamed = [
-        Clause(frozenset((f"{name}{SUBST_SEP}{gname}", pol) for gname, pol in c.literals))
-        for c in generic
-    ]
-    return tuple(sorted(renamed, key=Clause.sort_key))
+    return [Clause(frozenset((f"{name}{SUBST_SEP}{gname}", pol) for gname, pol in c.literals))
+            for c in _generic_canonical(f, positive)]
 
 
 def substitute_clause(c: Clause, f: BooleanFunction) -> frozenset[Clause]:
     """All cross-disjunctions of the per-literal canonical clause sets."""
-    parts = [_literal_image(lit, f) for lit in c.sorted_literals()]
+    parts = [_literal_image(lit, f) for lit in c.literals]
     out = set()
     for combo in itertools.product(*parts):
         lits = frozenset().union(*(part.literals for part in combo)) if combo else frozenset()
@@ -279,8 +275,7 @@ def to_dimacs(f_formula: CnfFormula) -> str:
     lines = [f"c var {i + 1} {v}" for i, v in enumerate(names)]
     lines.append(f"p cnf {len(names)} {len(f_formula.clauses)}")
     for c in f_formula.sorted_clauses():
-        nums = sorted((index[n] if p else -index[n]) for n, p in c.literals)
-        nums.sort(key=abs)
+        nums = sorted((index[n] if p else -index[n] for n, p in c.literals), key=abs)
         lines.append(" ".join(str(x) for x in nums + [0]))
     return "\n".join(lines) + "\n"
 

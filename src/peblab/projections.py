@@ -242,9 +242,9 @@ def extract_refutation(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
 
     for cur, axiom in sequence[1:]:
         new = sorted(cur - prev, key=Clause.sort_key)
-        state = set(prev)
         if axiom is None:
             # erase-then-weaken-then-erase
+            state = set(prev)
             for c in sorted(prev - cur, key=Clause.sort_key):
                 if not any(c.subsumes(o) for o in cur):
                     b.erase(c)
@@ -265,10 +265,7 @@ def extract_refutation(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
             for c in new:
                 if b.has(c):
                     continue
-                src = _weakening_source(state, c)
-                if src is not None:
-                    b.weaken(src, c)
-                    continue
+                # no clause of prev is inside c: the configuration grew, so each contains one of cur
                 if not downloaded:
                     b.download(axiom)
                     downloaded = True

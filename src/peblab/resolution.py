@@ -12,11 +12,11 @@ directly, and a compiled refutation of Peb_G[f] is the lift of the
 compiled refutation of Peb_G.  A lift replays one fixed template per
 function for each resolution step, so no builder searches.  The width
 oracle is one saturation pass; the clause-space oracle is
-`space_bounded_search`.  Within one call, lift, the builder, the trace
-reader and writer and the replay keep per-proof tables, so a line or
-inference that recurs (a pebbling re-pebbles, so its refutation
-re-derives) is built, formatted, read or checked once; a table keeps
-only what occurs twice or more, and dies with the call.
+`space_bounded_search`.  The replay, the trace writer and lift read a
+proof's steps once, front to back.  Within one call, lift, the builder
+and the trace reader keep per-proof tables, so a line or inference that
+recurs (a pebbling re-pebbles, so its refutation re-derives) is built or
+read once; each table dies with the call.
 """
 
 from __future__ import annotations
@@ -213,12 +213,6 @@ def _lines_imply(premises, conclusion) -> bool | None:
 # -- the checker --------------------------------------------------------------
 
 
-def _recurring(items) -> set:
-    """The items that occur more than once: what a per-proof table keeps,
-    so a proof without repeats builds no table."""
-    return {item for item, n in Counter(items).items() if n > 1}
-
-
 def _check_kdnf_rule(step: Infer, premises: list, k: int, idx: int) -> None:
     line = step.line
     if not isinstance(line, KDnfLine):
@@ -283,12 +277,15 @@ def _check_res_rule(step: Infer, premises: list, idx: int) -> None:
     if step.rule == "pivot":
         if len(premises) != 2 or step.pivot is None:
             raise IllegalStep(idx, "resolution takes two premises and a pivot")
-        try:
+        a, b = premises[0].literals, premises[1].literals
+        positive, negative = (step.pivot, True), (step.pivot, False)
+        if positive in a and negative in b and step.line.literals == (a - {positive}) | (b - {negative}):
+            return
+        try:  # `resolve` words the rejection
             expected = resolve(premises[0], premises[1], step.pivot)
         except (PivotAbsent, TrivialResolvent) as e:
             raise IllegalStep(idx, str(e)) from None
-        if expected != step.line:
-            raise IllegalStep(idx, f"resolvent is ({expected}), not ({step.line})")
+        raise IllegalStep(idx, f"resolvent is ({expected}), not ({step.line})")
     elif step.rule == "weaken":
         if len(premises) != 1:
             raise IllegalStep(idx, "weakening takes one premise")
@@ -305,9 +302,7 @@ def _replay(r: Refutation, semantic_check: bool):
     a set to read before the next step.  Raises IllegalStep at the first
     illegal step and MissingBottom after the last if the empty line is
     absent.  The one reading of a proof: check, lift and projection all
-    replay through it.  An inference whose line, rule, pivot, cut term
-    and premise lines equal those of an earlier legal one is not checked
-    again."""
+    replay through it.  It reads `r.steps` once, front to back."""
     if r.system not in ("res", "kdnf"):
         raise ValueError(f"unknown proof system {r.system!r}")
     kdnf = r.system == "kdnf"
@@ -319,9 +314,6 @@ def _replay(r: Refutation, semantic_check: bool):
         bottom = EMPTY_CLAUSE
     lines_by_id: dict[int, object] = {}
     config: set = set()
-    # an inference can recur only if its line does; the legal ones of those are kept
-    recurring = _recurring(s.line for s in r.steps if isinstance(s, (Download, Infer)))
-    legal: set[tuple] = set()
     for idx, step in enumerate(r.steps, start=1):
         premises = []
         if isinstance(step, Erase):
@@ -343,18 +335,12 @@ def _replay(r: Refutation, semantic_check: bool):
                     if value not in config:
                         raise IllegalStep(idx, f"premise ({value}) not in the current configuration")
                     premises.append(value)
-                key = None
-                if step.line in recurring:
-                    key = (step.line, step.rule, step.pivot, step.cut_term, *premises)
-                if key is None or key not in legal:
-                    if kdnf:
-                        _check_kdnf_rule(step, premises, r.k, idx)
-                    else:
-                        _check_res_rule(step, premises, idx)
-                    if semantic_check and _lines_imply(premises, step.line) is False:
-                        raise IllegalStep(idx, "inference is not semantically sound")
-                    if key is not None:
-                        legal.add(key)
+                if kdnf:
+                    _check_kdnf_rule(step, premises, r.k, idx)
+                else:
+                    _check_res_rule(step, premises, idx)
+                if semantic_check and _lines_imply(premises, step.line) is False:
+                    raise IllegalStep(idx, "inference is not semantically sound")
             else:
                 raise IllegalStep(idx, f"unknown step {step!r}")
             line = lines_by_id[idx] = step.line
@@ -729,7 +715,7 @@ def lift_refutation(
     within d*(w+1) for a base width of w.
 
     Before building anything, `r` is checked by the checker's replay,
-    and the lifted length is bounded from the image sizes of the steps;
+    and the lifted length is bounded from the image sizes of its steps;
     a bound above `search_budget(budget)` raises BudgetExceeded in
     lifted lines.
     """
@@ -741,9 +727,9 @@ def lift_refutation(
     image_sizes = {True: len(f_axioms), False: len(template.target) - len(f_axioms)}
     replay_length = sum(isinstance(s, Infer) for s in template.steps)
     bound = sum(
-        math.prod(image_sizes[positive] for _, positive in s.line.literals)
+        math.prod(image_sizes[positive] for _, positive in c.literals)
         * (replay_length if isinstance(s, Infer) and s.rule == "pivot" else 1)
-        for s in r.steps if not isinstance(s, Erase)
+        for s, c, _, _ in replay if not isinstance(s, Erase)
     )
     limit = search_budget(budget)
     if bound > limit:
@@ -799,7 +785,7 @@ def lift_refutation(
     # others one image clause at a time.
     keys = [None if isinstance(step, Erase) else (c, *premises, step.pivot) if isinstance(step, Infer) else c
             for step, c, premises, _ in replay]
-    repeated = _recurring(keys)
+    repeated = {key for key, n in Counter(keys).items() if n > 1}
     plans: dict = {}
 
     b = ProofBuilder(substitute(r.target, f))
@@ -903,20 +889,13 @@ def _format_term(lits: tuple[str, ...]) -> str:
 
 def serialize_refutation(r: Refutation) -> str:
     lines = [f"system {r.system}" if r.system == "res" else f"system kdnf {r.k}"]
-    recurring = _recurring(s.line for s in r.steps if isinstance(s, (Download, Infer)))
-    texts: dict = {}  # recurring line -> its text, formatted once
     for step in r.steps:
         if isinstance(step, Erase):
             lines.append(f"e {step.target}")
             continue
         if not isinstance(step, Download) and step.rule not in ("pivot", "cut", "andi", "ande", "weaken"):
             raise ValueError(f"cannot serialize step {step!r}")
-        if step.line not in recurring:
-            text = _format_line(step.line)
-        elif step.line in texts:
-            text = texts[step.line]
-        else:
-            text = texts[step.line] = _format_line(step.line)
+        text = _format_line(step.line)
         if isinstance(step, Download):
             lines.append(f"d {text}".rstrip())
             continue

@@ -175,6 +175,23 @@ def test_graph_roundtrip(tmp_path, capsys):
     assert "sink=t1" in capsys.readouterr().out
 
 
+def test_a_graph_file_runs_as_its_family_literal(tmp_path, capsys):
+    g = tmp_path / "pyr2.dag"
+    assert run("graph", "--family", "pyramid:2", "--out", str(g)) == 0
+    capsys.readouterr()
+    results = []
+    for spec in ("pyramid:2", f"@{g}"):
+        proof, cnf = tmp_path / "p.trace", tmp_path / "f.cnf"
+        assert run("pebble-price", "--graph", spec, "--game", "black") == 0
+        assert run("pebble-price", "--graph", spec, "--game", "bw") == 0
+        assert run("compile", "--graph", spec, "--fn", "xor:2",
+                   "--out", str(proof), "--emit-formula", str(cnf)) == 0
+        printed = capsys.readouterr()
+        results.append((printed.out, printed.err, proof.read_text(), cnf.read_text()))
+    assert results[0][0] == "4\n4\n"
+    assert results[1] == results[0]
+
+
 def test_pebble_validate_and_price(tmp_path, capsys):
     trace = tmp_path / "p.trace"
     p = pebbling.greedy_black_strategy(dag.build_path(4))

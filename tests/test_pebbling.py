@@ -406,6 +406,32 @@ class TestLabelled:
             pebbling.validate_labelled(p)
 
 
+@pytest.mark.parametrize("p,error,message", [
+    (BwPebbling(host=dag.build_pyramid(1), steps=()), WrongEndpoints, "pebbling has no configurations"),
+    (LabelledPebbling(host=dag.build_pyramid(1), steps=()), WrongEndpoints,
+     "pebbling has no configurations"),
+    (BlobPebbling(host=dag.build_pyramid(1), steps=()), WrongEndpoints, "pebbling has no configurations"),
+    (LabelledPebbling(host=dag.build_pyramid(1), steps=(
+        LabelledConfiguration(), LabelledConfiguration(frozenset({Subconf("w")})))),
+     IllegalMove, "step 1: unknown vertex 'w'"),
+    (BlobPebbling(host=dag.build_pyramid(1), steps=(
+        BlobConfiguration(), BlobConfiguration(frozenset({BlobSubconf(frozenset({"x", "w"}))})))),
+     IllegalMove, "step 1: unknown vertex 'w'"),
+    (LabelledPebbling(host=dag.build_pyramid(1), steps=(
+        LabelledConfiguration(frozenset({Subconf("x")})),)),
+     WrongEndpoints, "L-pebbling must start from the empty configuration"),
+    (BlobPebbling(host=dag.build_pyramid(1), steps=(
+        BlobConfiguration(frozenset({BlobSubconf(frozenset({"x"}))})),)),
+     WrongEndpoints, "blob pebbling must start from the empty configuration"),
+])
+def test_validators_reject_bad_endpoints_and_vertices(p, error, message):
+    validate = {BwPebbling: pebbling.validate_bw, LabelledPebbling: pebbling.validate_labelled,
+                BlobPebbling: pebbling.validate_blob}[type(p)]
+    with pytest.raises(error) as info:
+        validate(p)
+    assert str(info.value) == message
+
+
 class TestBlob:
     def test_final_configuration_space_one(self, pyr2):
         conf = BlobConfiguration(frozenset({BlobSubconf(frozenset({"z"}))}))
@@ -550,6 +576,24 @@ class TestTraces:
             with pytest.raises(TraceError, match="no merger pivot") as info:
                 pebbling.parse_pebbling_trace(f"game {game}\nI v1\nI v2\nM 1 2\n", g)
             assert info.value.line == 4
+
+    @pytest.mark.parametrize("text,message", [
+        ("", "empty trace: missing 'game' header"),
+        ("# only a comment\n", "empty trace: missing 'game' header"),
+        ("game blob\nI z\nI x\nM 1 2 y\n", "line 4: 'y' is not a merger pivot for this pair"),
+        ("game blob\nI z\nI x\nX 2 : x y /\nM 1 3\n",
+         "line 5: merger pivot ambiguous (['x', 'y']); use 'M i j v'"),
+        # merging on x leaves the other pivot y in both the blob and the support
+        ("game blob\nI z\nI x\nX 2 : x y /\nM 1 3 x\n", "line 5: blob and support overlap: ['y']"),
+        ("game blob\nI x\nX 1 / x : y\n", "line 3: bad inflation 'X 1 / x : y'"),
+        ("game blob\nI x\nX 1 : x / x\n", "line 3: blob and support overlap: ['x']"),
+        ("game blob\nI x\nX 1 : / y\n", "line 3: blob must be nonempty"),
+        ("game blob\nI x\nX 1 : y /\n", "line 3: inflation must extend [{x},{}]"),
+    ])
+    def test_blob_trace_rejections(self, text, message):
+        with pytest.raises(TraceError) as info:
+            pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("game", ["labelled", "blob"])
     @pytest.mark.parametrize("move", ["E 0", "E -1", "E +1", "E \u00b2", "M 0 1"])

@@ -264,6 +264,41 @@ class TestExtraction:
             projections.extract_refutation(b.build(), XOR2)
 
 
+def then_tiny_lift(target, prefix) -> Refutation:
+    """`prefix`, then the lift of the tiny refutation of {x, -x}, its ids
+    shifted past the prefix."""
+    n = len(prefix)
+    rest = [Erase(s.target + n) if isinstance(s, Erase)
+            else Infer(s.line, tuple(i + n for i in s.premises), s.rule, pivot=s.pivot)
+            if isinstance(s, Infer) else s for s in lift_of_tiny().steps]
+    return Refutation(target, (*prefix, *rest))
+
+
+def extraction_transitions():
+    """Two refutations of {x y, x, -x}[xor:2], each with the projections
+    before and after its step `at`: (1) an erasure takes {x} to {x y},
+    so extraction weakens x to x y; (2) a download of x's image clause
+    x#1 x#2 takes {} to {x y}, which the base axiom x subsumes."""
+    target = formulas.substitute(formula(["x y", "x", "-x"]), XOR2)
+    xy = sorted(formulas.substitute_clause(clause("x y"), XOR2), key=Clause.sort_key)
+    x = sorted(formulas.substitute_clause(clause("x"), XOR2), key=Clause.sort_key)
+    erasing = [*map(Download, xy), *map(Download, x), Erase(len(xy) + x.index(clause("-x#1 -x#2")) + 1)]
+    subsumed = [*(Download(c) for c in xy if ("x#1", False) in c), Download(clause("x#1 x#2"))]
+    return [(then_tiny_lift(target, erasing), len(erasing), {clause("x")}, {clause("x y")}),
+            (then_tiny_lift(target, subsumed), len(subsumed), set(), {clause("x y")})]
+
+
+@pytest.mark.parametrize("use_local", [False, True])
+@pytest.mark.parametrize("case", [0, 1])
+def test_extraction_weakens_on_erasure_and_from_a_subsuming_axiom(case, use_local):
+    r_f, at, before, after = extraction_transitions()[case]
+    seq = projections.projected_sequence(r_f, XOR2, use_local)
+    assert (seq[at - 1][0], seq[at][0]) == (before, after)
+    out = projections.extract_refutation(r_f, XOR2, use_local)
+    resolution.check_refutation(out, semantic_check=True)
+    assert downloads(out) <= downloads(r_f)
+
+
 def broken(r: Refutation, how: str) -> Refutation:
     """`r` with one illegal change; every other step keeps its id."""
     steps = list(r.steps)

@@ -314,6 +314,67 @@ def saturated(premises):
     return codec.encode, alive
 
 
+def test_check_serialize_and_lift_read_the_steps_once():
+    """The checker, the writer and lift read a proof front to back, once,
+    so a one-shot iterator of steps gives what the tuple gives."""
+    g = dag.build_pyramid(3)
+    r = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2)
+
+    def streamed(r):
+        return Refutation(r.target, iter(r.steps), r.system, r.k)
+
+    assert resolution.check_refutation(streamed(r)) == resolution.check_refutation(r)
+    assert resolution.serialize_refutation(streamed(r)) == resolution.serialize_refutation(r)
+    base = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g))
+    assert resolution.lift_refutation(streamed(base), XOR2) == resolution.lift_refutation(base, XOR2)
+    with pytest.raises(BudgetExceeded, match="lifted lines"):  # the length bound reads the steps too
+        resolution.lift_refutation(streamed(base), XOR2, budget=len(base.steps))
+
+
+def kdnf_after_units(step) -> Refutation:
+    """Download the units x and -x as 2-DNF lines, then `step`."""
+    units = (Download(KDnfLine.from_clause(clause("x"))), Download(KDnfLine.from_clause(clause("-x"))))
+    return Refutation(formula(["x", "-x"]), (*units, step), system="kdnf", k=2)
+
+
+def res_after_units(step) -> Refutation:
+    """Download the unit clauses x and -x, then `step`."""
+    return Refutation(formula(["x", "-x"]), (Download(clause("x")), Download(clause("-x")), step))
+
+
+@pytest.mark.parametrize("r,message", [
+    (kdnf_after_units(Infer(EMPTY_CLAUSE, (1, 2), "cut", cut_term=term("x"))),
+     "step 3: k-DNF step must infer a k-DNF line"),
+    (kdnf_after_units(Infer(EMPTY_LINE, (1, 2), "weaken")), "step 3: weakening takes one premise"),
+    (kdnf_after_units(Infer(EMPTY_LINE, (1,), "cut", cut_term=term("x"))),
+     "step 3: cut takes two premises and a cut term"),
+    (kdnf_after_units(Infer(EMPTY_LINE, (1, 2), "cut")), "step 3: cut takes two premises and a cut term"),
+    (kdnf_after_units(Infer(EMPTY_LINE, (1, 2), "cut", cut_term=term("x y z"))),
+     "step 3: cut term wider than k=2"),
+    (kdnf_after_units(Infer(EMPTY_LINE, (1,), "andi")), "step 3: and-introduction takes two premises"),
+    (kdnf_after_units(Infer(EMPTY_LINE, (1, 2), "ande")), "step 3: and-elimination takes one premise"),
+    (kdnf_after_units(Infer(EMPTY_LINE, (1, 2), "pivot", pivot="x")), "step 3: unknown k-DNF rule 'pivot'"),
+    (res_after_units(Infer(EMPTY_CLAUSE, (1,), "pivot", pivot="x")),
+     "step 3: resolution takes two premises and a pivot"),
+    (res_after_units(Infer(EMPTY_CLAUSE, (1, 2), "pivot")),
+     "step 3: resolution takes two premises and a pivot"),
+    (res_after_units(Infer(clause("x y"), (1, 2), "weaken")), "step 3: weakening takes one premise"),
+    (res_after_units(Infer(EMPTY_CLAUSE, (1, 2), "cut")), "step 3: unknown resolution rule 'cut'"),
+    (res_after_units(Erase(7)), "step 3: erase target 7 does not name a line"),
+    (res_after_units("bogus"), "step 3: unknown step 'bogus'"),
+])
+def test_checker_rejection_texts(r, message):
+    with pytest.raises(IllegalStep) as info:
+        resolution.check_refutation(r)
+    assert str(info.value) == message
+
+
+def test_checker_rejects_an_unknown_proof_system():
+    r = Refutation(formula(["x", "-x"]), (Download(clause("x")),), system="cp")
+    with pytest.raises(ValueError, match="^unknown proof system 'cp'$"):
+        resolution.check_refutation(r)
+
+
 class TestSaturate:
     def test_unit_propagation(self):
         encode, alive = saturated([clause("x"), clause("-x y")])
@@ -470,6 +531,19 @@ class TestLift:
         lifted = resolution.lift_refutation(b.build(), XOR2)
         resolution.check_refutation(lifted, semantic_check=True)
 
+    def test_lift_of_a_rederived_present_line(self):
+        b = ProofBuilder(formula(["x", "-x"]))
+        b.download(clause("x"))
+        b.download(clause("-x"))
+        b.infer_resolve(clause("x"), clause("-x"), "x")
+        b.infer_resolve(clause("x"), clause("-x"), "x")  # the empty clause is present
+        lifted = resolution.lift_refutation(b.build(), XOR2)
+        resolution.check_refutation(lifted)
+        added = [s.line for s in lifted.steps if not isinstance(s, Erase)]
+        assert len(added) == len(set(added))  # each image clause downloaded or derived once
+        once = resolution.lift_refutation(Refutation(b.target, tuple(b.steps[:3])), XOR2)
+        assert lifted == once
+
     def test_lifted_lines_bound_is_exact_on_smallest_instance(self):
         # downloads 1 + 2, and the empty clause's 1 target times or:2's 2 template resolutions
         F = formula(["x", "-x"])
@@ -600,6 +674,18 @@ class TestTraceFormat:
                      "system kdnf 2\nr x <- 1 2 cut (-)\n"):
             with pytest.raises(TraceError, match="^line 2: a literal has an empty variable name$"):
                 resolution.parse_refutation_trace(text, F)
+
+    @pytest.mark.parametrize("text,message", [
+        ("system res\nd x\nw x y <- 1 2\n", "line 3: weakening takes one premise id: 'w x y <- 1 2'"),
+        ("system kdnf 2\nd x\nd -x\nr <- 1 2 cut x\n",
+         "line 4: cut term must be parenthesised: 'r <- 1 2 cut x'"),
+        ("", "empty trace: missing 'system' header"),
+        ("# only a comment\n", "empty trace: missing 'system' header"),
+    ])
+    def test_parse_rejection_texts(self, text, message):
+        with pytest.raises(TraceError) as info:
+            resolution.parse_refutation_trace(text, formula(["x", "-x"]))
+        assert str(info.value) == message
 
     def test_an_invalid_line_fails_at_its_first_occurrence(self):
         F = formula(["x", "-x"])
