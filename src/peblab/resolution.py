@@ -28,7 +28,7 @@ from collections import Counter
 from typing import TYPE_CHECKING
 
 from .cnf import (
-    Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, format_lit, is_decimal, minimized, neg, parse_lit,
+    Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, format_lit, is_decimal, neg, parse_lit,
 )
 from .errors import (
     BudgetExceeded,
@@ -493,71 +493,64 @@ class _Codec:
 
 
 def saturate(premises, width_cap: int, budget=None):
-    """Given-clause resolution closure with forward and backward subsumption.
+    """DISCOUNT given-clause resolution closure (Denzinger, Kronenburg
+    and Schulz, 1997).
 
-    Premises and resolvents wider than `width_cap` are dropped; the loop
-    stops once the empty clause is derived.  The given clause is the
-    lightest alive one, ties in arrival order, so all clauses of width
-    <= w are given before any of width w + 1.  Returns (codec, alive,
-    width): the `_Codec` of the premises, the subsumption-minimized
-    clauses as masks, and the widest given clause, which is the minimal
-    refutation width if the empty clause is alive.  The width and space
+    Tautologies, repeats and clauses wider than `width_cap` are dropped;
+    a new resolvent only joins the queue.  The given clause is the
+    lightest queued one, ties in arrival order: it is skipped if an
+    active clause subsumes it, else it deletes the active clauses it
+    subsumes, is resolved against the rest in given order and becomes
+    active.  A subsumer is strictly narrower, so it is given first.
+    Returns (codec, active, width): the `_Codec` of the premises, the
+    active clauses as masks, and the widest given clause.  Once the
+    empty clause is generated, active is just it and width is the
+    minimal refutation width; if the queue runs out, active is the
+    subsumption-minimal part of the closure.  The width and space
     oracles call it; no proof builder does.
 
-    Pivots are the set bits of `p1 & n2`, lowest first, which is
-    sorted-name order; a resolvent is a tautology iff `rp & rn`; c
+    Pivots are the set bits of `p1 & n2 | p2 & n1`, lowest first, which
+    is sorted-name order; a resolvent is a tautology iff `rp & rn`; c
     subsumes d iff both `cp & ~dp` and `cn & ~dn` are zero.
     """
     limit = search_budget(budget)
     prems = [c for c in premises if c.width <= width_cap]
     codec = _Codec(prems)
-    seen = set(map(codec.encode, prems))  # every clause ever generated
-    alive = dict.fromkeys(codec.encode(c) for c in sorted(minimized(prems), key=Clause.sort_key))
-    # (width, arrival, mask), sorted so a heap; `seen` only grows, so its size orders arrivals
-    queue = [((p | n).bit_count(), i, (p, n)) for i, (p, n) in enumerate(alive)]
-    processed: list[_Mask] = []
+    # every clause ever generated; it only grows, so its size orders arrivals
+    seen = dict.fromkeys(codec.encode(c) for c in sorted(prems, key=Clause.sort_key))
+    queue = [((p | n).bit_count(), i, (p, n)) for i, (p, n) in enumerate(seen)]  # sorted so a heap
+    active: dict[_Mask, None] = {}
     work = width = 0
     while queue:
-        given_width, _, given = heapq.heappop(queue)
-        if given not in alive:
-            continue
-        width = max(width, given_width)  # a wide given can yield a narrow resolvent
-        gp, gn = given
-        for other in processed:
-            if other not in alive:
-                continue
-            op, on = other
-            for first, second, pivots in ((given, other, gp & on), (other, given, op & gn)):
-                union_p = first[0] | second[0]
-                union_n = first[1] | second[1]
+        given_width, _, (gp, gn) = heapq.heappop(queue)
+        not_gp, not_gn = ~gp, ~gn
+        for ap, an in active:
+            if not (ap & not_gp or an & not_gn):
+                break  # subsumed by an active clause
+        else:
+            for o in [o for o in active if not (gp & ~o[0] or gn & ~o[1])]:
+                del active[o]
+            width = max(width, given_width)  # a wide given can yield a narrow resolvent
+            for op, on in active:
+                pivots = gp & on | op & gn
+                union_p, union_n = gp | op, gn | on
                 while pivots:
                     pivot = pivots & -pivots
                     pivots ^= pivot
                     work += 1
                     if work > limit:
-                        raise BudgetExceeded(work, limit, "saturation")
+                        raise BudgetExceeded(work, limit, "saturation", unit="resolvents tried")
                     rp = union_p & ~pivot
                     rn = union_n & ~pivot
                     r_width = (rp | rn).bit_count()
-                    if rp & rn or r_width > width_cap:
+                    if rp & rn or r_width > width_cap or (rp, rn) in seen:
                         continue
-                    r = (rp, rn)
-                    if r in seen:
-                        continue
-                    seen.add(r)
-                    not_rp, not_rn = ~rp, ~rn
-                    for ap, an in alive:
-                        if not (ap & not_rp or an & not_rn):
-                            break  # forward-subsumed
-                    else:
-                        for o in [o for o in alive if not (rp & ~o[0] or rn & ~o[1])]:
-                            del alive[o]
-                        alive[r] = None
-                        if r == _EMPTY:  # it subsumed every other clause
-                            return codec, alive, width
-                        heapq.heappush(queue, (r_width, len(seen), r))
-        processed.append(given)
-    return codec, alive, width
+                    if not r_width:
+                        return codec, {_EMPTY: None}, width
+                    seen[rp, rn] = None
+                    heapq.heappush(queue, (r_width, len(seen), (rp, rn)))
+            active[gp, gn] = None
+    return codec, active, width
 
 
 # -- constructive refutations ---------------------------------------------------

@@ -11,6 +11,7 @@ whatever search finds them.
 
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -77,6 +78,16 @@ def test_compiled_greedy_refutation_beyond_xor2(g, f, digest):
 def test_min_width_answers(g, f, width):
     target = formulas.substitute(formulas.pebbling_contradiction(g), f)
     assert resolution.min_width(target, 8) == width
+
+
+@pytest.mark.parametrize("g", [dag.build_pyramid(4), dag.build_binary_tree(3)], ids=["pyramid4-maj3", "tree3-maj3"])
+def test_min_width_answers_at_cap_9(g):
+    # the time bound catches a loop that scans each new resolvent against
+    # every clause for subsumption, which takes about 3 s on pyramid:4
+    target = formulas.substitute(formulas.pebbling_contradiction(g), boolfunc.majority_fn(3))
+    start = time.process_time()
+    assert resolution.min_width(target, 9) == 6
+    assert time.process_time() - start < 1
 
 
 def test_labelled_greedy_pebbling_pyramid3():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from peblab import boolfunc, dag, formulas, pebbling, resolution
-from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula, neg
+from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula, minimized, neg
 from peblab.errors import (
     BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, TraceError, TrivialResolvent,
 )
@@ -628,6 +628,14 @@ class TestBoundedOracles:
         with pytest.raises(BudgetExceeded, match=r"^clause space search exceeded budget: 395 nodes visited \(budget 394\)$"):
             resolution.min_clause_space(F, 4, budget=394)
 
+    def test_saturation_work_pin(self):
+        # the resolvents the loop tries; a change in the saturation's work shows here
+        F = formulas.substitute(formulas.pebbling_contradiction(dag.build_binary_tree(2)), boolfunc.majority_fn(3))
+        _, alive, width = resolution.saturate(F.clauses, 8, budget=13_865)
+        assert list(alive) == [(0, 0)] and width == 6
+        with pytest.raises(BudgetExceeded, match=r"^saturation exceeded budget: 13865 resolvents tried \(budget 13864\)$"):
+            resolution.saturate(F.clauses, 8, budget=13_864)
+
     def test_width_space_relation_probe(self):
         probes = [
             formula(["x", "-x"]),
@@ -922,29 +930,41 @@ def test_given_clause_loop_agrees_with_sat_oracle(F):
     assert (resolution.min_width(F, len(F.variables())) is None) == (not unsat)
 
 
+def width_capped_closure(F: CnfFormula, w: int) -> set[Clause]:
+    """The closure of F's clauses of width <= w under resolvents of
+    width <= w, on `Clause` values, with no subsumption."""
+    closure = {c for c in F.clauses if c.width <= w}
+    frontier = list(closure)
+    while frontier:
+        c1 = frontier.pop()
+        for c2 in list(closure):
+            for name, positive in c1.literals:
+                if (name, not positive) not in c2:
+                    continue
+                try:
+                    r = resolution.resolve(c1, c2, name) if positive else resolution.resolve(c2, c1, name)
+                except TrivialResolvent:
+                    continue
+                if r.width <= w and r not in closure:
+                    closure.add(r)
+                    frontier.append(r)
+    return closure
+
+
 def reference_min_width(F: CnfFormula, cap: int) -> int | None:
-    """For w = 0..cap, the closure of F's clauses of width <= w under
-    resolvents of width <= w, on `Clause` values, with no subsumption;
-    the first w whose closure holds the empty clause."""
-    for w in range(cap + 1):
-        closure = {c for c in F.clauses if c.width <= w}
-        frontier = list(closure)
-        while frontier:
-            c1 = frontier.pop()
-            for c2 in list(closure):
-                for name, positive in c1.literals:
-                    if (name, not positive) not in c2:
-                        continue
-                    try:
-                        r = resolution.resolve(c1, c2, name) if positive else resolution.resolve(c2, c1, name)
-                    except TrivialResolvent:
-                        continue
-                    if r.width <= w and r not in closure:
-                        closure.add(r)
-                        frontier.append(r)
-        if EMPTY_CLAUSE in closure:
-            return w
-    return None
+    """The first w <= cap whose width-capped closure holds the empty clause."""
+    return next((w for w in range(cap + 1) if EMPTY_CLAUSE in width_capped_closure(F, w)), None)
+
+
+@given(small_cnfs(), st.integers(min_value=0, max_value=6))
+@settings(max_examples=150, deadline=None)
+def test_saturate_returns_the_minimal_clauses_of_the_closure(F, cap):
+    codec, alive, _ = resolution.saturate(F.clauses, cap)
+    closure = width_capped_closure(F, cap)
+    if EMPTY_CLAUSE in closure:
+        assert set(alive) == {(0, 0)}
+    else:
+        assert set(alive) == {codec.encode(c) for c in minimized(closure)}
 
 
 @given(small_cnfs(), st.integers(min_value=0, max_value=6))
