@@ -9,6 +9,9 @@ Validators are pure functions over immutable traces.  Optimal prices come
 from `space_bounded_search`, the one search of both space games (it also
 runs `resolution.min_clause_space`), with the moves in canonical vertex
 order (removals before placements), so repeated runs give identical witnesses.
+The price search makes no dominated move: a white pebble goes only on an
+inner vertex, and a black-game source only in one grow with the vertex it
+serves, so a grow may add several pebbles (see `_optimal_pebbling`).
 """
 
 from __future__ import annotations
@@ -165,10 +168,11 @@ def space_bounded_search(start, shrink, grow, size, is_goal, budget, what, cap=N
     reachable from `start`, and a path of states to it; (None, s) if none.
 
     `shrink` and `grow` yield a state's successors that lower and raise
-    `size`.  At bound s a popped state below s gets both, one at s only
-    its shrinks; it waits in `blocked` for its grows until s rises.  One
-    `parents` dict serves all bounds, so no state is popped twice; each
-    pop costs one unit of `budget`, and the path is the stack's.
+    `size`; a grow may add several units.  At bound s a popped state below
+    s gets its shrinks and its grows of size at most s, one at s only its
+    shrinks; a state with a grow left above s waits in `blocked` until s
+    rises.  One `parents` dict serves all bounds, so no state is popped
+    twice; each pop costs one unit of `budget`, and the path is the stack's.
     """
     limit = search_budget(budget)
     parents = {start: None}
@@ -180,14 +184,22 @@ def space_bounded_search(start, shrink, grow, size, is_goal, budget, what, cap=N
                 parents[new] = state
                 stack.append(new)
 
+    def push_grows(state):  # True if a grow is left above s
+        over = False
+        for new in grow(state):
+            if size(new) > s:
+                over = True
+            elif new not in parents:
+                parents[new] = state
+                stack.append(new)
+        return over
+
     while True:
         while not stack:
             if not blocked or cap is not None and s >= cap:
                 return None, s
             s += 1
-            for state in blocked:
-                push(grow(state), state)
-            blocked = []
+            blocked = [state for state in blocked if push_grows(state)]
         state = stack.pop()
         visited += 1
         if visited > limit:
@@ -195,9 +207,7 @@ def space_bounded_search(start, shrink, grow, size, is_goal, budget, what, cap=N
         if is_goal(state):
             break
         push(shrink(state), state)
-        if size(state) < s:
-            push(grow(state), state)
-        else:
+        if size(state) >= s or push_grows(state):
             blocked.append(state)
     path = []
     while state is not None:
@@ -210,12 +220,21 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
     """A minimum-space complete pebbling, by `space_bounded_search` over
     ints `black | white << n`, bit i the i-th vertex in topological order.
     Removals shrink a state and placements grow it, each lowest vertex
-    first, so the highest placement is popped first."""
+    first, so the highest placement is popped first.  Two dominated move
+    families are left out, which changes no price.  White pebbles go only on
+    inner vertices: one on a source may as well be black, and the sink is no
+    vertex's predecessor.  In the black game a source other than the sink is
+    placed only in a grow that adds a vertex v with its missing sources, once
+    v's other predecessors are pebbled: delaying each source placement to its
+    first use only removes pebbles.  The witness places a grow lowest first."""
     order = g.topological_order()
     n, full = len(order), (1 << len(order)) - 1
     bit = {v: 1 << i for i, v in enumerate(order)}
     pred_mask = {bit[v]: sum(bit[u] for u in g.predecessors(v)) for v in order}
     sink_bit = bit[g.sink]
+    sources = sum(b for b, preds in pred_mask.items() if not preds)
+    whiteable = 0 if black_only else full & ~sources & ~sink_bit
+    batched = sources & ~sink_bit if black_only else 0
 
     def removals(state):
         black = state & full
@@ -230,27 +249,36 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
 
     def placements(state):
         both = (state | state >> n) & full
-        empty = full & ~both
+        empty = full & ~both & ~batched
         while empty:
             b = empty & -empty
             empty ^= b
-            if not pred_mask[b] & ~both:
-                yield state | b
-            if not black_only:
+            missing = pred_mask[b] & ~both
+            if not missing & ~batched:
+                yield state | missing | b
+            if b & whiteable:
                 yield state | b << n
 
     path, _ = space_bounded_search(
         0, removals, placements, int.bit_count,
         lambda state: state & sink_bit and not state >> n, budget,
         "black pebbling price search" if black_only else "black-white pebbling price search")
-    extra = path[-1] & ~sink_bit
+    steps = path[:1]
+    for st in path[1:]:  # one pebble per step: a batched grow's lowest first
+        added = st & ~steps[-1]
+        while added & (added - 1):
+            low = added & -added
+            added ^= low
+            steps.append(steps[-1] | low)
+        steps.append(st)
+    extra = steps[-1] & ~sink_bit
     while extra:  # strip extra pebbles, lowest first, to end at exactly {sink}
         extra &= extra - 1
-        path.append(sink_bit | extra)
+        steps.append(sink_bit | extra)
     return BwPebbling(host=g, steps=tuple(
         BwConfiguration(frozenset(v for v in order if st & bit[v]),
                         frozenset(v for v in order if st >> n & bit[v]))
-        for st in path
+        for st in steps
     ))
 
 

@@ -105,14 +105,26 @@ def test_labelled_greedy_pebbling_pyramid3():
 
 
 def test_optimal_pebbling_witnesses_pyramid3():
-    # the depth-first witnesses: 25 black and 79 black-white moves
+    # the depth-first witnesses: 23 black and 27 black-white moves
     g = dag.build_pyramid(3)
-    assert sha256(pebbling.serialize_pebbling(pebbling.optimal_black_pebbling(g))) == (
-        "d68f16f78b99b69d1aad3beeb8b6ced611796699066ae105f843403fcde01a3a"
+    black, bw = pebbling.optimal_black_pebbling(g), pebbling.optimal_bw_pebbling(g)
+    assert (black.time, bw.time) == (23, 27)
+    assert sha256(pebbling.serialize_pebbling(black)) == (
+        "81ebd2224ed29e7c0893226321ef9196164e6dd271606a92064e039dc08fd4fa"
     )
-    assert sha256(pebbling.serialize_pebbling(pebbling.optimal_bw_pebbling(g))) == (
-        "893b3ee062e8e550105632bac2249aaaa1f4ec9e1878fc39784d0aa2a733611b"
+    assert sha256(pebbling.serialize_pebbling(bw)) == (
+        "c85e294242cc18a0bb034fe07e6409b477082ae2354ef1f85c351fcd0bde5273"
     )
+
+
+@pytest.mark.parametrize("spec, price", [
+    ("pyramid:1", 3), ("pyramid:2", 4), ("pyramid:3", 4), ("pyramid:4", 5), ("pyramid:5", 5),
+    ("tree:0", 1), ("tree:1", 3), ("tree:2", 4), ("tree:3", 4),
+])
+def test_optimal_bw_price_golden(spec, price):
+    g = dag.parse_family(spec)
+    assert pebbling.optimal_bw_price(g) == price
+    assert pebbling.validate_bw(pebbling.optimal_bw_pebbling(g)).space == price
 
 
 @pytest.mark.parametrize("g,f,use_local,digest", [

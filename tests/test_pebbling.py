@@ -310,6 +310,10 @@ def reference_pebbling(g, black_only):
 @example(dag.build_path(2))
 @example(dag.parse_dag("v a\nv b\nv c\ne a c\ne b c\n"))  # cherry
 @example(dag.build_pyramid(1))
+@example(dag.build_path(1))  # the sink is a source
+@example(dag.parse_dag("v a\nv b\nv c\nv z\ne a z\ne b z\ne c z\n"))  # star of three sources
+@example(dag.parse_dag("v s\nv a\nv b\nv c\nv z\ne s a\ne s b\ne s c\ne a z\ne b z\ne c z\n"))
+@example(dag.parse_dag("v a\nv b\nv c\nv z\ne a b\ne a c\ne b c\ne c z\n"))  # c: a source, an inner
 @settings(max_examples=100, deadline=None)
 def test_prices_match_reference_search(g):
     for black_only, optimal, price in (
@@ -323,10 +327,28 @@ def test_prices_match_reference_search(g):
         assert optimal(g) == witness
 
 
-@pytest.mark.parametrize("spec", [f"pyramid:{h}" for h in range(1, 6)] + [f"tree:{h}" for h in range(1, 4)])
+@given(random_dags())
+@settings(max_examples=100, deadline=None)
+def test_witnesses_make_no_dominated_moves(g):
+    # bw: white pebbles only on inner vertices; black: a source placement is
+    # followed by more sources and then by the vertex that needs them all
+    inner = {v for v in g.vertices if g.predecessors(v) and v != g.sink}
+    assert all(v in inner for op, v in pebbling.optimal_bw_pebbling(g).moves() if op[0] == "W")
+    batch = []
+    for op, v in pebbling.optimal_black_pebbling(g).moves():
+        if op == "B+" and not g.predecessors(v) and v != g.sink:
+            batch.append(v)
+            continue
+        assert not batch or op == "B+" and set(batch) <= set(g.predecessors(v))
+        batch = []
+    assert not batch
+
+
+@pytest.mark.parametrize("spec", [f"pyramid:{h}" for h in range(1, 6)] + [f"tree:{h}" for h in range(1, 5)])
 def test_black_price_is_height_plus_two(spec):
     # Cook (1974); the time bound catches a search that restarts at each
-    # space bound, which takes about 1 s on pyramid:5
+    # space bound, which takes about 1 s on pyramid:5, and one that places
+    # sources singly, which takes about 1.8 s on tree:4
     height = int(spec.split(":")[1])
     start = time.process_time()
     assert pebbling.optimal_black_price(dag.parse_family(spec)) == height + 2
@@ -334,8 +356,8 @@ def test_black_price_is_height_plus_two(spec):
 
 
 @pytest.mark.parametrize("spec, price, work", [
-    ("pyramid:5", pebbling.optimal_black_price, 44_344),
-    ("pyramid:4", pebbling.optimal_bw_price, 38_541),
+    ("pyramid:5", pebbling.optimal_black_price, 23_213),
+    ("pyramid:4", pebbling.optimal_bw_price, 11_808),
 ])
 def test_price_search_work_pin(spec, price, work):
     # the configurations the search pops; a change in the shared search's work shows here
