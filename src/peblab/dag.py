@@ -10,7 +10,6 @@ deterministically.
 from __future__ import annotations
 
 import heapq
-import string
 from typing import Iterable
 
 from .cnf import is_decimal
@@ -134,8 +133,7 @@ def build_pyramid(height: int) -> Dag:
         raise ValueError("height must be >= 0")
     n = (height + 1) * (height + 2) // 2
     if n <= 26:
-        letters = string.ascii_lowercase[26 - n:]
-        names = iter(letters)
+        names = iter("abcdefghijklmnopqrstuvwxyz"[26 - n:])
 
         def name(layer, i):
             return next(names)

@@ -6,8 +6,8 @@ subclasses its blob counterpart, so one move rule and one replay check
 both subconfiguration games.
 
 Validators are pure functions over immutable traces.  Optimal prices come
-from `space_bounded_search`, the one search of both space games (it also
-runs `resolution.min_clause_space`), with the moves in canonical vertex
+from `search.space_bounded_search`, the one search of both space games (it
+also runs `resolution.min_clause_space`), with the moves in canonical vertex
 order (removals before placements), so repeated runs give identical witnesses.
 The price search makes no dominated move: a white pebble goes only on an
 inner vertex, and a black-game source only in one grow with the vertex it
@@ -27,6 +27,7 @@ from .errors import (
     WrongEndpoints,
     search_budget,
 )
+from .search import space_bounded_search
 
 if TYPE_CHECKING:
     from .dag import Dag
@@ -161,59 +162,6 @@ def greedy_black_strategy(g: Dag) -> BwPebbling:
 
 
 # -- optimal prices by exhaustive search ----------------------------------
-
-
-def space_bounded_search(start, shrink, grow, size, is_goal, budget, what, cap=None):
-    """(path, s): the least space bound s <= `cap` within which a goal is
-    reachable from `start`, and a path of states to it; (None, s) if none.
-
-    `shrink` and `grow` yield a state's successors that lower and raise
-    `size`; a grow may add several units.  At bound s a popped state below
-    s gets its shrinks and its grows of size at most s, one at s only its
-    shrinks; a state with a grow left above s waits in `blocked` until s
-    rises.  One `parents` dict serves all bounds, so no state is popped
-    twice; each pop costs one unit of `budget`, and the path is the stack's.
-    """
-    limit = search_budget(budget)
-    parents = {start: None}
-    stack, blocked, visited, s = [start], [], 0, 0
-
-    def push(moves, state):
-        for new in moves:
-            if new not in parents:
-                parents[new] = state
-                stack.append(new)
-
-    def push_grows(state):  # True if a grow is left above s
-        over = False
-        for new in grow(state):
-            if size(new) > s:
-                over = True
-            elif new not in parents:
-                parents[new] = state
-                stack.append(new)
-        return over
-
-    while True:
-        while not stack:
-            if not blocked or cap is not None and s >= cap:
-                return None, s
-            s += 1
-            blocked = [state for state in blocked if push_grows(state)]
-        state = stack.pop()
-        visited += 1
-        if visited > limit:
-            raise BudgetExceeded(visited, limit, what)
-        if is_goal(state):
-            break
-        push(shrink(state), state)
-        if size(state) >= s or push_grows(state):
-            blocked.append(state)
-    path = []
-    while state is not None:
-        path.append(state)
-        state = parents[state]
-    return path[::-1], s
 
 
 def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:

@@ -393,10 +393,15 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
                 for v, _ in pairs:
                     occurrences[v] = occurrences.get(v, 0) + 1
                 literals += line_width
-                width = max(width, line_width)
-                clause_space = max(clause_space, len(config))
-                variable_space = max(variable_space, len(occurrences))
-                total_space = max(total_space, literals)
+                # only a line that enters can raise a maximum
+                if line_width > width:
+                    width = line_width
+                if len(config) > clause_space:
+                    clause_space = len(config)
+                if len(occurrences) > variable_space:
+                    variable_space = len(occurrences)
+                if literals > total_space:
+                    total_space = literals
         size = len(config)
     return Measures(
         length=length,
@@ -830,7 +835,7 @@ def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None
     per configuration, else None: `space_bounded_search` over sets of the
     saturation codec's masks, where erasures shrink a set and downloads
     and resolvents grow it.  Satisfiable input answers None at once."""
-    from .pebbling import space_bounded_search
+    from .search import space_bounded_search
     # a width cap of the variable count drops no clause
     codec, alive, _ = saturate(f_formula.clauses, len(f_formula.variables()), budget)
     if _EMPTY not in alive:
@@ -930,21 +935,16 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
     return lines[key]
 
 
-def _is_count(tok: str) -> bool:
-    """Whether `tok` is a decimal integer of at least 1."""
-    return is_decimal(tok) and int(tok) >= 1
-
-
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
     system = None
     k = 1
     steps: list = []
     tables = ({}, {})  # see `_parse_line_tokens`
 
-    def ref(tok):
-        if not _is_count(tok):
+    def ref(tok):  # a step reference: a decimal integer of at least 1
+        if not (tok.isascii() and tok.isdecimal()) or (step := int(tok)) < 1:
             raise TraceError(f"bad step reference {tok!r}", line=lineno)
-        return int(tok)
+        return step
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         # whole-line comments only: substituted variable names contain '#'
@@ -957,7 +957,7 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
                 raise TraceError("first directive must be 'system res' or 'system kdnf <k>'", line=lineno)
             if fields[1:] == ["res"]:
                 system = "res"
-            elif len(fields) == 3 and fields[1] == "kdnf" and _is_count(fields[2]):
+            elif len(fields) == 3 and fields[1] == "kdnf" and is_decimal(fields[2]) and int(fields[2]) >= 1:
                 system = "kdnf"
                 k = int(fields[2])
             else:

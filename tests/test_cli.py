@@ -88,7 +88,7 @@ def test_gen_keeps_later_pairs_after_an_unexpected_exception(tmp_path, capsys, m
     assert (tmp_path / "manifest.csv").read_text().count("path:2") == 1
 
 
-PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "pebbling", "projections", "resolution"}
+PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "pebbling", "projections", "resolution", "search"}
 
 
 @pytest.fixture(scope="module")
@@ -105,30 +105,111 @@ def stage_dir(tmp_path_factory):
     return d
 
 
+def loaded_modules(argv, cwd):
+    """The modules a fresh process holds after `cli.main(argv)` succeeds."""
+    child = ("import sys; from peblab import cli; code = cli.main(sys.argv[1:]); "
+             "print(*sys.modules); sys.exit(code)")
+    proc = run_fresh(["-c", child, *argv], cwd)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 @pytest.mark.parametrize("argv, loaded", [
     ("graph --family path:1", {"dag"}),
     ("gen --graph path:2 --fn or:2 --out g.cnf", {"dag", "boolfunc", "formulas"}),
-    ("pebble-price --graph pyramid:2", {"dag", "pebbling"}),
+    ("pebble-price --graph pyramid:2", {"dag", "pebbling", "search"}),
     ("check --formula base.cnf --proof p.trace", {"formulas", "resolution"}),
     ("lift --formula base.cnf --proof p.trace --fn xor:2 --out l.trace",
      {"boolfunc", "formulas", "resolution"}),
     ("minwidth --formula base.cnf --cap 4", {"formulas", "resolution"}),
     ("compile --graph path:2 --out c.trace",
-     {"dag", "boolfunc", "formulas", "pebbling", "resolution"}),
+     {"dag", "boolfunc", "formulas", "pebbling", "resolution", "search"}),
     ("const-space --graph path:2 --out cs.trace", {"dag", "formulas", "resolution"}),
-    ("minspace --formula base.cnf --cap 4", {"formulas", "pebbling", "resolution"}),
+    ("minspace --formula base.cnf --cap 4", {"formulas", "resolution", "search"}),
     ("extract --formula sub.cnf --proof sub.trace --fn xor:2 --out e.trace",
      {"boolfunc", "formulas", "projections", "resolution"}),
+    ("report --family path --range 1 --out r.csv",
+     {"dag", "boolfunc", "formulas", "pebbling", "resolution", "search"}),
 ])
 def test_command_imports_only_what_it_runs(stage_dir, argv, loaded):
-    # Each stage is a fresh process that compiles every module it imports.
-    child = ("import sys; from peblab import cli; code = cli.main(sys.argv[1:]); "
-             "print(*sys.modules); sys.exit(code)")
-    proc = run_fresh(["-c", child, *argv.split()], stage_dir)
-    assert proc.returncode == 0, proc.stderr
-    modules = set(proc.stdout.splitlines()[-1].split())
+    # Each stage is a fresh process that compiles every module it imports,
+    # including the one handler module of its subcommand.
+    modules = loaded_modules(argv.split(), stage_dir)
     assert {m.removeprefix("peblab.") for m in modules} & PEBLAB_MODULES == loaded
+    handler = cli.COMMANDS[argv.split()[0]][0]
+    assert {m for m in modules if m.startswith("peblab.cli_")} == {f"peblab.{handler}"}
     assert not modules & {"concurrent.futures", "csv", "dataclasses", "inspect", "subprocess"}
+
+
+def test_no_work_stage_compiles_at_most_900_lines(tmp_path):
+    # Source lines stand in for start-up time, which spreads too widely on
+    # a shared VM to guard: the stage compiles every module it imports.
+    modules = loaded_modules(["graph", "--family", "path:1"], tmp_path)
+    package = Path(SRC, "peblab")
+    sources = [package / f"{m.removeprefix('peblab.')}.py" for m in modules if m.startswith("peblab.")]
+    lines = sum(len(path.read_text().splitlines()) for path in [package / "__init__.py", *sources])
+    assert lines <= 900
+
+
+def help_of(parser, argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args(argv)
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_subcommand_parser_prints_the_full_parsers_help(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one, full = cli.build_parser(command), cli.build_parser()
+    assert help_of(one, [command, "--help"], capsys) == help_of(full, [command, "--help"], capsys)
+    assert one.format_help() == full.format_help()
+
+
+USAGE = """usage: peblab [-h]
+              {gen,graph,pebble-validate,pebble-price,compile,const-space,lift,extract,check,minspace,minwidth,project,report,bench}
+              ...
+"""
+HELP = USAGE + """
+Pebble games, pebbling formulas, and resolution proof machinery
+
+positional arguments:
+  {gen,graph,pebble-validate,pebble-price,compile,const-space,lift,extract,check,minspace,minwidth,project,report,bench}
+    gen                 generate pebbling/substitution DIMACS formulas
+    graph               generate or inspect DAG files
+    pebble-validate     validate a pebbling trace
+    pebble-price        exact pebbling price by exhaustive search
+    compile             compile a black pebbling into a refutation
+    const-space         constant-clause-space refutation of Peb_G
+    lift                lift a refutation through substitution
+    extract             extract a base refutation from a substituted one
+    check               check a proof trace against a formula
+    minspace            exact minimal clause space (tiny formulas)
+    minwidth            minimal refutation width by bounded saturation
+    project             resolution f-projection of a configuration
+    report              price/length/space trade-off table for a family
+    bench               run an external SAT solver over a manifest
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    ("", 2, "", USAGE + "peblab: error: the following arguments are required: command\n"),
+    ("--help", 0, HELP, ""),
+    ("nosuch", 2, "", USAGE + "peblab: error: argument command: invalid choice: 'nosuch' (choose from "
+     "'gen', 'graph', 'pebble-validate', 'pebble-price', 'compile', 'const-space', 'lift', 'extract', "
+     "'check', 'minspace', 'minwidth', 'project', 'report', 'bench')\n"),
+    ("check", 2, "", "usage: peblab check [-h] --formula FORMULA --proof PROOF\n"
+     "peblab check: error: the following arguments are required: --formula, --proof\n"),
+    ("check --formula f --proof p --bogus", 2, "",
+     USAGE + "peblab: error: unrecognized arguments: --bogus\n"),
+])
+def test_usage_and_error_texts(tmp_path, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = run_fresh(["-m", "peblab", *argv.split()], tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_graph_too_large_to_build_is_an_error(tmp_path):
