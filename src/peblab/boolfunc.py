@@ -150,7 +150,7 @@ def prime_implicates(table: int, names: tuple[str, ...]) -> frozenset[Clause]:
                 literals.append((name, digit == 0))
             weight *= 3
         if prime:
-            clauses.append(Clause(frozenset(literals)))
+            clauses.append(Clause(literals))
     return frozenset(clauses)
 
 

@@ -105,6 +105,8 @@ def _run_jobs(fn, items, jobs):
 
 def cmd_bench(args) -> int:
     import csv
+    import os
+    import signal
     import subprocess
     import time
     if "{file}" not in args.solver:
@@ -119,22 +121,25 @@ def cmd_bench(args) -> int:
         start = time.monotonic()
         if args.timeout <= 0:
             return entry, "timeout", 0.0
-        try:
-            proc = subprocess.run(
-                command, shell=True, capture_output=True, timeout=args.timeout
-            )
-            elapsed = time.monotonic() - start
-        except subprocess.TimeoutExpired:
-            return entry, "timeout", time.monotonic() - start
+        try:  # in its own session, so a timeout kills the shell's children too
+            proc = subprocess.Popen(command, shell=True, stdout=subprocess.DEVNULL,
+                                    stderr=subprocess.DEVNULL, start_new_session=True)
         except OSError as exc:
             return entry, f"spawn-failure({exc})", time.monotonic() - start
-        if proc.returncode == 10:
+        try:
+            returncode = proc.wait(timeout=args.timeout)
+            elapsed = time.monotonic() - start
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the unreaped shell keeps the group alive
+            proc.wait()
+            return entry, "timeout", time.monotonic() - start
+        if returncode == 10:
             return entry, "SAT", elapsed
-        if proc.returncode == 20:
+        if returncode == 20:
             return entry, "UNSAT", elapsed
-        if proc.returncode == 127:
+        if returncode == 127:
             return entry, "spawn-failure(not found)", elapsed
-        return entry, f"exit({proc.returncode})", elapsed
+        return entry, f"exit({returncode})", elapsed
 
     results = _run_jobs(run, entries, args.jobs)
     lines = ["path,status,seconds"]
@@ -167,9 +172,13 @@ def _seconds(text: str) -> float:
 
 
 def _size_range(text: str) -> range:
-    """argparse type: `A:B`, or `A` alone, as the inclusive range A..B."""
+    """argparse type: `A:B` with A <= B, or `A` alone, as the inclusive
+    range A..B."""
     lo, _, hi = text.partition(":")
-    return range(_natural(lo), _natural(hi or lo) + 1)
+    out = range(_natural(lo), _natural(hi or lo) + 1)
+    if not out:
+        raise argparse.ArgumentTypeError(f"range start above its end: {text!r}")
+    return out
 
 
 def _project_arguments(p):

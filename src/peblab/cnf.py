@@ -1,9 +1,11 @@
 """Clauses and CNF formulas as immutable sets.
 
 A literal is a (variable name, polarity) pair; a clause is a frozenset
-of literals and is nontrivial by construction (no variable occurs with
-both polarities).  Formulas are frozensets of clauses, so duplicate
-clauses collapse and clause identity is purely structural.
+of literals (`Clause` subclasses frozenset) and is nontrivial by
+construction (no variable occurs with both polarities).  Formulas are
+frozensets of clauses, so duplicate clauses collapse and clause identity
+is purely structural.  A clause compares as its set does, `<=` being
+subsumption, so clauses are sorted only by `Clause.sort_key`.
 """
 
 from __future__ import annotations
@@ -50,8 +52,10 @@ class Value:
     A subclass names its fields in `_fields`, in constructor order, keeps
     them in `__slots__` and sets them only in `__init__`.  Two values are
     equal iff they are of exactly the same class with equal fields, the
-    hash agrees, and the repr is `Name(field=...)`.  Types hashed in inner
-    loops override `__eq__` and `__hash__` with direct field reads.
+    hash agrees, and the repr is `Name(field=...)`.  No subclass overrides
+    `__eq__` or `__hash__`.  `Clause` is the one exception to the rule: it
+    is a frozenset, its equality and hash are its set's, and its repr is
+    its text.
     """
 
     __slots__ = ()
@@ -73,55 +77,47 @@ class Value:
         return f"{self.__class__.__qualname__}({fields})"
 
 
-class Clause(Value):
-    __slots__ = _fields = ("literals",)
+class Clause(frozenset, Value):
+    """A nontrivial clause: the frozenset of its literals, equal to a plain
+    frozenset of the same literals; `<=` is subsumption and `<` a proper
+    subset, so clauses are ordered only by `sort_key`."""
 
-    def __init__(self, literals: frozenset[Lit] = frozenset()):
-        if len({name for name, _ in literals}) != len(literals):
-            raise TrivialClause(f"variable occurs with both polarities in {sorted(literals)}")
-        self.literals = literals
+    __slots__ = ()
+    _fields = ()
 
-    def __eq__(self, other):
-        if other.__class__ is not Clause:
-            return NotImplemented
-        return self.literals == other.literals
-
-    def __hash__(self) -> int:
-        return hash(self.literals)
+    def __new__(cls, literals: Iterable[Lit] = frozenset()):
+        self = frozenset.__new__(cls, literals)
+        if len({name for name, _ in self}) != len(self):
+            raise TrivialClause(f"variable occurs with both polarities in {sorted(self)}")
+        return self
 
     @property
     def width(self) -> int:
-        return len(self.literals)
+        return len(self)
 
     def variables(self) -> frozenset[str]:
-        return frozenset(name for name, _ in self.literals)
+        return frozenset(name for name, _ in self)
 
     def is_empty(self) -> bool:
-        return not self.literals
+        return not self
 
     def sorted_literals(self) -> tuple[Lit, ...]:
         """The literals by variable name: a clause names each variable once."""
-        return tuple(sorted(self.literals))
+        return tuple(sorted(self))
 
     def subsumes(self, other: "Clause") -> bool:
-        return self.literals <= other.literals
+        return self <= other
 
     def without(self, literal: Lit) -> "Clause":
-        return Clause(self.literals - {literal})
-
-    def __contains__(self, literal: Lit) -> bool:
-        return literal in self.literals
-
-    def __len__(self) -> int:
-        return len(self.literals)
+        return Clause(self - {literal})
 
     def sort_key(self):
-        return (len(self.literals), tuple(_lit_key(l) for l in self.sorted_literals()))
+        return (len(self), tuple(_lit_key(l) for l in self.sorted_literals()))
 
     def __str__(self) -> str:
-        if not self.literals:
+        if not self:
             return "<empty>"
-        return " ".join(map(format_lit, sorted(self.literals)))
+        return " ".join(map(format_lit, sorted(self)))
 
     __repr__ = __str__
 
@@ -131,7 +127,7 @@ EMPTY_CLAUSE = Clause()
 
 def clause(spec: str) -> Clause:
     """Build a clause from 'x -y z' shorthand."""
-    return Clause(frozenset(parse_lit(tok) for tok in spec.split()))
+    return Clause(parse_lit(tok) for tok in spec.split())
 
 
 class CnfFormula(Value):
@@ -146,7 +142,7 @@ class CnfFormula(Value):
 
     def variables(self) -> tuple[str, ...]:
         """Canonical variable order: lexicographic by name."""
-        return tuple(sorted({name for c in self.clauses for name, _ in c.literals}))
+        return tuple(sorted({name for c in self.clauses for name, _ in c}))
 
     def sorted_clauses(self) -> tuple[Clause, ...]:
         return tuple(sorted(self.clauses, key=Clause.sort_key))

@@ -24,7 +24,7 @@ SUBST_SEP = "#"
 def pebbling_axiom(g: Dag, v: str) -> Clause:
     """The clause ~u1 v ... v ~ul v v over v's predecessors u1..ul; a
     source's is its unit clause."""
-    return Clause(frozenset({(u, False) for u in g.predecessors(v)} | {(v, True)}))
+    return Clause({(u, False) for u in g.predecessors(v)} | {(v, True)})
 
 
 def pebbling_contradiction(g: Dag) -> CnfFormula:
@@ -33,7 +33,7 @@ def pebbling_contradiction(g: Dag) -> CnfFormula:
     One variable per vertex, n+1 clauses over n variables.
     """
     clauses = [pebbling_axiom(g, v) for v in g.topological_order()]
-    clauses.append(Clause(frozenset({(g.sink, False)})))
+    clauses.append(Clause({(g.sink, False)}))
     return CnfFormula(frozenset(clauses))
 
 
@@ -60,17 +60,16 @@ def _generic_canonical(f: BooleanFunction, positive: bool) -> frozenset[Clause]:
 
 def _literal_image(literal: Lit, f: BooleanFunction) -> list[Clause]:
     name, positive = literal
-    return [Clause(frozenset((f"{name}{SUBST_SEP}{gname}", pol) for gname, pol in c.literals))
+    return [Clause((f"{name}{SUBST_SEP}{gname}", pol) for gname, pol in c)
             for c in _generic_canonical(f, positive)]
 
 
 def substitute_clause(c: Clause, f: BooleanFunction) -> frozenset[Clause]:
     """All cross-disjunctions of the per-literal canonical clause sets."""
-    parts = [_literal_image(lit, f) for lit in c.literals]
+    parts = [_literal_image(lit, f) for lit in c]
     out = set()
     for combo in itertools.product(*parts):
-        lits = frozenset().union(*(part.literals for part in combo)) if combo else frozenset()
-        out.add(Clause(lits))
+        out.add(Clause(frozenset().union(*combo)))
     return frozenset(out)
 
 
@@ -95,14 +94,12 @@ def base_of_substituted(sub_formula: CnfFormula, f: BooleanFunction) -> tuple[Cn
     Raises if the formula is not exactly the image of some base formula
     under f-substitution.
     """
-    pos = {frozenset(c.literals): True for c in _generic_canonical(f, True)}
-    negs = {frozenset(c.literals): False for c in _generic_canonical(f, False)}
-    table = pos | negs
+    table = {c: positive for positive in (True, False) for c in _generic_canonical(f, positive)}
 
     mapping: dict[Clause, Clause] = {}
     for d in sub_formula.clauses:
         by_base: dict[str, set[Lit]] = {}
-        for name, polarity in d.literals:
+        for name, polarity in d:
             base, idx = split_substituted(name)
             by_base.setdefault(base, set()).add((str(idx), polarity))
         lits = set()
@@ -114,7 +111,7 @@ def base_of_substituted(sub_formula: CnfFormula, f: BooleanFunction) -> tuple[Cn
                     "matches no canonical clause"
                 )
             lits.add((base, table[key]))
-        mapping[d] = Clause(frozenset(lits))
+        mapping[d] = Clause(lits)
 
     base_formula = CnfFormula(frozenset(mapping.values()))
     if substitute(base_formula, f) != sub_formula:
@@ -275,7 +272,7 @@ def to_dimacs(f_formula: CnfFormula) -> str:
     lines = [f"c var {i + 1} {v}" for i, v in enumerate(names)]
     lines.append(f"p cnf {len(names)} {len(f_formula.clauses)}")
     for c in f_formula.sorted_clauses():
-        nums = sorted((index[n] if p else -index[n] for n, p in c.literals), key=abs)
+        nums = sorted((index[n] if p else -index[n] for n, p in c), key=abs)
         lines.append(" ".join(str(x) for x in nums + [0]))
     return "\n".join(lines) + "\n"
 
@@ -345,9 +342,7 @@ def from_dimacs(text: str) -> CnfFormula:
         last_line = lineno
         if value == 0:
             try:
-                clauses.append(Clause(frozenset(
-                    (name_of(abs(v)), v > 0) for v in current
-                )))
+                clauses.append(Clause((name_of(abs(v)), v > 0) for v in current))
             except TrivialClause as e:
                 raise DimacsError(str(e), line=lineno) from None
             current = []

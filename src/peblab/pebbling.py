@@ -45,14 +45,6 @@ class BwConfiguration(Value):
         self.black = black
         self.white = white
 
-    def __eq__(self, other):
-        if other.__class__ is not BwConfiguration:
-            return NotImplemented
-        return self.black == other.black and self.white == other.white
-
-    def __hash__(self) -> int:
-        return hash((self.black, self.white))
-
     @property
     def size(self) -> int:
         return len(self.black) + len(self.white)
@@ -265,14 +257,6 @@ class BlobSubconf(Value):
             raise ValueError(f"blob and support overlap: {sorted(blob & support)}")
         self.blob = blob
         self.support = support
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blob == other.blob and self.support == other.support
-
-    def __hash__(self) -> int:
-        return hash((self.blob, self.support))
 
     def __str__(self) -> str:
         return f"[{{{','.join(sorted(self.blob))}}},{{{','.join(sorted(self.support))}}}]"

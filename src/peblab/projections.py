@@ -76,7 +76,7 @@ class ProjectionWorld:
 
     def clause_mask(self, c: Clause) -> int:
         mask = 0
-        for lit in c.literals:
+        for lit in c:
             if lit not in self._lit_masks:
                 raise PeblabError(f"variable {lit[0]!r} outside this projection world")
             mask |= self._lit_masks[lit]
@@ -91,7 +91,7 @@ class ProjectionWorld:
     def disjunction_mask(self, c: Clause) -> int:
         """Mask of assignments satisfying OR of f^nu over c's literals."""
         mask = 0
-        for name, polarity in c.literals:
+        for name, polarity in c:
             mask |= self._signed[(name, polarity)]
         return mask
 
@@ -115,7 +115,7 @@ class ProjectionWorld:
 def _mentioned_base_vars(clauses) -> tuple[str, ...]:
     out = set()
     for c in clauses:
-        for name, _ in c.literals:
+        for name, _ in c:
             base, _idx = split_substituted(name)
             out.add(base)
     return tuple(sorted(out))
@@ -138,7 +138,7 @@ def precisely_implies(d, c: Clause, f: BooleanFunction) -> bool:
     dmask = world.config_mask(d)
     if not world.implies(dmask, world.disjunction_mask(c)):
         return False
-    for lit in c.literals:
+    for lit in c:
         if world.implies(dmask, world.disjunction_mask(c.without(lit))):
             return False
     return True
@@ -275,8 +275,8 @@ def extract_refutation(r_f: Refutation, f: BooleanFunction, use_local: bool = Fa
                     b.weaken(axiom, c)
                     continue
                 current = axiom
-                for lit in sorted(axiom.literals - c.literals):
-                    helper = Clause(frozenset({neg(lit)}) | c.literals)
+                for lit in sorted(axiom - c):
+                    helper = Clause(c | {neg(lit)})
                     if not b.has(helper):
                         hsrc = _weakening_source(prev, helper)
                         if hsrc is None:
@@ -336,7 +336,7 @@ def sample_configurations(f: BooleanFunction, count: int, seed: int):
         for _ in range(nclauses):
             width = rng.randint(1, min(_SAMPLE_WIDTH, len(universe)))
             chosen = rng.sample(universe, width)
-            config.add(Clause(frozenset((v, rng.random() < 0.5) for v in chosen)))
+            config.add(Clause((v, rng.random() < 0.5) for v in chosen))
         out.append(sorted(config, key=Clause.sort_key))
     return out
 
@@ -363,19 +363,19 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
         # monotone: strengthen D with an implied clause
         implied = None
         if d and base_vars:
-            extra_lits = set(d[rng.randrange(len(d))].literals)
+            extra_lits = set(d[rng.randrange(len(d))])
             pool = [v for v in world.sub_vars if v not in {n for n, _ in extra_lits}]
             if pool:
                 v = rng.choice(pool)
                 extra_lits.add((v, rng.random() < 0.5))
-            implied = Clause(frozenset(extra_lits))
+            implied = Clause(extra_lits)
 
         # incrementally sound: add an encoding of a random base axiom
         axiom = None
         if base_vars:
             width = rng.randint(1, len(base_vars))
             chosen = rng.sample(list(base_vars), width)
-            axiom = Clause(frozenset((x, rng.random() < 0.5) for x in chosen))
+            axiom = Clause((x, rng.random() < 0.5) for x in chosen)
             encodings = sorted(substitute_clause(axiom, f), key=Clause.sort_key)
             line = encodings[rng.randrange(len(encodings))]
 
@@ -399,9 +399,9 @@ def projection_axiom_suite(f: BooleanFunction, samples, seed: int = 0) -> SuiteR
                         )
             if axiom is not None:
                 for c in projector(d + [line], f):
-                    for lit in axiom.literals - c.literals:
+                    for lit in axiom - c:
                         checks += 1
-                        want = Clause(frozenset({neg(lit)}) | c.literals)
+                        want = Clause(c | {neg(lit)})
                         if not any(p.subsumes(want) for p in proj):
                             raise InternalContractViolation(
                                 f"incremental soundness failed: ({want}) not derivable "

@@ -76,17 +76,9 @@ class KDnfLine(Value):
                 raise ValueError(f"trivial term {sorted(t)}")
         self.terms = terms
 
-    def __eq__(self, other):
-        if other.__class__ is not KDnfLine:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(self.terms)
-
     @classmethod
     def from_clause(cls, c: Clause) -> "KDnfLine":
-        return cls(frozenset(frozenset({lit}) for lit in c.literals))
+        return cls(frozenset(frozenset({lit}) for lit in c))
 
     def variables(self) -> frozenset[str]:
         return frozenset(n for t in self.terms for n, _ in t)
@@ -180,7 +172,7 @@ def resolve(c1: Clause, c2: Clause, pivot: str) -> Clause:
     if (pivot, False) not in c2:
         raise PivotAbsent(f"{pivot} not negative in ({c2})")
     try:
-        return Clause((c1.literals - {(pivot, True)}) | (c2.literals - {(pivot, False)}))
+        return Clause((c1 - {(pivot, True)}) | (c2 - {(pivot, False)}))
     except TrivialClause:
         raise TrivialResolvent(f"resolving ({c1}) and ({c2}) on {pivot}") from None
 
@@ -199,7 +191,7 @@ def _lines_imply(premises, conclusion) -> bool | None:
 
     def holds(line, assignment) -> bool:
         if isinstance(line, Clause):
-            return any(((assignment >> pos[n]) & 1) == int(p) for n, p in line.literals)
+            return any(((assignment >> pos[n]) & 1) == int(p) for n, p in line)
         return any(
             all(((assignment >> pos[n]) & 1) == int(p) for n, p in t) for t in line.terms
         )
@@ -277,9 +269,9 @@ def _check_res_rule(step: Infer, premises: list, idx: int) -> None:
     if step.rule == "pivot":
         if len(premises) != 2 or step.pivot is None:
             raise IllegalStep(idx, "resolution takes two premises and a pivot")
-        a, b = premises[0].literals, premises[1].literals
+        a, b = premises
         positive, negative = (step.pivot, True), (step.pivot, False)
-        if positive in a and negative in b and step.line.literals == (a - {positive}) | (b - {negative}):
+        if positive in a and negative in b and step.line == (a - {positive}) | (b - {negative}):
             return
         try:  # `resolve` words the rejection
             expected = resolve(premises[0], premises[1], step.pivot)
@@ -307,11 +299,10 @@ def _replay(r: Refutation, semantic_check: bool):
         raise ValueError(f"unknown proof system {r.system!r}")
     kdnf = r.system == "kdnf"
     if kdnf:
+        line_type, bottom = KDnfLine, EMPTY_LINE
         axioms = {KDnfLine.from_clause(c) for c in r.target.clauses}
-        bottom = EMPTY_LINE
     else:
-        axioms = set(r.target.clauses)
-        bottom = EMPTY_CLAUSE
+        line_type, bottom, axioms = Clause, EMPTY_CLAUSE, r.target.clauses
     lines_by_id: dict[int, object] = {}
     config: set = set()
     for idx, step in enumerate(r.steps, start=1):
@@ -325,7 +316,8 @@ def _replay(r: Refutation, semantic_check: bool):
             config.remove(line)
         else:
             if isinstance(step, Download):
-                if step.line not in axioms:
+                # a plain frozenset equals the clause of its literals, so check the type
+                if step.line.__class__ is not line_type or step.line not in axioms:
                     raise IllegalStep(idx, f"({step.line}) is not an axiom of the target formula")
             elif isinstance(step, Infer):
                 for pid in step.premises:
@@ -379,7 +371,7 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
         if kdnf:  # one (variable, _) pair per variable: terms may share one
             line_width, pairs = line.literal_count(), [(v, None) for v in line.variables()]
         else:
-            line_width, pairs = len(line.literals), line.literals
+            line_width, pairs = len(line), line
         if isinstance(step, Erase):
             for v, _ in pairs:
                 if occurrences[v] == 1:
@@ -483,13 +475,13 @@ class _Codec:
     clause over them is a pair of bit sets (pos, neg)."""
 
     def __init__(self, clauses: list[Clause]):
-        names = sorted({n for c in clauses for n, _ in c.literals})
+        names = sorted({n for c in clauses for n, _ in c})
         self._bit = {n: 1 << i for i, n in enumerate(names)}
 
     def encode(self, c: Clause) -> _Mask:
         """The mask of c's literals; literals of other variables are dropped."""
         pos_bits = neg_bits = 0
-        for name, positive in c.literals:
+        for name, positive in c:
             if positive:
                 pos_bits |= self._bit.get(name, 0)
             else:
@@ -569,7 +561,7 @@ def constant_space_refutation(g: Dag) -> Refutation:
     each vertex is expanded at most once.
     """
     b = ProofBuilder(pebbling_contradiction(g))
-    cur = b.download(Clause(frozenset({(g.sink, False)})))
+    cur = b.download(Clause({(g.sink, False)}))
     while not cur.is_empty():
         v = max(cur.variables(), key=g.topo_position)
         axiom = b.download(pebbling_axiom(g, v))
@@ -602,7 +594,7 @@ def pebbling_to_refutation(
         raise IncompletePebbling(str(e)) from None
 
     def unit(v: str, positive: bool = True) -> Clause:
-        return Clause(frozenset({(v, positive)}))
+        return Clause({(v, positive)})
 
     b = ProofBuilder(pebbling_contradiction(g))
     for op, v in p.moves():
@@ -666,7 +658,7 @@ def _template(f: BooleanFunction) -> Refutation:
     def node(assignment: dict[str, bool]):
         """(clause, derivation), the derivation None or (left, right, pivot)."""
         for a in axioms:
-            if all(assignment.get(n) == (not positive) for n, positive in a.literals):
+            if all(assignment.get(n) == (not positive) for n, positive in a):
                 return a, None
         y = str(len(assignment) + 1)
         left = node({**assignment, y: False})
@@ -725,7 +717,7 @@ def lift_refutation(
     image_sizes = {True: len(f_axioms), False: len(template.target) - len(f_axioms)}
     replay_length = sum(isinstance(s, Infer) for s in template.steps)
     bound = sum(
-        math.prod(image_sizes[positive] for _, positive in c.literals)
+        math.prod(image_sizes[positive] for _, positive in c)
         * (replay_length if isinstance(s, Infer) and s.rule == "pivot" else 1)
         for s, c, _, _ in replay if not isinstance(s, Erase)
     )
@@ -751,7 +743,7 @@ def lift_refutation(
     @functools.lru_cache(maxsize=None)
     def block(x: str) -> tuple[list[Term], list[str | None]]:
         """The template's lines and pivots on x's block, built once per pivot."""
-        return ([frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line.literals)
+        return ([frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line)
                  for s in template.steps],
                 [f"{x}{SUBST_SEP}{s.pivot}" if isinstance(s, Infer) else None for s in template.steps])
 
@@ -766,16 +758,16 @@ def lift_refutation(
         elif step.rule == "weaken":
             kept = premises[0].variables()
             for t in targets:
-                yield t, Clause(frozenset(l for l in t.literals if base(l) in kept))
+                yield t, Clause(l for l in t if base(l) in kept)
         else:
             x = step.pivot
             on_block = block(x)[0]
             left = premises[0].variables() - {x}
             right = premises[1].variables() - {x}
             for t in targets:
-                attached = {1: frozenset(l for l in t.literals if base(l) in left),
-                            2: frozenset(l for l in t.literals if base(l) in right),
-                            3: t.literals}  # by sides: P', Q', both
+                attached = {1: frozenset(l for l in t if base(l) in left),
+                            2: frozenset(l for l in t if base(l) in right),
+                            3: t}  # by sides: P', Q', both
                 yield t, [Clause(line | attached[side]) for line, side in zip(on_block, sides)]
 
     # A step's derivations depend only on (c, premise lines, pivot): keep
@@ -924,15 +916,17 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
         else:
             atoms[tok] = frozenset({parse_lit(tok)})
     key = frozenset(map(atoms.__getitem__, tokens))
-    if key not in lines:
+    line = lines.get(key)
+    if line is None:
         lits = frozenset().union(*key) if kdnf else key
         if any(not name for name, _ in lits):
             raise TraceError("a literal has an empty variable name", line=lineno)
         try:
-            lines[key] = KDnfLine(key) if kdnf else Clause(key)
+            line = KDnfLine(key) if kdnf else Clause(key)
         except (TrivialClause, ValueError) as e:
             raise TraceError(str(e), line=lineno) from None
-    return lines[key]
+        lines[key if kdnf else line] = line  # a clause is its own key
+    return line
 
 
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:

@@ -151,8 +151,8 @@ def _bounded_closure(premises, width_cap):
         items = sorted(closure, key=Clause.sort_key)
         for c1 in items:
             for c2 in items:
-                for name, positive in c1.literals:
-                    if positive and (name, False) in c2.literals:
+                for name, positive in c1:
+                    if positive and (name, False) in c2:
                         try:
                             r = resolution.resolve(c1, c2, name)
                         except TrivialResolvent:

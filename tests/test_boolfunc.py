@@ -49,7 +49,7 @@ def test_canonical_requires_distinct_names():
 
 def _clauses_evaluate(clauses, names, index):
     value = {n: bool((index >> j) & 1) for j, n in enumerate(names)}
-    return all(any(value[n] == p for n, p in c.literals) for c in clauses)
+    return all(any(value[n] == p for n, p in c) for c in clauses)
 
 
 @pytest.mark.parametrize("f", [
@@ -70,7 +70,7 @@ def test_canonical_clauses_are_prime(f):
     # no literal can be dropped while staying an implicate
     names = tuple(f"x{i}" for i in range(1, f.arity + 1))
     for c in boolfunc.canonical_clauses(f, names):
-        for lit in c.literals:
+        for lit in c:
             weaker = [c.without(lit)]
             broke = any(
                 f.value(index) and not _clauses_evaluate(weaker, names, index)

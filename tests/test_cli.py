@@ -4,6 +4,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -433,14 +434,18 @@ def test_report_paths(tmp_path):
     assert all(int(r["bw_price"]) <= int(r["black_price"]) for r in rows)
 
 
-def test_report_empty_range_header_only(tmp_path):
-    out = tmp_path / "report.csv"
-    assert run("report", "--family", "path", "--range", "5:2", "--fn", "none",
-               "--out", str(out)) == 0
-    assert out.read_text().splitlines() == [
-        "family,n,vertices,black_price,bw_price,"
-        "compiled_length,compiled_clause_space,const_space_length"
-    ]
+def test_report_rejects_a_reversed_range(capsys):
+    # 5:2 used to print only the header and exit 0
+    with pytest.raises(SystemExit) as info:
+        run("report", "--family", "path", "--range", "5:2", "--fn", "none")
+    assert info.value.code == 2
+    assert "argument --range: range start above its end: '5:2'" in capsys.readouterr().err
+
+
+def test_report_marks_the_cells_whose_budget_trips(capsys):
+    assert run("report", "--family", "pyramid", "--range", "3", "--fn", "xor:2",
+               "--budget", "50") == 0
+    assert capsys.readouterr().out.splitlines()[1] == "pyramid,3,10,budget,budget,budget,budget,21"
 
 
 def test_report_pyramids_monotone(tmp_path):
@@ -471,6 +476,48 @@ def test_bench_unsat_rows(tmp_path):
     rows = bench_out.read_text().splitlines()
     assert len(rows) == 3
     assert all(row.split(",")[1] == "UNSAT" for row in rows[1:])
+
+
+@pytest.mark.parametrize("exit_code, status, code", [(10, "SAT", 0), (3, "exit(3)", 1)])
+def test_bench_reads_the_solver_exit_code(tmp_path, capsys, exit_code, status, code):
+    out_dir = tmp_path / "corpus"
+    run("gen", "--graph", "path:2", "--fn", "none", "--out-dir", str(out_dir))
+    capsys.readouterr()
+    bench_out = tmp_path / "bench.csv"
+    assert run("bench", "--manifest", str(out_dir / "manifest.csv"),
+               "--solver", _fake_solver(tmp_path, exit_code) + " {file}",
+               "--out", str(bench_out)) == code
+    path, got, _ = bench_out.read_text().splitlines()[1].split(",")
+    assert got == status
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ([] if code == 0 else [f"error: {path}: {status}"])
+
+
+def _running(pid: int) -> bool:
+    """Whether `pid` is a live process, not gone and not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="reads /proc")
+def test_bench_timeout_kills_the_solver_the_shell_started(tmp_path):
+    # the shell forks the solver (a command list), the solver records its
+    # pid and execs sleep, so at most one process sleeps at most 5 s
+    pid_file = tmp_path / "solver.pid"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"path\n{pid_file}\n")
+    solver = "sh -c 'echo $$ > {file}; exec sleep 5'; exit 0"
+    assert run("bench", "--manifest", str(manifest), "--solver", solver, "--timeout", "2",
+               "--out", str(tmp_path / "bench.csv")) == 0
+    assert (tmp_path / "bench.csv").read_text().splitlines()[1].split(",")[1] == "timeout"
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 2
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(pid)
 
 
 def test_bench_timeout_zero(tmp_path):

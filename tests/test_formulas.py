@@ -121,7 +121,7 @@ def test_brute_force_sat_pyramid4_maj3():
     assert formulas.brute_force_sat(full, budget=10**6) is None
     model = formulas.brute_force_sat(sink_deleted, budget=10**6)
     assert time.process_time() - start < 2
-    assert all(any(model[name] == positive for name, positive in c.literals)
+    assert all(any(model[name] == positive for name, positive in c)
                for c in sink_deleted.clauses)
 
 
@@ -335,3 +335,25 @@ def test_substitution_preserves_satisfiability_random(F):
 @settings(max_examples=200, deadline=None)
 def test_brute_force_sat_matches_enumeration(F):
     assert formulas.brute_force_sat(F) == reference_sat(F)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("p cnf 1 1\np cnf 1 1\n1 0\n", "line 2: duplicate problem line"),
+    ("c no problem line\n", "missing problem line"),
+])
+def test_dimacs_takes_exactly_one_problem_line(text, message):
+    with pytest.raises(DimacsError) as info:
+        formulas.from_dimacs(text)
+    assert str(info.value) == message
+
+
+def test_base_of_substituted_rejects_an_image_missing_a_clause():
+    sub = formulas.substitute(formulas.pebbling_contradiction(dag.build_path(2)), XOR2)
+    partial = sub.without_clause(sub.sorted_clauses()[0])
+    with pytest.raises(PeblabError) as info:
+        formulas.base_of_substituted(partial, XOR2)
+    assert str(info.value) == "formula is not a full substitution image (incomplete clause blocks)"
+
+
+def test_brute_force_sat_of_a_formula_with_the_empty_clause():
+    assert formulas.brute_force_sat(CnfFormula(frozenset({Clause(), clause("x")}))) is None

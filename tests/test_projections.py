@@ -120,7 +120,7 @@ class TestProject:
 
 
 def mentioned_base_vars(d):
-    return sorted({formulas.split_substituted(name)[0] for c in d for name, _ in c.literals})
+    return sorted({formulas.split_substituted(name)[0] for c in d for name, _ in c})
 
 
 @pytest.mark.parametrize("f", [XOR2, OR2, MAJ3], ids=["xor2", "or2", "maj3"])
@@ -312,7 +312,7 @@ def broken(r: Refutation, how: str) -> Refutation:
         steps[erase + 1] = steps[erase]
     elif how == "non-axiom download":
         i = next(i for i, s in enumerate(steps) if isinstance(s, Download))
-        steps[i] = Download(Clause(steps[i].line.literals | {("z", True)}))
+        steps[i] = Download(Clause(steps[i].line | {("z", True)}))
     else:  # erase the empty clause at the end
         steps.append(Erase(max(i for i, s in enumerate(steps, 1) if isinstance(s, Infer)
                                and s.line == EMPTY_CLAUSE)))

@@ -203,7 +203,7 @@ def random_proof(ops, system):
 
     def resolve(i1, i2):
         p1, p2 = by_id[i1], by_id[i2]
-        for pivot in sorted(n for n, positive in p1.literals if positive and (n, False) in p2):
+        for pivot in sorted(n for n, positive in p1 if positive and (n, False) in p2):
             try:
                 r = resolution.resolve(p1, p2, pivot)
             except TrivialResolvent:
@@ -230,7 +230,7 @@ def random_proof(ops, system):
             elif neg(lit) in by_id[src]:
                 line = by_id[src]
             else:
-                line = Clause(by_id[src].literals | {lit})
+                line = Clause(by_id[src] | {lit})
             add(Infer(line, (src,), "weaken"))
         else:
             (cut if kdnf else resolve)(present[i % len(present)], present[j % len(present)])
@@ -310,7 +310,7 @@ def test_a_repeated_inference_never_skips_checking_a_changed_copy(ops, system, p
 def saturated(premises):
     """The mask encoder of `premises` and the masks of their
     subsumption-minimized resolution closure."""
-    codec, alive, _ = resolution.saturate(premises, len({n for c in premises for n, _ in c.literals}))
+    codec, alive, _ = resolution.saturate(premises, len({n for c in premises for n, _ in c}))
     return codec.encode, alive
 
 
@@ -712,7 +712,7 @@ class TestTraceFormat:
             assert len({id(line) for line in lines}) == len(distinct)
         literals: dict = {}  # over the parsed lines: one tuple per literal
         for line in {s.line for s in parsed.steps if not isinstance(s, Erase)}:
-            for lit in line.literals:
+            for lit in line:
                 assert literals.setdefault(lit, lit) is lit
 
     def test_comment_lines(self):
@@ -938,7 +938,7 @@ def width_capped_closure(F: CnfFormula, w: int) -> set[Clause]:
     while frontier:
         c1 = frontier.pop()
         for c2 in list(closure):
-            for name, positive in c1.literals:
+            for name, positive in c1:
                 if (name, not positive) not in c2:
                     continue
                 try:
@@ -1008,7 +1008,7 @@ def reference_min_clause_space(F: CnfFormula, cap: int) -> int | None:
                 nxt += [state | {a} for a in F.clauses]
                 for c1 in state:
                     for c2 in state:
-                        for name, positive in c1.literals:
+                        for name, positive in c1:
                             if positive and (name, False) in c2:
                                 try:
                                     nxt.append(state | {resolution.resolve(c1, c2, name)})
@@ -1025,7 +1025,7 @@ def _resolvents(state):
     """(c1, c2, pivot, resolvent) for each nontrivial resolution of two clauses in state."""
     for c1 in state:
         for c2 in state:
-            for name, positive in c1.literals:
+            for name, positive in c1:
                 if positive and (name, False) in c2:
                     try:
                         r = resolution.resolve(c1, c2, name)
@@ -1092,3 +1092,11 @@ def tiny_cnfs(draw):
 def test_min_clause_space_matches_clause_level_search(F):
     for cap in (2, 3, 4):
         assert resolution.min_clause_space(F, cap) == reference_min_clause_space(F, cap)
+
+
+def test_a_plain_frozenset_download_is_not_an_axiom():
+    # a clause equals the frozenset of its literals, so the replay checks the type
+    r = Refutation(formula(["x", "-x"]), (Download(frozenset({("x", True)})),))
+    with pytest.raises(IllegalStep) as info:
+        resolution.check_refutation(r)
+    assert str(info.value) == "step 1: (frozenset({('x', True)})) is not an axiom of the target formula"

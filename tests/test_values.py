@@ -1,10 +1,14 @@
 """Value semantics of the immutable types built on `cnf.Value`."""
 
+import importlib
+import pkgutil
+
 import pytest
 
+import peblab
 from peblab import dag
 from peblab.boolfunc import BooleanFunction
-from peblab.cnf import Clause, CnfFormula, Value
+from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, Value, clause
 from peblab.errors import ConstantFunction, TrivialClause
 from peblab.pebbling import (
     BlobConfiguration, BlobPebbling, BlobSubconf, BwConfiguration, BwPebbling,
@@ -12,7 +16,7 @@ from peblab.pebbling import (
 )
 from peblab.projections import SpaceRespectReport, SpaceRespectRow, SuiteReport
 from peblab.resolution import (
-    Download, Erase, Infer, KDnfLine, Measures, Refutation, SimulationConstants,
+    EMPTY_LINE, Download, Erase, Infer, KDnfLine, Measures, Refutation, SimulationConstants,
 )
 
 G = dag.build_path(2)
@@ -103,3 +107,52 @@ def test_subclass_values_differ_from_their_base(labelled, blob):
 def test_constructor_checks_raise(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+CLAUSES = ["", "x", "-y", "x -y", "x -y z"]
+
+
+@pytest.mark.parametrize("spec", CLAUSES)
+def test_a_clause_equals_its_frozenset_of_literals(spec):
+    literals = frozenset(clause(spec))
+    assert type(literals) is frozenset
+    assert Clause(literals) == literals and literals == Clause(literals)
+    assert hash(Clause(literals)) == hash(literals)
+    assert {literals: 1}[Clause(literals)] == 1
+
+
+@pytest.mark.parametrize("a", CLAUSES)
+@pytest.mark.parametrize("b", CLAUSES)
+def test_clause_order_is_subsumption(a, b):
+    c, d = clause(a), clause(b)
+    assert (c <= d) == c.subsumes(d)
+    assert (c < d) == (c.subsumes(d) and c != d)
+
+
+@pytest.mark.parametrize("spec", CLAUSES)
+def test_no_clause_equals_a_kdnf_line(spec):
+    c = clause(spec)
+    line = KDnfLine.from_clause(c)
+    assert c != line and line != c
+    assert len({c, line}) == 2
+    assert spec or (c, line) == (EMPTY_CLAUSE, EMPTY_LINE)
+
+
+def _value_types():
+    for module in pkgutil.iter_modules(peblab.__path__):
+        importlib.import_module(f"peblab.{module.name}")
+    stack, seen = [Value], []
+    while stack:
+        cls = stack.pop()
+        seen.append(cls)
+        stack.extend(cls.__subclasses__())
+    return seen
+
+
+def test_no_value_type_overrides_equality():
+    # one equality rule: `Value`'s exact-class field comparison, or for
+    # `Clause` its frozenset's; a class body defining `__eq__` also sets
+    # `__hash__` in its dict
+    overriding = [cls.__qualname__ for cls in _value_types()
+                  if cls is not Value and {"__eq__", "__hash__"} & cls.__dict__.keys()]
+    assert overriding == []
