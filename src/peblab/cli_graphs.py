@@ -82,6 +82,8 @@ def cmd_pebble_validate(args) -> int:
     if isinstance(p, pebbling.BwPebbling):
         cost = pebbling.validate_bw(p, black_only=args.black_only)
         print(f"ok bw time={cost.time} space={cost.space}")
+    elif args.black_only:
+        return _fail("--black-only applies to bw traces")
     elif isinstance(p, pebbling.LabelledPebbling):
         cost = pebbling.validate_labelled(p)
         print(

@@ -88,7 +88,8 @@ class Clause(frozenset, Value):
     def __new__(cls, literals: Iterable[Lit] = frozenset()):
         self = frozenset.__new__(cls, literals)
         if len({name for name, _ in self}) != len(self):
-            raise TrivialClause(f"variable occurs with both polarities in {sorted(self)}")
+            raise TrivialClause("variable occurs with both polarities in "
+                                f"({' '.join(map(format_lit, sorted(self)))})")
         return self
 
     @property

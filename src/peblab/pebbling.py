@@ -1,5 +1,11 @@
 """Pebble games over DAGs: black-white, labelled, and blob variants.
 
+A black-white pebbling is its moves, as the trace format writes them:
+(op, v) pairs played from the empty configuration, and `validate_bw` is
+the one replay that applies them.  The labelled and blob games keep
+their configuration sequences, since a trace names their moves by
+subconfiguration creation index, which no (op, vertex) pair fixes.
+
 A labelled subconfiguration `Subconf` <v, W> is the one-vertex
 `BlobSubconf` [{v}, W] that may not inflate, and each labelled type
 subclasses its blob counterpart, so one move rule and one replay check
@@ -35,48 +41,23 @@ if TYPE_CHECKING:
 
 # -- black-white game -----------------------------------------------------
 
-
-class BwConfiguration(Value):
-    __slots__ = _fields = ("black", "white")
-
-    def __init__(self, black: frozenset[str] = frozenset(), white: frozenset[str] = frozenset()):
-        if black & white:
-            raise ValueError(f"vertices doubly pebbled: {sorted(black & white)}")
-        self.black = black
-        self.white = white
-
-    @property
-    def size(self) -> int:
-        return len(self.black) + len(self.white)
-
-    def __str__(self) -> str:
-        b = ",".join(sorted(self.black)) or "-"
-        w = ",".join(sorted(self.white)) or "-"
-        return f"(B:{b} W:{w})"
+_BW_OPS = ("B+", "B-", "W+", "W-")
 
 
 class BwPebbling(Value):
-    __slots__ = _fields = ("host", "steps")
+    """A black-white pebbling as its moves: (op, v) pairs, op one of B+,
+    B-, W+, W-, played from the empty configuration; `validate_bw`
+    replays them."""
 
-    def __init__(self, host: Dag, steps: tuple[BwConfiguration, ...]):
+    __slots__ = _fields = ("host", "moves")
+
+    def __init__(self, host: Dag, moves: tuple[tuple[str, str], ...]):
         self.host = host
-        self.steps = steps
+        self.moves = moves
 
     @property
     def time(self) -> int:
-        return len(self.steps) - 1
-
-    def moves(self):
-        """(op, v) per step, op one of B+, B-, W+, W-; raises IllegalMove
-        at a step that changes other than exactly one pebble."""
-        for t, (prev, cur) in enumerate(zip(self.steps, self.steps[1:]), start=1):
-            changes = [(op, v) for op, vs in (("B+", cur.black - prev.black),
-                                              ("B-", prev.black - cur.black),
-                                              ("W+", cur.white - prev.white),
-                                              ("W-", prev.white - cur.white)) for v in vs]
-            if len(changes) != 1:
-                raise IllegalMove(t, f"exactly one pebble must change, {len(changes)} changed")
-            yield changes[0]
+        return len(self.moves)
 
 
 class PebblingCost(Value):
@@ -88,40 +69,46 @@ class PebblingCost(Value):
 
 
 def validate_bw(pebbling: BwPebbling, black_only: bool = False) -> PebblingCost:
-    """Check every transition against rules 1-4 and the endpoints.
+    """Replay the moves from the empty configuration, checking each against
+    rules 1-4, and check that the last configuration holds exactly a black
+    pebble on the sink.  The one place a black-white move is applied.
 
     Rule 1: a black pebble may be placed on an empty vertex whose
     predecessors are all pebbled.  Rule 2: a black pebble may be removed
     at any time.  Rule 3: a white pebble may be placed on any empty
     vertex.  Rule 4: a white pebble may be removed if the vertex's
-    predecessors are all pebbled.  Exactly one pebble changes per step.
+    predecessors are all pebbled.  The first bad move raises.
     """
     g = pebbling.host
-    steps = pebbling.steps
-    if not steps:
-        raise WrongEndpoints("pebbling has no configurations")
-    for t, conf in enumerate(steps):
-        for v in conf.black | conf.white:
-            if not g.has_vertex(v):
-                raise IllegalMove(t, f"unknown vertex {v!r}")
-        if black_only and conf.white:
-            raise WhitePebbleInBlackOnly(t)
-    if steps[0].black or steps[0].white:
-        raise WrongEndpoints("pebbling must start from the empty configuration")
-
+    black: set[str] = set()
+    white: set[str] = set()
     space = 0
-    for t, (op, v) in enumerate(pebbling.moves(), start=1):
-        pebbled = steps[t - 1].black | steps[t - 1].white
+    for t, (op, v) in enumerate(pebbling.moves, start=1):
+        if op not in _BW_OPS:
+            raise IllegalMove(t, f"unknown move {op!r}")
+        if not g.has_vertex(v):
+            raise IllegalMove(t, f"unknown vertex {v!r}")
+        if black_only and op[0] == "W":
+            raise WhitePebbleInBlackOnly(t)
+        pebbles = black if op[0] == "B" else white
+        if op[1] == "+":
+            if v in black or v in white:
+                raise IllegalMove(t, f"vertex {v} already pebbled")
+            pebbles.add(v)
+        elif v in pebbles:
+            pebbles.remove(v)
+        else:
+            raise IllegalMove(t, f"no such pebble to remove on {v}")
         if op in ("B+", "W-"):  # rules 1 and 4; rules 2 and 3 always hold
-            missing = [u for u in g.predecessors(v) if u not in pebbled]
+            missing = [u for u in g.predecessors(v) if u not in black and u not in white]
             if missing:
                 rule = 1 if op == "B+" else 4
                 raise IllegalMove(t, f"rule {rule}: predecessors {missing} of {v} unpebbled")
-        space = max(space, steps[t].size)
-    last = steps[-1]
-    if last.black != frozenset({g.sink}) or last.white:
-        raise WrongEndpoints(f"pebbling must end at ({{{g.sink}}}, {{}}), got {last}")
-    return PebblingCost(time=len(steps) - 1, space=space)
+        space = max(space, len(black) + len(white))
+    if black != {g.sink} or white:
+        got = f"(B:{','.join(sorted(black)) or '-'} W:{','.join(sorted(white)) or '-'})"
+        raise WrongEndpoints(f"pebbling must end at ({{{g.sink}}}, {{}}), got {got}")
+    return PebblingCost(time=pebbling.time, space=space)
 
 
 def greedy_black_strategy(g: Dag) -> BwPebbling:
@@ -134,7 +121,7 @@ def greedy_black_strategy(g: Dag) -> BwPebbling:
     not hit the recursion limit.
     """
     cur: set[str] = set()
-    steps = [BwConfiguration()]
+    moves = []
     stack = [(g.sink, iter(g.predecessors(g.sink)), [])]
     while stack:
         v, preds, placed = stack[-1]
@@ -146,11 +133,11 @@ def greedy_black_strategy(g: Dag) -> BwPebbling:
         else:
             stack.pop()
             cur.add(v)
-            steps.append(BwConfiguration(frozenset(cur)))
+            moves.append(("B+", v))
             for u in placed:
                 cur.remove(u)
-                steps.append(BwConfiguration(frozenset(cur)))
-    return BwPebbling(host=g, steps=tuple(steps))
+                moves.append(("B-", u))
+    return BwPebbling(host=g, moves=tuple(moves))
 
 
 # -- optimal prices by exhaustive search ----------------------------------
@@ -166,7 +153,8 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
     vertex's predecessor.  In the black game a source other than the sink is
     placed only in a grow that adds a vertex v with its missing sources, once
     v's other predecessors are pebbled: delaying each source placement to its
-    first use only removes pebbles.  The witness places a grow lowest first."""
+    first use only removes pebbles.  The witness plays each grow, and the
+    final strip to {sink}, lowest vertex first."""
     order = g.topological_order()
     n, full = len(order), (1 << len(order)) - 1
     bit = {v: 1 << i for i, v in enumerate(order)}
@@ -203,23 +191,16 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
         0, removals, placements, int.bit_count,
         lambda state: state & sink_bit and not state >> n, budget,
         "black pebbling price search" if black_only else "black-white pebbling price search")
-    steps = path[:1]
-    for st in path[1:]:  # one pebble per step: a batched grow's lowest first
-        added = st & ~steps[-1]
-        while added & (added - 1):
-            low = added & -added
-            added ^= low
-            steps.append(steps[-1] | low)
-        steps.append(st)
-    extra = steps[-1] & ~sink_bit
-    while extra:  # strip extra pebbles, lowest first, to end at exactly {sink}
-        extra &= extra - 1
-        steps.append(sink_bit | extra)
-    return BwPebbling(host=g, steps=tuple(
-        BwConfiguration(frozenset(v for v in order if st & bit[v]),
-                        frozenset(v for v in order if st >> n & bit[v]))
-        for st in steps
-    ))
+    moves = []
+    states = [*path, sink_bit]  # then strip extra pebbles to end at exactly {sink}
+    for prev, st in zip(states, states[1:]):  # one pebble per move, lowest first
+        changed = prev ^ st
+        while changed:
+            b = changed & -changed
+            changed ^= b
+            i = b.bit_length() - 1
+            moves.append(("BW"[i // n] + ("+" if st & b else "-"), order[i % n]))
+    return BwPebbling(host=g, moves=tuple(moves))
 
 
 def optimal_black_pebbling(g: Dag, budget=None) -> BwPebbling:
@@ -412,7 +393,7 @@ def black_to_labelled(p: BwPebbling) -> LabelledPebbling:
     def snapshot():
         steps.append(LabelledConfiguration(frozenset(cur)))
 
-    for op, v in p.moves():
+    for op, v in p.moves:
         if op == "B+":
             preds = g.predecessors(v)
             work = Subconf(v, frozenset(preds))
@@ -492,7 +473,7 @@ def validate_blob(p: BlobPebbling, budget=None) -> PebblingCost:
 
 def serialize_pebbling(p: BwPebbling | BlobPebbling) -> str:
     if isinstance(p, BwPebbling):
-        return "\n".join(["game bw", *(f"{op} {v}" for op, v in p.moves())]) + "\n"
+        return "\n".join(["game bw", *(f"{op} {v}" for op, v in p.moves)]) + "\n"
 
     if not isinstance(p, BlobPebbling):
         raise TypeError(f"not a pebbling: {p!r}")
@@ -543,25 +524,10 @@ def parse_pebbling_trace(text: str, host: Dag):
         raise TraceError("empty trace: missing 'game' header")
 
     if game == "bw":
-        black: set[str] = set()
-        white: set[str] = set()
-        steps = [BwConfiguration()]
-        ops = {"B+": (black, "add"), "B-": (black, "remove"), "W+": (white, "add"), "W-": (white, "remove")}
         for lineno, fields in body:
-            if len(fields) != 2 or fields[0] not in ops:
+            if len(fields) != 2 or fields[0] not in _BW_OPS:
                 raise TraceError(f"bad bw move {' '.join(fields)!r}", line=lineno)
-            target, action = ops[fields[0]]
-            v = fields[1]
-            if action == "add":
-                if v in black or v in white:
-                    raise TraceError(f"vertex {v} already pebbled", line=lineno)
-                target.add(v)
-            else:
-                if v not in target:
-                    raise TraceError(f"no such pebble to remove on {v}", line=lineno)
-                target.remove(v)
-            steps.append(BwConfiguration(black=frozenset(black), white=frozenset(white)))
-        return BwPebbling(host=host, steps=tuple(steps))
+        return BwPebbling(host=host, moves=tuple((op, v) for _, (op, v) in body))
 
     labelled = game == "labelled"
     config = LabelledConfiguration if labelled else BlobConfiguration

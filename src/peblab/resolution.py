@@ -73,7 +73,7 @@ class KDnfLine(Value):
                 raise ValueError("empty term (constant true) not allowed in a line")
             names = [n for n, _ in t]
             if len(names) != len(set(names)):
-                raise ValueError(f"trivial term {sorted(t)}")
+                raise ValueError(f"trivial term {_format_term(_term_lits(t))}")
         self.terms = terms
 
     @classmethod
@@ -597,7 +597,7 @@ def pebbling_to_refutation(
         return Clause({(v, positive)})
 
     b = ProofBuilder(pebbling_contradiction(g))
-    for op, v in p.moves():
+    for op, v in p.moves:
         if op == "B+":
             line = b.download(pebbling_axiom(g, v))
             for u in g.predecessors(v):

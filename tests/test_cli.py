@@ -293,6 +293,23 @@ def test_pebble_validate_rejects_bad_trace(tmp_path, capsys):
     assert "rule 1" in capsys.readouterr().err
 
 
+def test_pebble_validate_reports_the_first_bad_move(tmp_path, capsys):
+    trace = tmp_path / "bad.trace"
+    trace.write_text("game bw\nB+ v1\nB+ v1\n")
+    assert run("pebble-validate", "--graph", "path:2", "--trace", str(trace)) == 1
+    assert capsys.readouterr().err == "error: step 2: vertex v1 already pebbled\n"
+
+
+@pytest.mark.parametrize("game", ["labelled", "blob"])
+def test_pebble_validate_black_only_needs_a_bw_trace(tmp_path, capsys, game):
+    lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
+    trace = tmp_path / "l.trace"
+    trace.write_text(pebbling.serialize_pebbling(lp).replace("game labelled", f"game {game}", 1))
+    assert run("pebble-validate", "--graph", "path:3", "--trace", str(trace), "--black-only") == 1
+    printed = capsys.readouterr()
+    assert (printed.out, printed.err) == ("", "error: --black-only applies to bw traces\n")
+
+
 def test_pebble_validate_labelled(tmp_path, capsys):
     lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
     trace = tmp_path / "l.trace"

@@ -473,11 +473,7 @@ class TestPebblingToRefutation:
 
     def test_incomplete_pebbling_rejected(self):
         g = dag.build_path(2)
-        incomplete = pebbling.BwPebbling(
-            host=g,
-            steps=(pebbling.BwConfiguration(),
-                   pebbling.BwConfiguration(black=frozenset({"v1"}))),
-        )
+        incomplete = pebbling.BwPebbling(host=g, moves=(("B+", "v1"),))
         with pytest.raises(resolution.IncompletePebbling):
             resolution.pebbling_to_refutation(g, incomplete)
 
@@ -689,6 +685,8 @@ class TestTraceFormat:
          "line 4: cut term must be parenthesised: 'r <- 1 2 cut x'"),
         ("", "empty trace: missing 'system' header"),
         ("# only a comment\n", "empty trace: missing 'system' header"),
+        ("system res\nd x\nw x1 -x1 <- 1\n", "line 3: variable occurs with both polarities in (-x1 x1)"),
+        ("system kdnf 2\nd (x1&-x1)\n", "line 2: trivial term (-x1&x1)"),
     ])
     def test_parse_rejection_texts(self, text, message):
         with pytest.raises(TraceError) as info:

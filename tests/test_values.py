@@ -11,7 +11,7 @@ from peblab.boolfunc import BooleanFunction
 from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, Value, clause
 from peblab.errors import ConstantFunction, TrivialClause
 from peblab.pebbling import (
-    BlobConfiguration, BlobPebbling, BlobSubconf, BwConfiguration, BwPebbling,
+    BlobConfiguration, BlobPebbling, BlobSubconf, BwPebbling,
     LabelledConfiguration, LabelledCost, LabelledPebbling, PebblingCost, Subconf,
 )
 from peblab.projections import SpaceRespectReport, SpaceRespectRow, SuiteReport
@@ -28,8 +28,7 @@ VALUES = [
     (Clause, dict(literals=frozenset({("x", True), ("y", False)}))),
     (CnfFormula, dict(clauses=frozenset({X}))),
     (BooleanFunction, dict(arity=2, table=0b0110)),
-    (BwConfiguration, dict(black=frozenset({"v1"}), white=frozenset({"v2"}))),
-    (BwPebbling, dict(host=G, steps=(BwConfiguration(),))),
+    (BwPebbling, dict(host=G, moves=(("B+", "v1"), ("W+", "v2")))),
     (PebblingCost, dict(time=3, space=2)),
     (LabelledCost, dict(time=3, space=2, bound=(1, 2))),
     (BlobSubconf, dict(blob=frozenset({"v1", "v2"}), support=frozenset({"v3"}))),
@@ -91,7 +90,6 @@ def test_subclass_values_differ_from_their_base(labelled, blob):
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Clause(frozenset({("x", True), ("x", False)})), TrivialClause, "both polarities"),
-    (lambda: BwConfiguration(frozenset({"v"}), frozenset({"v"})), ValueError, "doubly pebbled"),
     (lambda: BlobSubconf(frozenset({"v"}), frozenset({"v", "w"})), ValueError, "overlap"),
     (lambda: Subconf("v", frozenset({"v"})), ValueError, "overlap"),
     (lambda: BlobSubconf(frozenset()), ValueError, "blob must be nonempty"),
