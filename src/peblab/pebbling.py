@@ -147,14 +147,16 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
     """A minimum-space complete pebbling, by `space_bounded_search` over
     ints `black | white << n`, bit i the i-th vertex in topological order.
     Removals shrink a state and placements grow it, each lowest vertex
-    first, so the highest placement is popped first.  Two dominated move
-    families are left out, which changes no price.  White pebbles go only on
-    inner vertices: one on a source may as well be black, and the sink is no
-    vertex's predecessor.  In the black game a source other than the sink is
-    placed only in a grow that adds a vertex v with its missing sources, once
-    v's other predecessors are pebbled: delaying each source placement to its
-    first use only removes pebbles.  The witness plays each grow, and the
-    final strip to {sink}, lowest vertex first."""
+    first, so the highest placement is popped first; after a rise of the
+    bound, the states that waited for it are expanded oldest first.  Two
+    dominated move families are left out, which changes no price.  White
+    pebbles go only on inner vertices: one on a source may as well be
+    black, and the sink is no vertex's predecessor.  In the black game a
+    source other than the sink is placed only in a grow that adds a vertex v
+    with its missing sources, once v's other predecessors are pebbled:
+    delaying each source placement to its first use only removes pebbles.
+    The witness plays each grow, and the final strip to {sink}, lowest
+    vertex first."""
     order = g.topological_order()
     n, full = len(order), (1 << len(order)) - 1
     bit = {v: 1 << i for i, v in enumerate(order)}
@@ -345,20 +347,20 @@ def _replay(p: BlobPebbling):
     steps = p.steps
     if not steps:
         raise WrongEndpoints("pebbling has no configurations")
+    if isinstance(p, LabelledPebbling):
+        game, end = "L-pebbling", Subconf(g.sink)
+    else:
+        game, end = "blob pebbling", BlobSubconf(frozenset({g.sink}))
     for t, conf in enumerate(steps):
         for sc in conf.subconfs:
             for v in sc.blob | sc.support:
                 if not g.has_vertex(v):
                     raise IllegalMove(t, f"unknown vertex {v!r}")
-    if isinstance(p, LabelledPebbling):
-        game, end = "L-pebbling", Subconf(g.sink)
-    else:
-        game, end = "blob pebbling", BlobSubconf(frozenset({g.sink}))
-    if steps[0].subconfs:
-        raise WrongEndpoints(f"{game} must start from the empty configuration")
-    for t in range(1, len(steps)):
-        _subconf_move(g, steps[t - 1].subconfs, steps[t].subconfs, t)
-        yield steps[t]
+        if t:
+            _subconf_move(g, steps[t - 1].subconfs, conf.subconfs, t)
+            yield conf
+        elif conf.subconfs:
+            raise WrongEndpoints(f"{game} must start from the empty configuration")
     if steps[-1].subconfs != frozenset({end}):
         raise WrongEndpoints(f"{game} must end at {{{end}}}")
 

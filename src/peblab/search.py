@@ -6,6 +6,8 @@ process running one of them compiles only this loop, not both callers.
 
 from __future__ import annotations
 
+from collections import deque
+
 from .errors import BudgetExceeded, search_budget
 
 
@@ -14,15 +16,21 @@ def space_bounded_search(start, shrink, grow, size, is_goal, budget, what, cap=N
     reachable from `start`, and a path of states to it; (None, s) if none.
 
     `shrink` and `grow` yield a state's successors that lower and raise
-    `size`; a grow may add several units.  At bound s a popped state below
-    s gets its shrinks and its grows of size at most s, one at s only its
-    shrinks; a state with a grow left above s waits in `blocked` until s
-    rises.  One `parents` dict serves all bounds, so no state is popped
-    twice; each pop costs one unit of `budget`, and the path is the stack's.
+    `size`; a grow may add several units.  The search is depth-first.  At
+    bound s a popped state below s gets its shrinks and its grows of size at
+    most s, one at s only its shrinks; a state with a grow left above s waits
+    in `blocked`.  When s rises, `blocked` becomes `waiting`, and each time
+    the stack runs dry the oldest waiting state gets its grows that now fit
+    (back to `blocked` if one is still above s), so a goal near the first
+    of them is reached before the rest are expanded.  s rises only when the
+    stack and `waiting` are both empty, so every state within the old bound
+    has been popped first.  One `parents` dict serves all bounds, so no
+    state is popped twice; each pop costs one unit of `budget`, and the path
+    is the stack's.
     """
     limit = search_budget(budget)
     parents = {start: None}
-    stack, blocked, visited, s = [start], [], 0, 0
+    stack, blocked, waiting, visited, s = [start], [], deque(), 0, 0
 
     def push(moves, state):
         for new in moves:
@@ -42,10 +50,15 @@ def space_bounded_search(start, shrink, grow, size, is_goal, budget, what, cap=N
 
     while True:
         while not stack:
+            if waiting:
+                state = waiting.popleft()
+                if push_grows(state):
+                    blocked.append(state)
+                continue
             if not blocked or cap is not None and s >= cap:
                 return None, s
             s += 1
-            blocked = [state for state in blocked if push_grows(state)]
+            waiting, blocked = deque(blocked), []
         state = stack.pop()
         visited += 1
         if visited > limit:

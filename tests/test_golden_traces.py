@@ -11,6 +11,7 @@ whatever search finds them.
 
 import hashlib
 import json
+import random
 import time
 
 import pytest
@@ -105,15 +106,45 @@ def test_labelled_greedy_pebbling_pyramid3():
 
 
 def test_optimal_pebbling_witnesses_pyramid3():
-    # the depth-first witnesses: 23 black and 27 black-white moves
+    # the depth-first witnesses, the waiting states re-expanded oldest first:
+    # 29 black and 33 black-white moves
     g = dag.build_pyramid(3)
     black, bw = pebbling.optimal_black_pebbling(g), pebbling.optimal_bw_pebbling(g)
-    assert (black.time, bw.time) == (23, 27)
+    assert (black.time, bw.time) == (29, 33)
     assert sha256(pebbling.serialize_pebbling(black)) == (
-        "81ebd2224ed29e7c0893226321ef9196164e6dd271606a92064e039dc08fd4fa"
+        "bd12d53973e0516b70441f38ce0436bafce6d976d0ef986e260bce6743694b36"
     )
     assert sha256(pebbling.serialize_pebbling(bw)) == (
-        "c85e294242cc18a0bb034fe07e6409b477082ae2354ef1f85c351fcd0bde5273"
+        "0f3467fb8d76cc214365dbdde04c125f7f5990855ca9cf2c3894aa0640e51783"
+    )
+
+
+def test_price_digest():
+    # black and bw prices of the small families, four larger black and bw
+    # prices, and 300 seeded random single-sink DAGs, one line each
+    lines = []
+    for spec in ([f"path:{i}" for i in range(1, 9)] + [f"tree:{i}" for i in range(4)]
+                 + [f"pyramid:{i}" for i in range(4)]):
+        g = dag.parse_family(spec)
+        bw = pebbling.optimal_bw_price(g) if len(g.vertices) <= 10 else "-"
+        lines.append(f"{spec} {pebbling.optimal_black_price(g)} {bw}")
+    for spec, game in (("pyramid:4", "black"), ("pyramid:5", "black"), ("tree:4", "black"),
+                       ("pyramid:4", "bw")):
+        price = pebbling.optimal_black_price if game == "black" else pebbling.optimal_bw_price
+        lines.append(f"{spec} {game} {price(dag.parse_family(spec))}")
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        names = [f"n{i}" for i in range(n)]
+        edges = []
+        for j in range(1, n):
+            edges += [(names[i], names[j]) for i in rng.sample(range(j), rng.randint(1, min(j, 3)))]
+        has_succ = {a for a, _ in edges}
+        edges += [(names[i], names[n - 1]) for i in range(n - 1) if names[i] not in has_succ]
+        g = dag.Dag(names, edges)
+        lines.append(f"random{seed} {pebbling.optimal_black_price(g)} {pebbling.optimal_bw_price(g)}")
+    assert sha256("\n".join(lines) + "\n") == (
+        "70b65222cadabcaf7228dfc380f5e7a0de9b76e8405115aa1e79e1f6885e1ba3"
     )
 
 

@@ -366,8 +366,8 @@ def test_black_price_is_height_plus_two(spec):
 
 
 @pytest.mark.parametrize("spec, price, work", [
-    ("pyramid:5", pebbling.optimal_black_price, 23_213),
-    ("pyramid:4", pebbling.optimal_bw_price, 11_808),
+    ("pyramid:5", pebbling.optimal_black_price, 22_316),
+    ("pyramid:4", pebbling.optimal_bw_price, 13_058),
 ])
 def test_price_search_work_pin(spec, price, work):
     # the configurations the search pops; a change in the shared search's work shows here
@@ -465,6 +465,20 @@ def test_validators_reject_bad_endpoints_and_vertices(p, error, message):
     with pytest.raises(error) as info:
         validate(p)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("game, conf, validate", [
+    (LabelledPebbling, LabelledConfiguration, pebbling.validate_labelled),
+    (BlobPebbling, BlobConfiguration, pebbling.validate_blob),
+], ids=["labelled", "blob"])
+def test_subconfiguration_replay_reports_the_first_bad_step(game, conf, validate):
+    # step 2's unknown vertex comes after step 1's illegal move
+    bad, unknown = BlobSubconf(frozenset({"z"}), frozenset({"x"})), BlobSubconf(frozenset({"q"}))
+    p = game(host=dag.build_pyramid(1),
+             steps=(conf(), conf(frozenset({bad})), conf(frozenset({bad, unknown}))))
+    with pytest.raises(IllegalMove) as info:
+        validate(p)
+    assert str(info.value) == "step 1: [{z},{x}] is not an introduction, merger, or inflation"
 
 
 class TestBlob:

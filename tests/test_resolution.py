@@ -619,10 +619,10 @@ class TestBoundedOracles:
         # the states the search pops; a change in the shared search's work shows here
         F = formulas.pebbling_contradiction(dag.build_pyramid(4))
         start = time.process_time()
-        assert resolution.min_clause_space(F, 4, budget=395) == 3
+        assert resolution.min_clause_space(F, 4, budget=411) == 3
         assert time.process_time() - start < 0.1
-        with pytest.raises(BudgetExceeded, match=r"^clause space search exceeded budget: 395 nodes visited \(budget 394\)$"):
-            resolution.min_clause_space(F, 4, budget=394)
+        with pytest.raises(BudgetExceeded, match=r"^clause space search exceeded budget: 411 nodes visited \(budget 410\)$"):
+            resolution.min_clause_space(F, 4, budget=410)
 
     def test_saturation_work_pin(self):
         # the resolvents the loop tries; a change in the saturation's work shows here
