@@ -17,7 +17,11 @@ also runs `resolution.min_clause_space`), with the moves in canonical vertex
 order (removals before placements), so repeated runs give identical witnesses.
 The price search makes no dominated move: a white pebble goes only on an
 inner vertex, and a black-game source only in one grow with the vertex it
-serves, so a grow may add several pebbles (see `_optimal_pebbling`).
+serves, and it leaves in the shrink right after, with the rest of that
+batch's sources.  So a grow may add several pebbles and a shrink remove
+several; the witness plays each one pebble at a time.  The black-white game
+places and removes sources singly, since its `W-` needs the predecessors
+pebbled (see `_optimal_pebbling`).
 """
 
 from __future__ import annotations
@@ -148,15 +152,23 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
     ints `black | white << n`, bit i the i-th vertex in topological order.
     Removals shrink a state and placements grow it, each lowest vertex
     first, so the highest placement is popped first; after a rise of the
-    bound, the states that waited for it are expanded oldest first.  Two
+    bound, the states that waited for it are expanded oldest first.  Three
     dominated move families are left out, which changes no price.  White
     pebbles go only on inner vertices: one on a source may as well be
     black, and the sink is no vertex's predecessor.  In the black game a
     source other than the sink is placed only in a grow that adds a vertex v
     with its missing sources, once v's other predecessors are pebbled:
     delaying each source placement to its first use only removes pebbles.
-    The witness plays each grow, and the final strip to {sink}, lowest
-    vertex first."""
+    And a state holding such sources, a batch peak, has one move: the
+    shrink that removes them all.  Take a pebbling in that normal form,
+    remove each source right after the batch that placed it, and place it
+    again in each later batch that needs it: at a batch the source is
+    there in both pebblings, every other configuration loses it, so no
+    configuration grows.  The black-white game keeps its single source
+    moves: `W-` needs its predecessors pebbled, so a source batch for it
+    would be a shrink that first grows, which no move here is.  The
+    witness plays each batch, then its strip, and the final strip to
+    {sink}, one pebble per move, lowest vertex first."""
     order = g.topological_order()
     n, full = len(order), (1 << len(order)) - 1
     bit = {v: 1 << i for i, v in enumerate(order)}
@@ -167,6 +179,9 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
     batched = sources & ~sink_bit if black_only else 0
 
     def removals(state):
+        if state & batched:  # a batch peak: its sources leave together
+            yield state & ~batched
+            return
         black = state & full
         rest = both = black | state >> n
         while rest:
@@ -178,6 +193,8 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
                 yield state & ~(b << n)
 
     def placements(state):
+        if state & batched:
+            return
         both = (state | state >> n) & full
         empty = full & ~both & ~batched
         while empty:

@@ -461,7 +461,7 @@ def test_report_rejects_a_reversed_range(capsys):
 
 def test_report_marks_the_cells_whose_budget_trips(capsys):
     assert run("report", "--family", "pyramid", "--range", "3", "--fn", "xor:2",
-               "--budget", "50") == 0
+               "--budget", "30") == 0
     assert capsys.readouterr().out.splitlines()[1] == "pyramid,3,10,budget,budget,budget,budget,21"
 
 

@@ -107,12 +107,13 @@ def test_labelled_greedy_pebbling_pyramid3():
 
 def test_optimal_pebbling_witnesses_pyramid3():
     # the depth-first witnesses, the waiting states re-expanded oldest first:
-    # 29 black and 33 black-white moves
+    # 23 black moves, each batch's sources removed right after its vertex,
+    # and 33 black-white moves
     g = dag.build_pyramid(3)
     black, bw = pebbling.optimal_black_pebbling(g), pebbling.optimal_bw_pebbling(g)
-    assert (black.time, bw.time) == (29, 33)
+    assert (black.time, bw.time) == (23, 33)
     assert sha256(pebbling.serialize_pebbling(black)) == (
-        "bd12d53973e0516b70441f38ce0436bafce6d976d0ef986e260bce6743694b36"
+        "58dbfe03c9849d6f9b728a07161da3b9a0a293894a43eb26f8b66488a8f1620b"
     )
     assert sha256(pebbling.serialize_pebbling(bw)) == (
         "0f3467fb8d76cc214365dbdde04c125f7f5990855ca9cf2c3894aa0640e51783"

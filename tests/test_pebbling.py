@@ -341,32 +341,49 @@ def test_optimal_witnesses_round_trip_through_the_trace_format(g):
 @settings(max_examples=100, deadline=None)
 def test_witnesses_make_no_dominated_moves(g):
     # bw: white pebbles only on inner vertices; black: a source placement is
-    # followed by more sources and then by the vertex that needs them all
+    # followed by more sources and then by the vertex that needs them all,
+    # and that batch's sources are all removed before the next placement
     inner = {v for v in g.vertices if g.predecessors(v) and v != g.sink}
     assert all(v in inner for op, v in pebbling.optimal_bw_pebbling(g).moves if op[0] == "W")
-    batch = []
+    batch, leaving = [], set()
     for op, v in pebbling.optimal_black_pebbling(g).moves:
-        if op == "B+" and not g.predecessors(v) and v != g.sink:
+        if op == "B-":
+            assert not batch
+            leaving.discard(v)
+            continue
+        assert not leaving
+        if not g.predecessors(v) and v != g.sink:
             batch.append(v)
             continue
-        assert not batch or op == "B+" and set(batch) <= set(g.predecessors(v))
-        batch = []
-    assert not batch
+        assert set(batch) <= set(g.predecessors(v))
+        batch, leaving = [], set(batch)
+    assert not batch and not leaving
 
 
-@pytest.mark.parametrize("spec", [f"pyramid:{h}" for h in range(1, 6)] + [f"tree:{h}" for h in range(1, 5)])
+@pytest.mark.parametrize("spec", [f"pyramid:{h}" for h in range(1, 7)] + [f"tree:{h}" for h in range(1, 5)])
 def test_black_price_is_height_plus_two(spec):
-    # Cook (1974); the time bound catches a search that restarts at each
-    # space bound, which takes about 1 s on pyramid:5, and one that places
-    # sources singly, which takes about 1.8 s on tree:4
+    # Cook (1974); the time bound catches a search that keeps a batch's
+    # sources pebbled after its vertex, which takes about 3 s on pyramid:6
+    # (0.3 s with them removed), and so also one that places sources singly
+    # or restarts at each space bound
     height = int(spec.split(":")[1])
     start = time.process_time()
     assert pebbling.optimal_black_price(dag.parse_family(spec)) == height + 2
     assert time.process_time() - start < 1
 
 
+def test_tree5_black_price_within_5_s():
+    # a search that keeps a batch's sources pebbled after its vertex took
+    # over 2 minutes and 700 MB here
+    g = dag.parse_family("tree:5")
+    start = time.process_time()
+    assert pebbling.validate_bw(pebbling.optimal_black_pebbling(g), black_only=True).space == 7
+    assert time.process_time() - start < 5
+
+
 @pytest.mark.parametrize("spec, price, work", [
-    ("pyramid:5", pebbling.optimal_black_price, 22_316),
+    ("pyramid:5", pebbling.optimal_black_price, 4_013),
+    ("tree:4", pebbling.optimal_black_price, 2_143),
     ("pyramid:4", pebbling.optimal_bw_price, 13_058),
 ])
 def test_price_search_work_pin(spec, price, work):
