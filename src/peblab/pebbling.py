@@ -1,15 +1,13 @@
 """Pebble games over DAGs: black-white, labelled, and blob variants.
 
-A black-white pebbling is its moves, as the trace format writes them:
-(op, v) pairs played from the empty configuration, and `validate_bw` is
-the one replay that applies them.  The labelled and blob games keep
-their configuration sequences, since a trace names their moves by
-subconfiguration creation index, which no (op, vertex) pair fixes.
-
-A labelled subconfiguration `Subconf` <v, W> is the one-vertex
-`BlobSubconf` [{v}, W] that may not inflate, and each labelled type
-subclasses its blob counterpart, so one move rule and one replay check
-both subconfiguration games.
+A pebbling of each game is its moves, as the trace format writes them,
+played from the empty configuration.  A black-white pebbling's moves are
+(op, v) pairs, and `validate_bw` is the one replay that applies them.
+The labelled and blob games name subconfigurations by creation index, and
+`_replay` is the one replay of their moves; the trace parser checks only
+syntax.  A labelled subconfiguration `Subconf` <v, W> is the one-vertex
+`BlobSubconf` [{v}, W] that may not inflate, and `LabelledPebbling`
+subclasses `BlobPebbling`, so one replay checks both games.
 
 Validators are pure functions over immutable traces.  Optimal prices come
 from `search.space_bounded_search`, the one search of both space games (it
@@ -280,36 +278,25 @@ class Subconf(BlobSubconf):
         return f"<{self.vertex},{{{','.join(sorted(self.support))}}}>"
 
 
-class BlobConfiguration(Value):
-    __slots__ = _fields = ("subconfs",)
-
-    def __init__(self, subconfs: frozenset[BlobSubconf] = frozenset()):
-        self.subconfs = subconfs
-
-
-class LabelledConfiguration(BlobConfiguration):
-    __slots__ = ()
-
-    @property
-    def size(self) -> int:
-        """The number of pebbled vertices, black or white."""
-        return len(frozenset().union(*(sc.blob | sc.support for sc in self.subconfs)))
-
-
 class BlobPebbling(Value):
-    __slots__ = _fields = ("host", "steps")
+    """A blob pebbling as its trace moves, played from the empty
+    configuration: ("I", v), ("E", i), ("M", i, j) or ("M", i, j, v), and
+    ("X", i, blob, support), where i and j are 1-based creation indices of
+    subconfigurations; `_replay` applies them."""
 
-    def __init__(self, host: Dag, steps: tuple[BlobConfiguration, ...]):
+    __slots__ = _fields = ("host", "moves")
+
+    def __init__(self, host: Dag, moves: tuple[tuple, ...]):
         self.host = host
-        self.steps = steps
+        self.moves = moves
 
     @property
     def time(self) -> int:
-        return len(self.steps) - 1
+        return len(self.moves)
 
 
 class LabelledPebbling(BlobPebbling):
-    """A pebbling of `Subconf`s, checked by the labelled rules."""
+    """A pebbling of `Subconf`s, replayed by the labelled rules: no inflation."""
 
     __slots__ = ()
 
@@ -323,75 +310,93 @@ class LabelledCost(PebblingCost):
         self.bound = bound  # tightest (b, w)
 
 
-def _subconf_move(g: Dag, prev: frozenset, cur: frozenset, t: int):
-    """Classify one transition by the blob rules; returns a move descriptor
-    or raises IllegalMove.  Inflation is a blob move only: a labelled
-    subconfiguration is a single-vertex blob that may not inflate."""
-    added = cur - prev
-    removed = prev - cur
-    if len(removed) == 1 and not added:
-        return ("erase", next(iter(removed)))
-    if len(added) == 1 and not removed:
-        (sc,) = added
-        if len(sc.blob) == 1:
-            (v,) = sc.blob
-            if sc.support == frozenset(g.predecessors(v)):
-                return ("intro", sc)
-        for first in sorted(prev, key=str):
-            if not first.blob <= sc.blob:  # a merger keeps its first blob
-                continue
-            for second in sorted(prev, key=str):
-                # sc's blob and support are disjoint, so a match never has
-                # first's blob meeting second's support
-                for v in sorted(first.support & second.blob):
-                    b1, w1 = first.blob, first.support - {v}
-                    b2, w2 = second.blob - {v}, second.support
-                    if b1 | b2 == sc.blob and w1 | w2 == sc.support:
-                        return ("merge", first, second, v, sc)
-        if isinstance(sc, Subconf):
-            raise IllegalMove(t, f"{sc} is neither an introduction nor a merger")
-        for src in sorted(prev, key=str):
-            if src.blob <= sc.blob and src.support <= sc.support:
-                return ("inflate", src, sc)
-        raise IllegalMove(t, f"{sc} is not an introduction, merger, or inflation")
-    raise IllegalMove(t, "exactly one subconfiguration must be added or removed")
-
-
 def _replay(p: BlobPebbling):
-    """Check the endpoints and every move of a labelled or blob pebbling,
-    yielding each configuration after the move that reaches it is checked."""
+    """Apply each move of a labelled or blob pebbling to the present
+    subconfigurations, checking it by the game's rules, and check that the
+    last configuration holds the sink's [{sink}, {}] alone.  The one place a
+    subconfiguration move is applied; the first bad move raises.  Yields
+    each move, a merger with its pivot resolved, and the configuration it
+    reaches as a frozenset of subconfigurations.
+
+    Introduction adds [{v}, pred(v)].  Merger of present [B1, W1] and
+    [B2, W2] on a pivot v in W1 and B2 adds [B1 | B2 - {v}, W1 - {v} | W2].
+    Inflation, a blob move only, adds any [B, W] that extends a present
+    [B1, W1]: B1 <= B and W1 <= W.  Erasure removes a present
+    subconfiguration.  A move may not add one that is present already.
+    """
     g = p.host
-    steps = p.steps
-    if not steps:
-        raise WrongEndpoints("pebbling has no configurations")
-    if isinstance(p, LabelledPebbling):
-        game, end = "L-pebbling", Subconf(g.sink)
-    else:
-        game, end = "blob pebbling", BlobSubconf(frozenset({g.sink}))
-    for t, conf in enumerate(steps):
-        for sc in conf.subconfs:
-            for v in sc.blob | sc.support:
-                if not g.has_vertex(v):
-                    raise IllegalMove(t, f"unknown vertex {v!r}")
-        if t:
-            _subconf_move(g, steps[t - 1].subconfs, conf.subconfs, t)
-            yield conf
-        elif conf.subconfs:
-            raise WrongEndpoints(f"{game} must start from the empty configuration")
-    if steps[-1].subconfs != frozenset({end}):
+    labelled = isinstance(p, LabelledPebbling)
+    game = "L-pebbling" if labelled else "blob pebbling"
+    created: list[BlobSubconf] = []  # by creation index, from 1
+    present: set[BlobSubconf] = set()
+
+    def fetch(t, i):
+        if not 1 <= i <= len(created):
+            raise IllegalMove(t, f"no subconfiguration {i}")
+        sc = created[i - 1]
+        if sc not in present:
+            raise IllegalMove(t, f"subconfiguration {sc} not present")
+        return sc
+
+    def subconf(t, blob, support):
+        try:
+            return Subconf(*blob, support) if labelled else BlobSubconf(blob, support)
+        except ValueError as e:
+            raise IllegalMove(t, str(e)) from None
+
+    for t, move in enumerate(p.moves, start=1):
+        op = move[0]
+        if op == "E":
+            present.remove(fetch(t, move[1]))
+            yield move, frozenset(present)
+            continue
+        if op == "I":
+            v = move[1]
+            if not g.has_vertex(v):
+                raise IllegalMove(t, f"unknown vertex {v!r}")
+            sc = subconf(t, frozenset({v}), frozenset(g.predecessors(v)))
+        elif op == "M":
+            first, second = fetch(t, move[1]), fetch(t, move[2])
+            pivots = sorted(first.support & second.blob)
+            if not pivots:
+                raise IllegalMove(t, f"no merger pivot: {second} has no vertex in the support of {first}")
+            if len(move) == 4:
+                if move[3] not in pivots:
+                    raise IllegalMove(t, f"{move[3]!r} is not a merger pivot for this pair")
+                pivots = [move[3]]
+            if len(pivots) != 1:
+                raise IllegalMove(t, f"merger pivot ambiguous ({pivots}); use 'M i j v'")
+            v = pivots[0]
+            sc = subconf(t, first.blob | (second.blob - {v}), (first.support - {v}) | second.support)
+            move = (*move[:3], v)
+        elif op == "X" and not labelled:
+            src, sc = fetch(t, move[1]), subconf(t, move[2], move[3])
+            if not (src.blob <= sc.blob and src.support <= sc.support):
+                raise IllegalMove(t, f"inflation must extend {src}")
+            unknown = sorted(u for u in sc.blob | sc.support if not g.has_vertex(u))
+            if unknown:
+                raise IllegalMove(t, f"unknown vertex {unknown[0]!r}")
+        else:
+            raise IllegalMove(t, f"{op!r} is no {game} move")
+        if sc in present:
+            raise IllegalMove(t, f"{sc} is present already")
+        created.append(sc)
+        present.add(sc)
+        yield move, frozenset(present)
+    end = Subconf(g.sink) if labelled else BlobSubconf(frozenset({g.sink}))
+    if present != {end}:
         raise WrongEndpoints(f"{game} must end at {{{end}}}")
 
 
 def validate_labelled(p: LabelledPebbling) -> LabelledCost:
-    """Accept iff every step is a legal Introduction, Merger, or Erasure;
-    reports time, space, and the tightest (b, w) boundedness parameters."""
-    space = 0
-    b = 0
-    w = 0
-    for conf in _replay(p):
-        space = max(space, conf.size)
-        b = max(b, len(conf.subconfs))
-        for sc in conf.subconfs:
+    """Accept iff every move is a legal Introduction, Merger, or Erasure;
+    reports time, space (the vertices pebbled, black or white), and the
+    tightest (b, w) boundedness parameters."""
+    space = b = w = 0
+    for _, conf in _replay(p):
+        space = max(space, len(frozenset().union(*(sc.blob | sc.support for sc in conf))))
+        b = max(b, len(conf))
+        for sc in conf:
             w = max(w, len(sc.support))
     return LabelledCost(time=p.time, space=space, bound=(b, w))
 
@@ -406,33 +411,24 @@ def black_to_labelled(p: BwPebbling) -> LabelledPebbling:
     """
     g = p.host
     validate_bw(p, black_only=True)
-    cur: set[Subconf] = set()
-    steps = [LabelledConfiguration()]
-
-    def snapshot():
-        steps.append(LabelledConfiguration(frozenset(cur)))
-
+    moves: list[tuple] = []
+    black: dict[str, int] = {}  # vertex -> creation index of its <v, {}>
+    created = 0
     for op, v in p.moves:
         if op == "B+":
-            preds = g.predecessors(v)
-            work = Subconf(v, frozenset(preds))
-            cur.add(work)
-            snapshot()
-            for u in preds:
-                merged = Subconf(v, work.support - {u})
-                cur.add(merged)
-                snapshot()
-                cur.remove(work)
-                snapshot()
-                work = merged
+            moves.append(("I", v))
+            created += 1
+            for u in g.predecessors(v):  # merge on u, then erase the premise
+                moves += [("M", created, black[u]), ("E", created)]
+                created += 1
+            black[v] = created
         else:
-            cur.remove(Subconf(v))
-            snapshot()
-    return LabelledPebbling(host=g, steps=tuple(steps))
+            moves.append(("E", black.pop(v)))
+    return LabelledPebbling(host=g, moves=tuple(moves))
 
 
-def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:
-    """Chargeable cost of one blob configuration.
+def blob_config_space(g: Dag, conf: frozenset[BlobSubconf], budget=None) -> int:
+    """Chargeable cost of one blob configuration, a frozenset of subconfigurations.
 
     Black cost: the largest m such that some ordering of m distinct
     blobs has strictly expanding unions (exhaustive search over subsets,
@@ -440,7 +436,7 @@ def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:
     below every vertex of their blob.
     """
     limit = search_budget(budget)
-    blobs = sorted({sc.blob for sc in conf.subconfs}, key=lambda b: (len(b), sorted(b)))
+    blobs = sorted({sc.blob for sc in conf}, key=lambda b: (len(b), sorted(b)))
     best = 0
     visited = 0
     seen = {frozenset()}
@@ -462,7 +458,7 @@ def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:
 
     chargeable: set[str] = set()
     below: dict[str, frozenset[str]] = {}
-    for sc in conf.subconfs:
+    for sc in conf:
         for wv in sc.support:
             if wv not in below:
                 below[wv] = g.reachable_from(wv)
@@ -472,10 +468,10 @@ def blob_config_space(g: Dag, conf: BlobConfiguration, budget=None) -> int:
 
 
 def validate_blob(p: BlobPebbling, budget=None) -> PebblingCost:
-    """Accept iff every step is a legal Introduction, Merger, Inflation, or
+    """Accept iff every move is a legal Introduction, Merger, Inflation, or
     Erasure; space per the chargeable-cost measure."""
     space = 0
-    for conf in _replay(p):
+    for _, conf in _replay(p):
         space = max(space, blob_config_space(p.host, conf, budget))
     return PebblingCost(time=p.time, space=space)
 
@@ -496,33 +492,21 @@ def serialize_pebbling(p: BwPebbling | BlobPebbling) -> str:
 
     if not isinstance(p, BlobPebbling):
         raise TypeError(f"not a pebbling: {p!r}")
-    blob_game = not isinstance(p, LabelledPebbling)
-    lines = ["game blob" if blob_game else "game labelled"]
-    index = {}  # subconfiguration -> latest creation id
-    creations = 0
-    for t in range(1, len(p.steps)):
-        move = _subconf_move(p.host, p.steps[t - 1].subconfs, p.steps[t].subconfs, t)
-        sc = move[-1]
-        if move[0] == "erase":
-            lines.append(f"E {index[sc]}")
-            continue
-        if move[0] == "intro":
-            (v,) = sc.blob
-            lines.append(f"I {v}")
-        elif move[0] == "merge":
-            _, first, second, v, _ = move
-            lines.append(f"M {index[first]} {index[second]}" + (f" {v}" if blob_game else ""))
+    if isinstance(p, LabelledPebbling):
+        lines, moves = ["game labelled"], p.moves
+    else:  # a blob merger is written with the pivot its replay resolves
+        lines, moves = ["game blob"], [move for move, _ in _replay(p)]
+    for move in moves:
+        if move[0] == "X":
+            _, i, blob, support = move
+            lines.append(f"X {i} : {' '.join(sorted(blob))} / {' '.join(sorted(support))}")
         else:
-            lines.append(
-                f"X {index[move[1]]} : {' '.join(sorted(sc.blob))} / {' '.join(sorted(sc.support))}"
-            )
-        creations += 1
-        index[sc] = creations
+            lines.append(" ".join(map(str, move)))
     return "\n".join(lines) + "\n"
 
 
 def parse_pebbling_trace(text: str, host: Dag):
-    """Parse a pebbling trace into the pebbling object its header names."""
+    """Parse a trace into the pebbling its header names, checking syntax only."""
     body: list[tuple[int, list[str]]] = []
     game = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -549,69 +533,27 @@ def parse_pebbling_trace(text: str, host: Dag):
         return BwPebbling(host=host, moves=tuple((op, v) for _, (op, v) in body))
 
     labelled = game == "labelled"
-    config = LabelledConfiguration if labelled else BlobConfiguration
-    created: list = []  # subconfigurations in creation order, indexed from 1
-    present: set = set()
-    steps = [config()]
 
-    def fetch(tok, lineno):
-        if not (is_decimal(tok) and 1 <= int(tok) <= len(created)):
+    def index(tok, lineno):
+        if not (is_decimal(tok) and int(tok) >= 1):
             raise TraceError(f"bad subconfiguration index {tok!r}", line=lineno)
-        sc = created[int(tok) - 1]
-        if sc not in present:
-            raise TraceError(f"subconfiguration {sc} not present", line=lineno)
-        return sc
+        return int(tok)
 
+    moves = []
     for lineno, fields in body:
         if fields[0] == "I" and len(fields) == 2:
-            v = fields[1]
-            if not host.has_vertex(v):
-                raise TraceError(f"unknown vertex {v!r}", line=lineno)
-            preds = frozenset(host.predecessors(v))
-            sc = Subconf(v, preds) if labelled else BlobSubconf(frozenset({v}), preds)
+            moves.append(("I", fields[1]))
         elif fields[0] == "E" and len(fields) == 2:
-            present.remove(fetch(fields[1], lineno))
-            steps.append(config(frozenset(present)))
-            continue
+            moves.append(("E", index(fields[1], lineno)))
         elif fields[0] == "M" and (len(fields) == 3 or not labelled and len(fields) == 4):
-            first = fetch(fields[1], lineno)
-            second = fetch(fields[2], lineno)
-            pivots = sorted(first.support & second.blob)
-            if not pivots:
-                raise TraceError(f"no merger pivot: {second} has no vertex in the support of {first}",
-                                 line=lineno)
-            if len(fields) == 4:
-                if fields[3] not in pivots:
-                    raise TraceError(f"{fields[3]!r} is not a merger pivot for this pair", line=lineno)
-                pivots = [fields[3]]
-            if len(pivots) != 1:
-                raise TraceError(
-                    f"merger pivot ambiguous ({pivots}); use 'M i j v'", line=lineno
-                )
-            v = pivots[0]
-            support = (first.support - {v}) | second.support
-            try:
-                sc = (Subconf(first.vertex, support) if labelled
-                      else BlobSubconf(first.blob | (second.blob - {v}), support))
-            except ValueError as e:
-                raise TraceError(str(e), line=lineno) from None
+            moves.append(("M", index(fields[1], lineno), index(fields[2], lineno), *fields[3:]))
         elif not labelled and fields[0] == "X" and ":" in fields and "/" in fields:
             colon = fields.index(":")
             slash = fields.index("/")
             if colon != 2 or slash < colon:
                 raise TraceError(f"bad inflation {' '.join(fields)!r}", line=lineno)
-            src = fetch(fields[1], lineno)
-            blob = frozenset(fields[colon + 1:slash])
-            support = frozenset(fields[slash + 1:])
-            try:
-                sc = BlobSubconf(blob, support)
-            except ValueError as e:
-                raise TraceError(str(e), line=lineno) from None
-            if not (src.blob <= sc.blob and src.support <= sc.support):
-                raise TraceError(f"inflation must extend {src}", line=lineno)
+            moves.append(("X", index(fields[1], lineno),
+                          frozenset(fields[colon + 1:slash]), frozenset(fields[slash + 1:])))
         else:
             raise TraceError(f"bad {game} move {' '.join(fields)!r}", line=lineno)
-        created.append(sc)
-        present.add(sc)
-        steps.append(config(frozenset(present)))
-    return (LabelledPebbling if labelled else BlobPebbling)(host=host, steps=tuple(steps))
+    return (LabelledPebbling if labelled else BlobPebbling)(host=host, moves=tuple(moves))

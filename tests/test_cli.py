@@ -300,6 +300,18 @@ def test_pebble_validate_reports_the_first_bad_move(tmp_path, capsys):
     assert capsys.readouterr().err == "error: step 2: vertex v1 already pebbled\n"
 
 
+@pytest.mark.parametrize("text, err", [
+    ("game labelled\nI x\nE 1\nE 1\nI q\n", "error: step 3: subconfiguration <x,{}> not present\n"),
+    ("game blob\nI x\nX 1 : y /\nI q\n", "error: step 2: inflation must extend [{x},{}]\n"),
+], ids=["labelled", "blob"])
+def test_pebble_validate_reports_the_first_bad_subconfiguration_move(tmp_path, capsys, text, err):
+    # the parser checks syntax only; the replay reports the first bad move
+    trace = tmp_path / "bad.trace"
+    trace.write_text(text)
+    assert run("pebble-validate", "--graph", "pyramid:1", "--trace", str(trace)) == 1
+    assert capsys.readouterr().err == err
+
+
 @pytest.mark.parametrize("game", ["labelled", "blob"])
 def test_pebble_validate_black_only_needs_a_bw_trace(tmp_path, capsys, game):
     lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))

@@ -3,6 +3,8 @@
 The inputs are valid pyramid:2 texts (a DAG file, DIMACS, pebbling
 traces of the three games and a proof trace) with a few spans replaced by
 tokens of the formats, by other spans of the same text, or by nothing.
+A pebbling trace that parses is also replayed by its game's validator,
+which gives a cost or a PeblabError too.
 """
 
 import pytest
@@ -15,15 +17,22 @@ G = dag.build_pyramid(2)
 PEB = formulas.pebbling_contradiction(G)
 SUBST = formulas.substitute(PEB, boolfunc.parse_function_literal("xor:2"))
 LABELLED = pebbling.serialize_pebbling(pebbling.black_to_labelled(pebbling.greedy_black_strategy(G)))
+VALIDATORS = {pebbling.BwPebbling: pebbling.validate_bw, pebbling.LabelledPebbling: pebbling.validate_labelled,
+              pebbling.BlobPebbling: pebbling.validate_blob}
+
+
+def parse_and_replay(text):
+    p = pebbling.parse_pebbling_trace(text, G)
+    return VALIDATORS[type(p)](p)
+
 
 PARSERS = {
     "dag": (dag.serialize_dag(G), dag.parse_dag),
     "dimacs": (formulas.to_dimacs(SUBST), formulas.from_dimacs),
-    "bw": (pebbling.serialize_pebbling(pebbling.greedy_black_strategy(G)),
-           lambda text: pebbling.parse_pebbling_trace(text, G)),
-    "labelled": (LABELLED, lambda text: pebbling.parse_pebbling_trace(text, G)),
-    "blob": (LABELLED.replace("game labelled", "game blob"),
-             lambda text: pebbling.parse_pebbling_trace(text, G)),
+    "bw": (pebbling.serialize_pebbling(pebbling.greedy_black_strategy(G)), parse_and_replay),
+    "labelled": (LABELLED, parse_and_replay),
+    # ends with an inflation of the sink's [{z},{}] and its erasure
+    "blob": (LABELLED.replace("game labelled", "game blob") + "X 13 : x z / u\nE 14\n", parse_and_replay),
     "proof": (resolution.serialize_refutation(resolution.constant_space_refutation(G)),
               lambda text: resolution.parse_refutation_trace(text, PEB)),
 }

@@ -9,15 +9,7 @@ from peblab import dag, pebbling
 from peblab.errors import (
     BudgetExceeded, IllegalMove, TraceError, WhitePebbleInBlackOnly, WrongEndpoints,
 )
-from peblab.pebbling import (
-    BlobConfiguration,
-    BlobPebbling,
-    BlobSubconf,
-    BwPebbling,
-    LabelledConfiguration,
-    LabelledPebbling,
-    Subconf,
-)
+from peblab.pebbling import BlobPebbling, BlobSubconf, BwPebbling, LabelledPebbling
 from test_dag import random_dags
 
 
@@ -333,7 +325,15 @@ def test_prices_match_reference_search(g):
 @given(random_dags())
 @settings(max_examples=50, deadline=None)
 def test_optimal_witnesses_round_trip_through_the_trace_format(g):
-    for witness in (pebbling.optimal_black_pebbling(g), pebbling.optimal_bw_pebbling(g)):
+    black = pebbling.optimal_black_pebbling(g)
+    labelled = pebbling.black_to_labelled(black)
+    # retagged `game blob`, each merger is written with the pivot its replay
+    # resolves, so the blob witness is the retagged trace parsed once more
+    retagged = pebbling.serialize_pebbling(labelled).replace("game labelled", "game blob", 1)
+    blob = pebbling.parse_pebbling_trace(
+        pebbling.serialize_pebbling(pebbling.parse_pebbling_trace(retagged, g)), g)
+    assert [m[:3] for m in blob.moves] == [m[:3] for m in labelled.moves]
+    for witness in (black, pebbling.optimal_bw_pebbling(g), labelled, blob):
         assert pebbling.parse_pebbling_trace(pebbling.serialize_pebbling(witness), g) == witness
 
 
@@ -385,7 +385,7 @@ def test_tree5_black_price_within_5_s():
     ("pyramid:5", pebbling.optimal_black_price, 4_013),
     ("tree:4", pebbling.optimal_black_price, 2_143),
     ("pyramid:4", pebbling.optimal_bw_price, 13_058),
-])
+], ids=["pyramid:5-black", "tree:4-black", "pyramid:4-bw"])
 def test_price_search_work_pin(spec, price, work):
     # the configurations the search pops; a change in the shared search's work shows here
     g = dag.parse_family(spec)
@@ -396,34 +396,32 @@ def test_price_search_work_pin(spec, price, work):
 
 class TestLabelled:
     def test_two_vertex_example(self):
+        # <z,{a}>, <a,{}>, their merger <z,{}>, then the premises erased
         g = dag.parse_dag("v a\nv z\ne a z\n")
-        sc_za, sc_a, sc_z = Subconf("z", frozenset({"a"})), Subconf("a"), Subconf("z")
-        seq = [
-            frozenset(), {sc_za}, {sc_za, sc_a}, {sc_za, sc_a, sc_z},
-            {sc_a, sc_z}, {sc_z},
-        ]
-        p = LabelledPebbling(host=g, steps=tuple(LabelledConfiguration(frozenset(s)) for s in seq))
+        p = LabelledPebbling(host=g, moves=(("I", "z"), ("I", "a"), ("M", 1, 2), ("E", 1), ("E", 2)))
         cost = pebbling.validate_labelled(p)
         assert cost.space == 2
         assert cost.time == 5
 
     def test_merger_requires_support_membership(self):
         g = dag.parse_dag("v a\nv b\nv z\ne a z\ne b z\n")
-        sc_z = Subconf("z", frozenset({"a", "b"}))
-        sc_a = Subconf("a")
-        bogus = Subconf("z", frozenset({"b", "a"}) - {"b"})  # pretend merger on b without <b,W>
-        seq = [frozenset(), {sc_z}, {sc_z, sc_a}, {sc_z, sc_a, bogus}]
-        p = LabelledPebbling(host=g, steps=tuple(LabelledConfiguration(frozenset(s)) for s in seq))
-        with pytest.raises(IllegalMove):
-            pebbling.validate_labelled(p)
+        for moves, message in [
+            # <z,{a,b}> and <a,{}> merge on a alone: b is not in the second blob
+            ((("I", "z"), ("I", "a"), ("M", 1, 2, "b")), "step 3: 'b' is not a merger pivot for this pair"),
+            # a merger on b needs <b,{}> present
+            ((("I", "z"), ("I", "b"), ("E", 2), ("M", 1, 2)), "step 4: subconfiguration <b,{}> not present"),
+        ]:
+            with pytest.raises(IllegalMove) as info:
+                pebbling.validate_labelled(LabelledPebbling(host=g, moves=moves))
+            assert str(info.value) == message
 
     def test_no_inflation(self):
         # <a,{}> -> <a,{z}> is a blob inflation but no labelled move
         g = dag.parse_dag("v a\nv z\ne a z\n")
-        seq = [frozenset(), {Subconf("a")}, {Subconf("a"), Subconf("a", frozenset({"z"}))}]
-        p = LabelledPebbling(host=g, steps=tuple(LabelledConfiguration(frozenset(s)) for s in seq))
-        with pytest.raises(IllegalMove, match="step 2: <a,{z}> is neither an introduction nor a merger"):
+        p = LabelledPebbling(host=g, moves=(("I", "a"), ("X", 1, frozenset({"a"}), frozenset({"z"}))))
+        with pytest.raises(IllegalMove) as info:
             pebbling.validate_labelled(p)
+        assert str(info.value) == "step 2: 'X' is no L-pebbling move"
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_black_to_labelled_path_bound(self, n):
@@ -447,32 +445,31 @@ class TestLabelled:
             assert pebbling.optimal_bw_price(g) <= cost.space <= b * (w + 1)
 
     def test_no_op_step_rejected(self):
-        g = dag.build_path(1)
-        sc = Subconf("v1")
-        seq = [frozenset(), {sc}, {sc}]
-        p = LabelledPebbling(host=g, steps=tuple(LabelledConfiguration(frozenset(s)) for s in seq))
-        with pytest.raises(IllegalMove):
+        # a move may not add a subconfiguration that is present already
+        p = LabelledPebbling(host=dag.build_path(1), moves=(("I", "v1"), ("I", "v1")))
+        with pytest.raises(IllegalMove) as info:
             pebbling.validate_labelled(p)
+        assert str(info.value) == "step 2: <v1,{}> is present already"
 
 
 @pytest.mark.parametrize("p,error,message", [
     (BwPebbling(host=dag.build_pyramid(1), moves=()), WrongEndpoints,
      "pebbling must end at ({z}, {}), got (B:- W:-)"),
-    (LabelledPebbling(host=dag.build_pyramid(1), steps=()), WrongEndpoints,
-     "pebbling has no configurations"),
-    (BlobPebbling(host=dag.build_pyramid(1), steps=()), WrongEndpoints, "pebbling has no configurations"),
-    (LabelledPebbling(host=dag.build_pyramid(1), steps=(
-        LabelledConfiguration(), LabelledConfiguration(frozenset({Subconf("w")})))),
+    (LabelledPebbling(host=dag.build_pyramid(1), moves=()), WrongEndpoints,
+     "L-pebbling must end at {<z,{}>}"),
+    (BlobPebbling(host=dag.build_pyramid(1), moves=()), WrongEndpoints,
+     "blob pebbling must end at {[{z},{}]}"),
+    (LabelledPebbling(host=dag.build_pyramid(1), moves=(("I", "w"),)),
      IllegalMove, "step 1: unknown vertex 'w'"),
-    (BlobPebbling(host=dag.build_pyramid(1), steps=(
-        BlobConfiguration(), BlobConfiguration(frozenset({BlobSubconf(frozenset({"x", "w"}))})))),
+    (BlobPebbling(host=dag.build_pyramid(1), moves=(("I", "w"),)),
      IllegalMove, "step 1: unknown vertex 'w'"),
-    (LabelledPebbling(host=dag.build_pyramid(1), steps=(
-        LabelledConfiguration(frozenset({Subconf("x")})),)),
-     WrongEndpoints, "L-pebbling must start from the empty configuration"),
-    (BlobPebbling(host=dag.build_pyramid(1), steps=(
-        BlobConfiguration(frozenset({BlobSubconf(frozenset({"x"}))})),)),
-     WrongEndpoints, "blob pebbling must start from the empty configuration"),
+    # the sink's subconfiguration is reached, but x's stays
+    (LabelledPebbling(host=dag.build_pyramid(1), moves=(
+        ("I", "x"), ("I", "y"), ("I", "z"), ("M", 3, 1), ("E", 3), ("M", 4, 2), ("E", 4), ("E", 2))),
+     WrongEndpoints, "L-pebbling must end at {<z,{}>}"),
+    (BlobPebbling(host=dag.build_pyramid(1), moves=(
+        ("I", "x"), ("I", "y"), ("I", "z"), ("M", 3, 1), ("E", 3), ("M", 4, 2), ("E", 4), ("E", 2))),
+     WrongEndpoints, "blob pebbling must end at {[{z},{}]}"),
     (BwPebbling(host=dag.build_pyramid(1), moves=(("B+", "x"), ("B", "x"))), IllegalMove,
      "step 2: unknown move 'B'"),
 ])
@@ -484,42 +481,40 @@ def test_validators_reject_bad_endpoints_and_vertices(p, error, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("game, conf, validate", [
-    (LabelledPebbling, LabelledConfiguration, pebbling.validate_labelled),
-    (BlobPebbling, BlobConfiguration, pebbling.validate_blob),
+@pytest.mark.parametrize("game, validate, shown", [
+    (LabelledPebbling, pebbling.validate_labelled, "<z,{x,y}>"),
+    (BlobPebbling, pebbling.validate_blob, "[{z},{x,y}]"),
 ], ids=["labelled", "blob"])
-def test_subconfiguration_replay_reports_the_first_bad_step(game, conf, validate):
-    # step 2's unknown vertex comes after step 1's illegal move
-    bad, unknown = BlobSubconf(frozenset({"z"}), frozenset({"x"})), BlobSubconf(frozenset({"q"}))
-    p = game(host=dag.build_pyramid(1),
-             steps=(conf(), conf(frozenset({bad})), conf(frozenset({bad, unknown}))))
+def test_subconfiguration_replay_reports_the_first_bad_step(game, validate, shown):
+    # step 3's unknown vertex comes after step 2's illegal move
+    p = game(host=dag.build_pyramid(1), moves=(("I", "z"), ("I", "z"), ("I", "q")))
     with pytest.raises(IllegalMove) as info:
         validate(p)
-    assert str(info.value) == "step 1: [{z},{x}] is not an introduction, merger, or inflation"
+    assert str(info.value) == f"step 2: {shown} is present already"
 
 
 class TestBlob:
     def test_final_configuration_space_one(self, pyr2):
-        conf = BlobConfiguration(frozenset({BlobSubconf(frozenset({"z"}))}))
+        conf = frozenset({BlobSubconf(frozenset({"z"}))})
         assert pebbling.blob_config_space(pyr2, conf) == 1
 
     def test_chargeable_whites(self, pyr2):
-        conf = BlobConfiguration(frozenset({
+        conf = frozenset({
             BlobSubconf(frozenset({"y", "z"}), frozenset({"v", "w"}))
-        }))
+        })
         assert pebbling.blob_config_space(pyr2, conf) == 3
 
     def test_uncovered_white_not_charged(self, pyr2):
         # u reaches x and z but not y: not below every blob vertex
-        conf = BlobConfiguration(frozenset({
+        conf = frozenset({
             BlobSubconf(frozenset({"y", "z"}), frozenset({"u"}))
-        }))
+        })
         assert pebbling.blob_config_space(pyr2, conf) == 1
 
     def test_expanding_black_cost(self, pyr2):
-        conf = BlobConfiguration(frozenset({
+        conf = frozenset({
             BlobSubconf(frozenset({"x"})), BlobSubconf(frozenset({"x", "y"})),
-        }))
+        })
         assert pebbling.blob_config_space(pyr2, conf) == 2
 
     def test_order_invariance(self, pyr2):
@@ -530,36 +525,30 @@ class TestBlob:
         ]
         space = None
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
-            conf = BlobConfiguration(frozenset(subconfs[i] for i in perm))
+            conf = frozenset(subconfs[i] for i in perm)
             value = pebbling.blob_config_space(pyr2, conf)
             assert space is None or value == space
             space = value
 
     def test_full_blob_pebbling_two_vertices(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")
-        b_za = BlobSubconf(frozenset({"z"}), frozenset({"a"}))
-        b_a = BlobSubconf(frozenset({"a"}))
-        b_z = BlobSubconf(frozenset({"z"}))
-        seq = [frozenset(), {b_za}, {b_za, b_a}, {b_za, b_a, b_z}, {b_a, b_z}, {b_z}]
-        p = BlobPebbling(host=g, steps=tuple(BlobConfiguration(frozenset(s)) for s in seq))
+        p = BlobPebbling(host=g, moves=(("I", "z"), ("I", "a"), ("M", 1, 2), ("E", 1), ("E", 2)))
         cost = pebbling.validate_blob(p)
         assert cost.time == 5
 
     def test_inflation(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")
-        b_a = BlobSubconf(frozenset({"a"}))
-        b_az = BlobSubconf(frozenset({"a", "z"}))
         # intro on the source, then inflate the blob; moves legal, endpoints wrong
-        seq = [frozenset(), {b_a}, {b_a, b_az}]
-        p = BlobPebbling(host=g, steps=tuple(BlobConfiguration(frozenset(s)) for s in seq))
+        p = BlobPebbling(host=g, moves=(("I", "a"), ("X", 1, frozenset({"a", "z"}), frozenset())))
         with pytest.raises(WrongEndpoints):
             pebbling.validate_blob(p)
 
     def test_illegal_blob_move(self, pyr2):
-        sc = BlobSubconf(frozenset({"z"}), frozenset({"u"}))  # not pred(z)
-        p = BlobPebbling(host=pyr2, steps=(BlobConfiguration(), BlobConfiguration(frozenset({sc}))))
-        with pytest.raises(IllegalMove):
+        # [{z},{u}] is no move's result: u is not pred(z), and [{z},{x,y}] does not inflate to it
+        p = BlobPebbling(host=pyr2, moves=(("I", "z"), ("X", 1, frozenset({"z"}), frozenset({"u"}))))
+        with pytest.raises(IllegalMove) as info:
             pebbling.validate_blob(p)
+        assert str(info.value) == "step 2: inflation must extend [{z},{x,y}]"
 
 
 class TestTraces:
@@ -581,14 +570,13 @@ class TestTraces:
 
     def test_blob_roundtrip(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")
-        b_za = BlobSubconf(frozenset({"z"}), frozenset({"a"}))
-        b_a = BlobSubconf(frozenset({"a"}))
-        b_z = BlobSubconf(frozenset({"z"}))
-        seq = [frozenset(), {b_za}, {b_za, b_a}, {b_za, b_a, b_z}, {b_a, b_z}, {b_z}]
-        p = BlobPebbling(host=g, steps=tuple(BlobConfiguration(frozenset(s)) for s in seq))
+        p = BlobPebbling(host=g, moves=(("I", "z"), ("I", "a"), ("M", 1, 2, "a"), ("E", 1), ("E", 2)))
         text = pebbling.serialize_pebbling(p)
         assert "M 1 2 a" in text
         assert pebbling.parse_pebbling_trace(text, g) == p
+        # a merger stored without its pivot is written with the one its replay resolves
+        unpinned = BlobPebbling(host=g, moves=p.moves[:2] + (("M", 1, 2),) + p.moves[3:])
+        assert pebbling.serialize_pebbling(unpinned) == text
 
     @pytest.mark.parametrize("spec", ["path:1", "path:4", "pyramid:1", "pyramid:3", "tree:2", "tree:3"])
     def test_labelled_trace_retagged_as_blob(self, spec):
@@ -606,16 +594,11 @@ class TestTraces:
 
     def test_blob_inflation_roundtrip(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")
-        b_za = BlobSubconf(frozenset({"z"}), frozenset({"a"}))
-        b_a = BlobSubconf(frozenset({"a"}))
-        b_az = BlobSubconf(frozenset({"a", "z"}))
-        b_z = BlobSubconf(frozenset({"z"}))
-        seq = [
-            frozenset(), {b_za}, {b_za, b_a}, {b_za, b_a, b_z},
-            {b_za, b_a, b_z, b_az},  # inflate [a] to [a z]
-            {b_za, b_a, b_z}, {b_a, b_z}, {b_z},
-        ]
-        p = BlobPebbling(host=g, steps=tuple(BlobConfiguration(frozenset(s)) for s in seq))
+        p = BlobPebbling(host=g, moves=(
+            ("I", "z"), ("I", "a"), ("M", 1, 2, "a"),
+            ("X", 2, frozenset({"a", "z"}), frozenset()),  # inflate [a] to [a z]
+            ("E", 4), ("E", 1), ("E", 2),
+        ))
         cost = pebbling.validate_blob(p)
         assert cost.space >= 2  # [a] and [a z] expand
         text = pebbling.serialize_pebbling(p)
@@ -631,29 +614,48 @@ class TestTraces:
             with pytest.raises(IllegalMove) as info:
                 pebbling.validate_bw(pebbling.parse_pebbling_trace(text, g))
             assert str(info.value) == message
-        with pytest.raises(TraceError, match="unknown vertex"):
-            pebbling.parse_pebbling_trace("game labelled\nI bogus\n", g)
-        for game in ("blob", "labelled"):  # v1's support is empty, so no `M 1 2 v` can merge
-            with pytest.raises(TraceError, match="no merger pivot") as info:
-                pebbling.parse_pebbling_trace(f"game {game}\nI v1\nI v2\nM 1 2\n", g)
-            assert info.value.line == 4
+        for text, message in [
+            ("game labelled\nI bogus\n", "step 1: unknown vertex 'bogus'"),
+            # v1's support is empty, so no `M 1 2 v` can merge
+            ("game labelled\nI v1\nI v2\nM 1 2\n",
+             "step 3: no merger pivot: <v2,{v1}> has no vertex in the support of <v1,{}>"),
+            ("game blob\nI v1\nI v2\nM 1 2\n",
+             "step 3: no merger pivot: [{v2},{v1}] has no vertex in the support of [{v1},{}]"),
+        ]:
+            p = pebbling.parse_pebbling_trace(text, g)
+            validate = pebbling.validate_labelled if isinstance(p, LabelledPebbling) else pebbling.validate_blob
+            with pytest.raises(IllegalMove) as info:
+                validate(p)
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("text,message", [
         ("", "empty trace: missing 'game' header"),
         ("# only a comment\n", "empty trace: missing 'game' header"),
-        ("game blob\nI z\nI x\nM 1 2 y\n", "line 4: 'y' is not a merger pivot for this pair"),
-        ("game blob\nI z\nI x\nX 2 : x y /\nM 1 3\n",
-         "line 5: merger pivot ambiguous (['x', 'y']); use 'M i j v'"),
-        # merging on x leaves the other pivot y in both the blob and the support
-        ("game blob\nI z\nI x\nX 2 : x y /\nM 1 3 x\n", "line 5: blob and support overlap: ['y']"),
         ("game blob\nI x\nX 1 / x : y\n", "line 3: bad inflation 'X 1 / x : y'"),
-        ("game blob\nI x\nX 1 : x / x\n", "line 3: blob and support overlap: ['x']"),
-        ("game blob\nI x\nX 1 : / y\n", "line 3: blob must be nonempty"),
-        ("game blob\nI x\nX 1 : y /\n", "line 3: inflation must extend [{x},{}]"),
     ])
     def test_blob_trace_rejections(self, text, message):
         with pytest.raises(TraceError) as info:
             pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text,message", [
+        ("game blob\nI z\nI x\nM 1 2 y\n", "step 3: 'y' is not a merger pivot for this pair"),
+        ("game blob\nI z\nI x\nX 2 : x y /\nM 1 3\n",
+         "step 4: merger pivot ambiguous (['x', 'y']); use 'M i j v'"),
+        # merging on x leaves the other pivot y in both the blob and the support
+        ("game blob\nI z\nI x\nX 2 : x y /\nM 1 3 x\n", "step 4: blob and support overlap: ['y']"),
+        ("game blob\nI x\nX 1 : x / x\n", "step 2: blob and support overlap: ['x']"),
+        ("game blob\nI x\nX 1 : / y\n", "step 2: blob must be nonempty"),
+        ("game blob\nI x\nX 1 : y /\n", "step 2: inflation must extend [{x},{}]"),
+        ("game blob\nI x\nX 1 : w x /\n", "step 2: unknown vertex 'w'"),
+        ("game blob\nI x\nE 2\n", "step 2: no subconfiguration 2"),
+        ("game blob\nI x\nE 1\nM 1 1\n", "step 3: subconfiguration [{x},{}] not present"),
+    ])
+    def test_blob_replay_rejections(self, text, message):
+        # the parser checks syntax; the replay rejects the first bad move
+        p = pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))
+        with pytest.raises(IllegalMove) as info:
+            pebbling.validate_blob(p)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("game", ["labelled", "blob"])

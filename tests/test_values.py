@@ -11,8 +11,7 @@ from peblab.boolfunc import BooleanFunction
 from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, Value, clause
 from peblab.errors import ConstantFunction, TrivialClause
 from peblab.pebbling import (
-    BlobConfiguration, BlobPebbling, BlobSubconf, BwPebbling,
-    LabelledConfiguration, LabelledCost, LabelledPebbling, PebblingCost, Subconf,
+    BlobPebbling, BlobSubconf, BwPebbling, LabelledCost, LabelledPebbling, PebblingCost, Subconf,
 )
 from peblab.projections import SpaceRespectReport, SpaceRespectRow, SuiteReport
 from peblab.resolution import (
@@ -33,10 +32,8 @@ VALUES = [
     (LabelledCost, dict(time=3, space=2, bound=(1, 2))),
     (BlobSubconf, dict(blob=frozenset({"v1", "v2"}), support=frozenset({"v3"}))),
     (Subconf, dict(vertex="v2", support=frozenset({"v1"}))),
-    (BlobConfiguration, dict(subconfs=frozenset({BlobSubconf(frozenset({"v1"}))}))),
-    (LabelledConfiguration, dict(subconfs=frozenset({Subconf("v1")}))),
-    (BlobPebbling, dict(host=G, steps=(BlobConfiguration(),))),
-    (LabelledPebbling, dict(host=G, steps=(LabelledConfiguration(),))),
+    (BlobPebbling, dict(host=G, moves=(("I", "v1"), ("X", 1, frozenset({"v1", "v2"}), frozenset())))),
+    (LabelledPebbling, dict(host=G, moves=(("I", "v1"), ("I", "v2"), ("M", 2, 1)))),
     (KDnfLine, dict(terms=frozenset({frozenset({("x", True), ("y", False)})}))),
     (Download, dict(line=X)),
     (Infer, dict(line=X, premises=(1, 2), rule="pivot", pivot="y", cut_term=None)),
@@ -79,8 +76,9 @@ def test_a_changed_field_makes_a_different_value():
 
 @pytest.mark.parametrize("labelled, blob", [
     (Subconf("v"), BlobSubconf(frozenset({"v"}))),
-    (LabelledConfiguration(frozenset({Subconf("v")})), BlobConfiguration(frozenset({Subconf("v")}))),
-    (LabelledPebbling(G, (LabelledConfiguration(),)), BlobPebbling(G, (LabelledConfiguration(),))),
+    # a configuration, as the replays yield it, is a frozenset of subconfigurations
+    (frozenset({Subconf("v")}), frozenset({BlobSubconf(frozenset({"v"}))})),
+    (LabelledPebbling(G, (("I", "v1"),)), BlobPebbling(G, (("I", "v1"),))),
     (LabelledCost(3, 2, (1, 1)), PebblingCost(3, 2)),
 ], ids=["subconf", "configuration", "pebbling", "cost"])
 def test_subclass_values_differ_from_their_base(labelled, blob):
