@@ -18,11 +18,20 @@ builds the full parser; either way every usage, help and error text is
 the full parser's.  For the same reason the package's value types are
 `__slots__` classes, not dataclasses: `dataclasses` pulls in `inspect` and
 `ast`, and each frozen dataclass `exec`s its generated methods at import.
+
+While a handler runs, `main` raises the cyclic garbage collector's
+generation-0 threshold from 700 to 100,000 net allocations, and restores
+the thresholds it found when the handler returns or raises.  The proof
+builders and the trace reader allocate up to millions of steps, clauses
+and tuples that form no reference cycle: reference counting frees them,
+and each collection walks them only to free nothing.  The raised
+threshold makes every generation's collections about 140 times rarer.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import importlib
 import sys
 from pathlib import Path
@@ -47,6 +56,9 @@ COMMANDS = {
     "report": ("cli_tools", "price/length/space trade-off table for a family"),
     "bench": ("cli_tools", "run an external SAT solver over a manifest"),
 }
+
+
+_GEN0_THRESHOLD = 100_000  # the cyclic collector's, while a handler runs (see above)
 
 
 # -- helpers shared by the handler modules -------------------------------------
@@ -111,9 +123,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    threshold = gc.get_threshold()
+    gc.set_threshold(_GEN0_THRESHOLD, *threshold[1:])
     try:
         return args.func(args)
     except (PeblabError, OSError, ValueError) as exc:
         return _fail(str(exc))
     except MemoryError:  # carries no message
         return _fail("out of memory")
+    finally:
+        gc.set_threshold(*threshold)

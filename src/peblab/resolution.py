@@ -13,10 +13,15 @@ compiled refutation of Peb_G.  A lift replays one fixed template per
 function for each resolution step, so no builder searches.  The width
 oracle is one saturation pass; the clause-space oracle is
 `space_bounded_search`.  The replay, the trace writer and lift read a
-proof's steps once, front to back.  Within one call, lift, the builder
-and the trace reader keep per-proof tables, so a line or inference that
-recurs (a pebbling re-pebbles, so its refutation re-derives) is built or
-read once; each table dies with the call.
+proof's steps once, front to back.  Within one call, lift, the builder,
+the replay and the trace reader and writer keep per-proof tables, so a
+line or inference that recurs (a pebbling re-pebbles, so its refutation
+re-derives) is built, judged, read or written once; each table dies
+with the call.  The replay judges each distinct resolution inference
+once, but tests every step's premises and erasures against the live
+configuration.  No table keeps text for a line that does not recur: the
+writer keeps a line's text from its second sighting on, and the reader's
+tables hold literals and lines, not token sequences or text.
 """
 
 from __future__ import annotations
@@ -305,6 +310,10 @@ def _replay(r: Refutation, semantic_check: bool):
         line_type, bottom, axioms = Clause, EMPTY_CLAUSE, r.target.clauses
     lines_by_id: dict[int, object] = {}
     config: set = set()
+    # the resolution inferences judged legal, as (line class, line, *premise
+    # lines, rule, pivot): a plain frozenset equals a Clause, so the class
+    # is in the key
+    checked: set[tuple] = set()
     for idx, step in enumerate(r.steps, start=1):
         premises = []
         if isinstance(step, Erase):
@@ -330,7 +339,10 @@ def _replay(r: Refutation, semantic_check: bool):
                 if kdnf:
                     _check_kdnf_rule(step, premises, r.k, idx)
                 else:
-                    _check_res_rule(step, premises, idx)
+                    key = (step.line.__class__, step.line, *premises, step.rule, step.pivot)
+                    if key not in checked:
+                        _check_res_rule(step, premises, idx)
+                        checked.add(key)
                 if semantic_check and _lines_imply(premises, step.line) is False:
                     raise IllegalStep(idx, "inference is not semantically sound")
             else:
@@ -878,24 +890,37 @@ def _format_term(lits: tuple[str, ...]) -> str:
 
 
 def serialize_refutation(r: Refutation) -> str:
+    """The trace of `r`.  A line's text is kept once the line recurs: its
+    first sighting stores None, its second the text, so a proof whose
+    lines never recur keeps no text beyond its output."""
     lines = [f"system {r.system}" if r.system == "res" else f"system kdnf {r.k}"]
+    texts: dict = {}  # line -> None once seen, its text once seen twice
     for step in r.steps:
-        if isinstance(step, Erase):
+        kind = step.__class__
+        if kind is Erase:
             lines.append(f"e {step.target}")
             continue
-        if not isinstance(step, Download) and step.rule not in ("pivot", "cut", "andi", "ande", "weaken"):
+        if kind is not Download and (kind is not Infer
+                                     or step.rule not in ("pivot", "cut", "andi", "ande", "weaken")):
             raise ValueError(f"cannot serialize step {step!r}")
-        text = _format_line(step.line)
-        if isinstance(step, Download):
+        line = step.line
+        text = texts.get(line, False)
+        if text is False:
+            text = _format_line(line)
+            texts[line] = None
+        elif text is None:
+            text = texts[line] = _format_line(line)
+        if kind is Download:
             lines.append(f"d {text}".rstrip())
             continue
-        words = ["w" if step.rule == "weaken" else "r", text, "<-", *map(str, step.premises)]
-        if step.rule != "weaken":
-            words.append(step.rule)
-        if step.rule == "pivot":
-            words.append(step.pivot)
-        elif step.rule == "cut":
-            words.append(_format_term(_term_lits(step.cut_term)))
+        rule = step.rule
+        words = ["w" if rule == "weaken" else "r", text, "<-", *map(str, step.premises)]
+        if rule == "pivot":
+            words += ("pivot", step.pivot)
+        elif rule == "cut":
+            words += ("cut", _format_term(_term_lits(step.cut_term)))
+        elif rule != "weaken":
+            words.append(rule)
         lines.append(" ".join(filter(None, words)))  # an empty line is no word
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
@@ -906,16 +931,19 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
     line by literal or term set) for one parse, so each distinct token
     is read once and each distinct line is checked and built once."""
     atoms, lines = ({}, {}) if tables is None else tables
-    for tok in tokens:
-        if tok in atoms:
-            continue
-        if not kdnf:
-            atoms[tok] = parse_lit(tok)
-        elif tok.startswith("(") and tok.endswith(")"):
-            atoms[tok] = term(tok[1:-1])
-        else:
-            atoms[tok] = frozenset({parse_lit(tok)})
-    key = frozenset(map(atoms.__getitem__, tokens))
+    try:  # C-level when every token was read before
+        key = frozenset(map(atoms.__getitem__, tokens))
+    except KeyError:
+        for tok in tokens:
+            if tok in atoms:
+                continue
+            if not kdnf:
+                atoms[tok] = parse_lit(tok)
+            elif tok.startswith("(") and tok.endswith(")"):
+                atoms[tok] = term(tok[1:-1])
+            else:
+                atoms[tok] = frozenset({parse_lit(tok)})
+        key = frozenset(map(atoms.__getitem__, tokens))
     line = lines.get(key)
     if line is None:
         lits = frozenset().union(*key) if kdnf else key
@@ -929,23 +957,33 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
     return line
 
 
+def _bad_reference(tokens: list[str], lineno: int) -> TraceError:
+    """The error for the first of `tokens` that is not a step reference:
+    a decimal integer of at least 1, with no more digits than `int` reads."""
+    for tok in tokens:
+        try:
+            if is_decimal(tok) and int(tok) >= 1:
+                continue
+        except ValueError:  # more digits than `int` reads
+            pass
+        return TraceError(f"bad step reference {tok!r}", line=lineno)
+
+
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
+    """The refutation a trace writes.  Its lines are read through one
+    parse's `_parse_line_tokens` tables, and its step references with
+    inline tests."""
     system = None
+    kdnf = False
     k = 1
     steps: list = []
     tables = ({}, {})  # see `_parse_line_tokens`
 
-    def ref(tok):  # a step reference: a decimal integer of at least 1
-        if not (tok.isascii() and tok.isdecimal()) or (step := int(tok)) < 1:
-            raise TraceError(f"bad step reference {tok!r}", line=lineno)
-        return step
-
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        fields = raw.split()
         # whole-line comments only: substituted variable names contain '#'
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        if not fields or fields[0][0] == "#":
             continue
-        fields = line.split()
         if system is None:
             if fields[0] != "system":
                 raise TraceError("first directive must be 'system res' or 'system kdnf <k>'", line=lineno)
@@ -953,44 +991,64 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
                 system = "res"
             elif len(fields) == 3 and fields[1] == "kdnf" and is_decimal(fields[2]) and int(fields[2]) >= 1:
                 system = "kdnf"
+                kdnf = True
                 k = int(fields[2])
             else:
                 raise TraceError(f"bad system line {raw!r}", line=lineno)
             continue
-        kdnf = system == "kdnf"
         op = fields[0]
-        if op == "d":
-            steps.append(Download(_parse_line_tokens(fields[1:], kdnf, lineno, tables)))
-        elif op == "e":
+        if op == "e":
             if len(fields) != 2:
                 raise TraceError(f"bad erase {raw!r}", line=lineno)
-            steps.append(Erase(ref(fields[1])))
+            tok = fields[1]
+            try:
+                target_id = int(tok) if tok.isascii() and tok.isdecimal() else 0
+            except ValueError:  # more digits than `int` reads
+                target_id = 0
+            if target_id < 1:
+                raise _bad_reference([tok], lineno)
+            steps.append(Erase(target_id))
+            continue
+        if op == "d":
+            tokens = fields[1:]
         elif op in ("r", "w"):
             if "<-" not in fields:
                 raise TraceError(f"missing '<-' in {raw!r}", line=lineno)
             arrow = fields.index("<-")
-            line_val = _parse_line_tokens(fields[1:arrow], kdnf, lineno, tables)
-            rest = fields[arrow + 1:]
-            if op == "w":
-                if len(rest) != 1:
-                    raise TraceError(f"weakening takes one premise id: {raw!r}", line=lineno)
-                steps.append(Infer(line_val, (ref(rest[0]),), "weaken"))
-            elif len(rest) == 4 and rest[2] == "pivot":
-                steps.append(Infer(line_val, (ref(rest[0]), ref(rest[1])), "pivot", pivot=rest[3]))
-            elif len(rest) == 4 and rest[2] == "cut":
-                tok = rest[3]
-                if not (tok.startswith("(") and tok.endswith(")")):
-                    raise TraceError(f"cut term must be parenthesised: {raw!r}", line=lineno)
-                (cut_term,) = _parse_line_tokens([tok], True, lineno).terms
-                steps.append(Infer(line_val, (ref(rest[0]), ref(rest[1])), "cut", cut_term=cut_term))
-            elif len(rest) == 3 and rest[2] == "andi":
-                steps.append(Infer(line_val, (ref(rest[0]), ref(rest[1])), "andi"))
-            elif len(rest) == 2 and rest[1] == "ande":
-                steps.append(Infer(line_val, (ref(rest[0]),), "ande"))
-            else:
-                raise TraceError(f"bad inference {raw!r}", line=lineno)
+            tokens, rest = fields[1:arrow], fields[arrow + 1:]
         else:
             raise TraceError(f"unknown step {op!r}", line=lineno)
+        line = _parse_line_tokens(tokens, kdnf, lineno, tables)
+        if op == "d":
+            steps.append(Download(line))
+            continue
+        pivot = cut_term = None
+        if op == "w":
+            if len(rest) != 1:
+                raise TraceError(f"weakening takes one premise id: {raw!r}", line=lineno)
+            rule, refs = "weaken", rest
+        elif len(rest) == 4 and rest[2] == "pivot":
+            rule, refs, pivot = "pivot", rest[:2], rest[3]
+        elif len(rest) == 4 and rest[2] == "cut":
+            tok = rest[3]
+            if not (tok.startswith("(") and tok.endswith(")")):
+                raise TraceError(f"cut term must be parenthesised: {raw!r}", line=lineno)
+            (cut_term,) = _parse_line_tokens([tok], True, lineno).terms
+            rule, refs = "cut", rest[:2]
+        elif len(rest) == 3 and rest[2] == "andi":
+            rule, refs = "andi", rest[:2]
+        elif len(rest) == 2 and rest[1] == "ande":
+            rule, refs = "ande", rest[:1]
+        else:
+            raise TraceError(f"bad inference {raw!r}", line=lineno)
+        digits = "".join(refs)
+        try:
+            ids = tuple(map(int, refs)) if digits.isascii() and digits.isdecimal() else (0,)
+        except ValueError:  # more digits than `int` reads
+            ids = (0,)
+        if 0 in ids:
+            raise _bad_reference(refs, lineno)
+        steps.append(Infer(line, ids, rule, pivot, cut_term))
     if system is None:
         raise TraceError("empty trace: missing 'system' header")
     return Refutation(target=target, steps=tuple(steps), system=system, k=k)

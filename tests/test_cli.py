@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import stat
@@ -233,6 +234,30 @@ def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err == "error: out of memory\n"
     assert "Traceback" not in err
+
+
+def test_main_leaves_the_collector_threshold_as_it_found_it(capsys, monkeypatch):
+    """`main` raises the collector's generation-0 threshold while a handler
+    runs, and restores the thresholds it found on success and on an error."""
+    seen = []
+    parse_family = dag.parse_family
+
+    def watched(spec):
+        seen.append(gc.get_threshold())
+        return parse_family(spec)
+
+    monkeypatch.setattr(dag, "parse_family", watched)
+    outside, found = gc.get_threshold(), (901, 11, 12)
+    gc.set_threshold(*found)
+    try:
+        assert run("graph", "--family", "path:1") == 0
+        assert gc.get_threshold() == found
+        assert run("graph", "--family", "bogus:1") == 1
+        assert capsys.readouterr().err == "error: unknown graph family 'bogus'\n"
+        assert gc.get_threshold() == found
+    finally:
+        gc.set_threshold(*outside)
+    assert len(seen) == 2 and all(t[0] > found[0] and t[1:] == found[1:] for t in seen)
 
 
 def test_compile_of_a_path_deeper_than_the_recursion_limit_checks(tmp_path, capsys):

@@ -1,10 +1,13 @@
 """Every text parser is total: any input gives a value or a PeblabError.
 
 The inputs are valid pyramid:2 texts (a DAG file, DIMACS, pebbling
-traces of the three games and a proof trace) with a few spans replaced by
-tokens of the formats, by other spans of the same text, or by nothing.
+traces of the three games and two proof traces) with a few spans replaced
+by tokens of the formats, by other spans of the same text, or by nothing.
 A pebbling trace that parses is also replayed by its game's validator,
-which gives a cost or a PeblabError too.
+which gives a cost or a PeblabError too, and so is the compiled proof
+by the checker.  That proof downloads two axioms twice, and a mutant
+that copies a span of it can repeat an inference, so the reader and the
+checker meet lines and inferences they have seen before.
 """
 
 import pytest
@@ -15,7 +18,8 @@ from peblab.errors import PeblabError
 
 G = dag.build_pyramid(2)
 PEB = formulas.pebbling_contradiction(G)
-SUBST = formulas.substitute(PEB, boolfunc.parse_function_literal("xor:2"))
+XOR2 = boolfunc.parse_function_literal("xor:2")
+SUBST = formulas.substitute(PEB, XOR2)
 LABELLED = pebbling.serialize_pebbling(pebbling.black_to_labelled(pebbling.greedy_black_strategy(G)))
 VALIDATORS = {pebbling.BwPebbling: pebbling.validate_bw, pebbling.LabelledPebbling: pebbling.validate_labelled,
               pebbling.BlobPebbling: pebbling.validate_blob}
@@ -24,6 +28,10 @@ VALIDATORS = {pebbling.BwPebbling: pebbling.validate_bw, pebbling.LabelledPebbli
 def parse_and_replay(text):
     p = pebbling.parse_pebbling_trace(text, G)
     return VALIDATORS[type(p)](p)
+
+
+def parse_and_check(text):
+    return resolution.check_refutation(resolution.parse_refutation_trace(text, SUBST))
 
 
 PARSERS = {
@@ -35,6 +43,8 @@ PARSERS = {
     "blob": (LABELLED.replace("game labelled", "game blob") + "X 13 : x z / u\nE 14\n", parse_and_replay),
     "proof": (resolution.serialize_refutation(resolution.constant_space_refutation(G)),
               lambda text: resolution.parse_refutation_trace(text, PEB)),
+    "compiled": (resolution.serialize_refutation(
+        resolution.pebbling_to_refutation(G, pebbling.greedy_black_strategy(G), XOR2)), parse_and_check),
 }
 
 TOKENS = st.sampled_from([

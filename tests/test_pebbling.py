@@ -472,7 +472,8 @@ class TestLabelled:
      WrongEndpoints, "blob pebbling must end at {[{z},{}]}"),
     (BwPebbling(host=dag.build_pyramid(1), moves=(("B+", "x"), ("B", "x"))), IllegalMove,
      "step 2: unknown move 'B'"),
-])
+], ids=["bw-no-moves", "labelled-no-moves", "blob-no-moves", "labelled-unknown-vertex",
+        "blob-unknown-vertex", "labelled-leftover", "blob-leftover", "bw-unknown-move"])
 def test_validators_reject_bad_endpoints_and_vertices(p, error, message):
     validate = {BwPebbling: pebbling.validate_bw, LabelledPebbling: pebbling.validate_labelled,
                 BlobPebbling: pebbling.validate_blob}[type(p)]
@@ -632,7 +633,7 @@ class TestTraces:
         ("", "empty trace: missing 'game' header"),
         ("# only a comment\n", "empty trace: missing 'game' header"),
         ("game blob\nI x\nX 1 / x : y\n", "line 3: bad inflation 'X 1 / x : y'"),
-    ])
+    ], ids=["empty", "comment-only", "inflation-fields-swapped"])
     def test_blob_trace_rejections(self, text, message):
         with pytest.raises(TraceError) as info:
             pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))

@@ -1,5 +1,5 @@
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -329,6 +329,69 @@ def test_check_serialize_and_lift_read_the_steps_once():
     assert resolution.lift_refutation(streamed(base), XOR2) == resolution.lift_refutation(base, XOR2)
     with pytest.raises(BudgetExceeded, match="lifted lines"):  # the length bound reads the steps too
         resolution.lift_refutation(streamed(base), XOR2, budget=len(base.steps))
+
+
+def legal_resolution_then(*steps) -> Refutation:
+    """Download (x y) and (-x), resolve them on x to (y), then `steps`."""
+    legal = (Download(clause("x y")), Download(clause("-x")), Infer(clause("y"), (1, 2), "pivot", pivot="x"))
+    return Refutation(formula(["x y", "-x"]), (*legal, *steps))
+
+
+@pytest.mark.parametrize("r,message", [
+    (legal_resolution_then(Erase(1), Infer(clause("y"), (1, 2), "pivot", pivot="x")),
+     "step 5: premise (x y) not in the current configuration"),
+    (legal_resolution_then(Infer(frozenset({("y", True)}), (1, 2), "pivot", pivot="x")),
+     "step 4: resolution step must infer a clause"),
+    (legal_resolution_then(Infer(clause("y"), (1, 2), "pivot", pivot="y")), "step 4: y not negative in (-x)"),
+    (legal_resolution_then(Infer(clause("y"), (2, 1), "pivot", pivot="x")), "step 4: x not positive in (-x)"),
+    (legal_resolution_then(Infer(clause("y"), (1, 3), "pivot", pivot="x")), "step 4: x not negative in (y)"),
+], ids=["premise-erased", "plain-frozenset", "other-pivot", "premises-swapped", "other-premise"])
+def test_a_repeated_legal_resolution_is_judged_again_when_it_changes(r, message):
+    """The checker judges each distinct resolution inference once, so a
+    repeat of a legal step is rejected with the text and step number it
+    would get alone when its premise left, its line is another type, or
+    its pivot or premises differ."""
+    with pytest.raises(IllegalStep) as info:
+        resolution.check_refutation(r)
+    assert str(info.value) == message
+
+
+def test_check_and_write_work_once_per_distinct_inference_and_line(monkeypatch):
+    """On the compiled pyramid:8 xor:2 proof the checker judges each
+    distinct (line class, line, premise lines, rule, pivot) once, and the
+    writer formats each distinct line at most twice."""
+    g = dag.build_pyramid(8)
+    r = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2)
+    lines_by_id, keys, added = {}, set(), []
+    for idx, s in enumerate(r.steps, start=1):
+        if isinstance(s, Erase):
+            continue
+        lines_by_id[idx] = s.line
+        added.append(s.line)
+        if isinstance(s, Infer):
+            keys.add((s.line.__class__, s.line, *(lines_by_id[p] for p in s.premises), s.rule, s.pivot))
+    inferences = sum(isinstance(s, Infer) for s in r.steps)
+    assert len(keys) < inferences // 2  # the proof re-derives most of its lines
+
+    judged, formatted = [], Counter()
+    check_res_rule, format_line = resolution._check_res_rule, resolution._format_line
+
+    def counted_check(step, premises, idx):
+        judged.append(idx)
+        check_res_rule(step, premises, idx)
+
+    def counted_format(line):
+        formatted[line] += 1
+        return format_line(line)
+
+    monkeypatch.setattr(resolution, "_check_res_rule", counted_check)
+    monkeypatch.setattr(resolution, "_format_line", counted_format)
+    resolution.check_refutation(r)
+    assert len(judged) == len(keys)
+    text = resolution.serialize_refutation(r)
+    assert set(formatted) == set(added) and max(formatted.values()) == 2
+    monkeypatch.undo()
+    assert text == resolution.serialize_refutation(r)
 
 
 def kdnf_after_units(step) -> Refutation:
@@ -692,6 +755,20 @@ class TestTraceFormat:
         with pytest.raises(TraceError) as info:
             resolution.parse_refutation_trace(text, formula(["x", "-x"]))
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("refs,bad", [
+        ("0 9" + "9" * 5000, "0"),  # the first bad reference is reported, before any long one is read
+        ("1 0x", "0x"),
+        ("1 00", "00"),
+        ("1 " + "9" * 5000, "9" * 5000),  # more digits than `int` reads
+    ], ids=["zero-then-long", "hex", "zeros", "long"])
+    def test_a_bad_step_reference_is_a_trace_error(self, refs, bad):
+        F = formula(["x", "-x"])
+        for text, lineno in ((f"system res\nd x\nd -x\nr <- {refs} pivot x\n", 4),
+                             (f"system res\nd x\ne {bad}\n", 3)):
+            with pytest.raises(TraceError) as info:
+                resolution.parse_refutation_trace(text, F)
+            assert str(info.value) == f"line {lineno}: bad step reference {bad!r}"
 
     def test_an_invalid_line_fails_at_its_first_occurrence(self):
         F = formula(["x", "-x"])
