@@ -1,5 +1,5 @@
-"""CLI handlers that drive `dag`, `formulas` and `pebbling`: `gen`,
-`graph`, `pebble-validate` and `pebble-price` (see `cli`)."""
+"""CLI handlers that drive `dag`, `formulas`, `pebbling` and `subconf`:
+`gen`, `graph`, `pebble-validate` and `pebble-price` (see `cli`)."""
 
 from __future__ import annotations
 
@@ -75,23 +75,23 @@ def cmd_graph(args) -> int:
 
 
 def cmd_pebble_validate(args) -> int:
-    from . import pebbling
+    from . import pebbling, subconf
     g = _load_graph(args.graph)
     trace = Path(args.trace).read_text()
-    p = pebbling.parse_pebbling_trace(trace, g)
+    p = subconf.parse_pebbling_trace(trace, g)
     if isinstance(p, pebbling.BwPebbling):
         cost = pebbling.validate_bw(p, black_only=args.black_only)
         print(f"ok bw time={cost.time} space={cost.space}")
     elif args.black_only:
         return _fail("--black-only applies to bw traces")
-    elif isinstance(p, pebbling.LabelledPebbling):
-        cost = pebbling.validate_labelled(p)
+    elif isinstance(p, subconf.LabelledPebbling):
+        cost = subconf.validate_labelled(p)
         print(
             f"ok labelled time={cost.time} space={cost.space} "
             f"bound=({cost.bound[0]},{cost.bound[1]})"
         )
     else:
-        cost = pebbling.validate_blob(p, args.budget)
+        cost = subconf.validate_blob(p, args.budget)
         print(f"ok blob time={cost.time} space={cost.space}")
     return 0
 

@@ -1,6 +1,6 @@
-"""CLI handlers that drive `resolution` and `projections`: `compile`,
-`const-space`, `lift`, `extract`, `check`, `minspace` and `minwidth`
-(see `cli`)."""
+"""CLI handlers that drive `resolution`, `lift`, `saturation` and
+`projections`: `compile`, `const-space`, `lift`, `extract`, `check`,
+`minspace` and `minwidth` (see `cli`)."""
 
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ def cmd_compile(args) -> int:
     g = _load_graph(args.graph)
     f = boolfunc.parse_function_literal(args.fn)
     if args.trace:
-        p = pebbling.parse_pebbling_trace(Path(args.trace).read_text(), g)
+        from . import subconf
+        p = subconf.parse_pebbling_trace(Path(args.trace).read_text(), g)
         if not isinstance(p, pebbling.BwPebbling):
             return _fail("compile needs a black pebbling trace (game bw)")
     else:
@@ -43,13 +44,13 @@ def cmd_const_space(args) -> int:
 
 
 def cmd_lift(args) -> int:
-    from . import boolfunc, resolution
+    from . import boolfunc, lift, resolution
     target = _load_formula(args.formula)
     f = boolfunc.parse_function_literal(args.fn)
     if f is None:
         return _fail("lift needs a real function, not 'none'")
     r = resolution.parse_refutation_trace(Path(args.proof).read_text(), target)
-    return _emit_proof(args, resolution.lift_refutation(r, f, budget=args.budget))
+    return _emit_proof(args, lift.lift_refutation(r, f, budget=args.budget))
 
 
 def cmd_extract(args) -> int:
@@ -72,17 +73,17 @@ def cmd_check(args) -> int:
 
 
 def cmd_minspace(args) -> int:
-    from . import resolution
+    from . import saturation
     f = _load_formula(args.formula)
-    value = resolution.min_clause_space(f, args.cap, args.budget)
+    value = saturation.min_clause_space(f, args.cap, args.budget)
     print(value if value is not None else f">{args.cap}")
     return 0
 
 
 def cmd_minwidth(args) -> int:
-    from . import resolution
+    from . import saturation
     f = _load_formula(args.formula)
-    value = resolution.min_width(f, args.cap)
+    value = saturation.min_width(f, args.cap)
     print(value if value is not None else f">{args.cap}")
     return 0
 

@@ -10,11 +10,13 @@ subsumption, so clauses are sorted only by `Clause.sort_key`.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable
 
 from .errors import TrivialClause
 
 Lit = tuple[str, bool]
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # none before 3.10.7
 
 
 def neg(literal: Lit) -> Lit:
@@ -33,11 +35,12 @@ def format_lit(literal: Lit) -> str:
 
 
 def is_decimal(token: str) -> bool:
-    """Whether `token` is a non-empty run of the ASCII digits 0-9: the one
-    number test of the text parsers, since `str.isdigit` also accepts
-    '²', which `int` rejects, and `int` also accepts '+1', '1_0' and the
-    digits of other scripts."""
-    return token.isascii() and token.isdecimal()
+    """Whether `token` is a non-empty run of the ASCII digits 0-9 that `int`
+    reads: the one number test of the text parsers, since `str.isdigit`
+    also accepts '²', which `int` rejects, `int` also accepts '+1', '1_0'
+    and the digits of other scripts, and `int` refuses more digits than
+    `sys.get_int_max_str_digits()` (4,300 by default; 0 is no limit)."""
+    return token.isascii() and token.isdecimal() and len(token) <= (_max_str_digits() or len(token))
 
 
 def parse_lit(token: str) -> Lit:

@@ -1,4 +1,6 @@
-"""Configuration-style resolution and k-DNF resolution.
+"""Configuration-style resolution and k-DNF resolution: the proof values,
+the resolution rule, the checker, the proof builder, the compilers and
+the trace format, which every proof stage runs.
 
 Proof objects are sequences of axiom download / inference / erasure
 steps over clause (or k-DNF line) configurations.  One checked replay,
@@ -6,37 +8,31 @@ steps over clause (or k-DNF line) configurations.  One checked replay,
 configuration after it; the checker reads exact length/width/space
 measures off it, and lift and projection read their input through it,
 so they accept exactly the proofs the checker accepts.  Builders emit
-the constant-space refutation, compile pebblings into refutations, and
-lift refutations through substitution; all three write their steps
-directly, and a compiled refutation of Peb_G[f] is the lift of the
-compiled refutation of Peb_G.  A lift replays one fixed template per
-function for each resolution step, so no builder searches.  The width
-oracle is one saturation pass; the clause-space oracle is
-`space_bounded_search`.  The replay, the trace writer and lift read a
-proof's steps once, front to back.  Within one call, lift, the builder,
-the replay and the trace reader and writer keep per-proof tables, so a
-line or inference that recurs (a pebbling re-pebbles, so its refutation
-re-derives) is built, judged, read or written once; each table dies
-with the call.  The replay judges each distinct resolution inference
-once, but tests every step's premises and erasures against the live
-configuration.  No table keeps text for a line that does not recur: the
-writer keeps a line's text from its second sighting on, and the reader's
-tables hold literals and lines, not token sequences or text.
+the constant-space refutation and compile pebblings into refutations;
+both write their steps directly, and a compiled refutation of Peb_G[f]
+is the lift of the compiled refutation of Peb_G.  The replay, the trace
+writer and lift read a proof's steps once, front to back.  Within one
+call, lift, the builder, the replay and the trace reader and writer keep
+per-proof tables, so a line or inference that recurs (a pebbling
+re-pebbles, so its refutation re-derives) is built, judged, read or
+written once; each table dies with the call.  The replay judges each
+distinct resolution inference once, but tests every step's premises and
+erasures against the live configuration.  No table keeps text for a line
+that does not recur: the writer keeps a line's text from its second
+sighting on, and the reader's tables hold literals and lines, not token
+sequences or text.  Lift and saturation, with the width and clause-space
+oracles, live in modules loaded on first use (see `_LAZY`), so `check`
+compiles neither.
 """
 
 from __future__ import annotations
 
-import functools
-import heapq
-import math
-from collections import Counter
 from typing import TYPE_CHECKING
 
 from .cnf import (
     Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, format_lit, is_decimal, neg, parse_lit,
 )
 from .errors import (
-    BudgetExceeded,
     IllegalStep,
     IncompletePebbling,
     MissingBottom,
@@ -45,17 +41,19 @@ from .errors import (
     TrivialClause,
     TrivialResolvent,
     WrongEndpoints,
-    search_budget,
 )
-from .formulas import (
-    SUBST_SEP, _generic_canonical, pebbling_axiom, pebbling_contradiction, substitute, substitute_clause,
-)
+from .formulas import pebbling_axiom, pebbling_contradiction
+from .lazy import lazy_names
 
 if TYPE_CHECKING:
     from .boolfunc import BooleanFunction
     from .dag import Dag
 
 Term = frozenset[Lit]
+
+_LAZY = {"lift": ("_template", "lift_refutation"),
+         "saturation": ("_Codec", "saturate", "min_width", "min_clause_space")}
+__getattr__ = lazy_names(globals(), _LAZY)
 
 
 def term(spec: str) -> Term:
@@ -476,92 +474,6 @@ class ProofBuilder:
                           system=self.system, k=self.k)
 
 
-# -- saturation ----------------------------------------------------------------
-
-_Mask = tuple[int, int]  # (positive variables, negative variables) as bit sets
-_EMPTY: _Mask = (0, 0)
-
-
-class _Codec:
-    """The variables of a clause set, interned in sorted-name order, so a
-    clause over them is a pair of bit sets (pos, neg)."""
-
-    def __init__(self, clauses: list[Clause]):
-        names = sorted({n for c in clauses for n, _ in c})
-        self._bit = {n: 1 << i for i, n in enumerate(names)}
-
-    def encode(self, c: Clause) -> _Mask:
-        """The mask of c's literals; literals of other variables are dropped."""
-        pos_bits = neg_bits = 0
-        for name, positive in c:
-            if positive:
-                pos_bits |= self._bit.get(name, 0)
-            else:
-                neg_bits |= self._bit.get(name, 0)
-        return pos_bits, neg_bits
-
-
-def saturate(premises, width_cap: int, budget=None):
-    """DISCOUNT given-clause resolution closure (Denzinger, Kronenburg
-    and Schulz, 1997).
-
-    Tautologies, repeats and clauses wider than `width_cap` are dropped;
-    a new resolvent only joins the queue.  The given clause is the
-    lightest queued one, ties in arrival order: it is skipped if an
-    active clause subsumes it, else it deletes the active clauses it
-    subsumes, is resolved against the rest in given order and becomes
-    active.  A subsumer is strictly narrower, so it is given first.
-    Returns (codec, active, width): the `_Codec` of the premises, the
-    active clauses as masks, and the widest given clause.  Once the
-    empty clause is generated, active is just it and width is the
-    minimal refutation width; if the queue runs out, active is the
-    subsumption-minimal part of the closure.  The width and space
-    oracles call it; no proof builder does.
-
-    Pivots are the set bits of `p1 & n2 | p2 & n1`, lowest first, which
-    is sorted-name order; a resolvent is a tautology iff `rp & rn`; c
-    subsumes d iff both `cp & ~dp` and `cn & ~dn` are zero.
-    """
-    limit = search_budget(budget)
-    prems = [c for c in premises if c.width <= width_cap]
-    codec = _Codec(prems)
-    # every clause ever generated; it only grows, so its size orders arrivals
-    seen = dict.fromkeys(codec.encode(c) for c in sorted(prems, key=Clause.sort_key))
-    queue = [((p | n).bit_count(), i, (p, n)) for i, (p, n) in enumerate(seen)]  # sorted so a heap
-    active: dict[_Mask, None] = {}
-    work = width = 0
-    while queue:
-        given_width, _, (gp, gn) = heapq.heappop(queue)
-        not_gp, not_gn = ~gp, ~gn
-        for ap, an in active:
-            if not (ap & not_gp or an & not_gn):
-                break  # subsumed by an active clause
-        else:
-            for o in [o for o in active if not (gp & ~o[0] or gn & ~o[1])]:
-                del active[o]
-            width = max(width, given_width)  # a wide given can yield a narrow resolvent
-            for op, on in active:
-                pivots = gp & on | op & gn
-                union_p, union_n = gp | op, gn | on
-                while pivots:
-                    pivot = pivots & -pivots
-                    pivots ^= pivot
-                    work += 1
-                    if work > limit:
-                        raise BudgetExceeded(work, limit, "saturation", unit="resolvents tried")
-                    rp = union_p & ~pivot
-                    rn = union_n & ~pivot
-                    r_width = (rp | rn).bit_count()
-                    if rp & rn or r_width > width_cap or (rp, rn) in seen:
-                        continue
-                    if not r_width:
-                        return codec, {_EMPTY: None}, width
-                    seen[rp, rn] = None
-                    heapq.heappush(queue, (r_width, len(seen), (rp, rn)))
-            active[gp, gn] = None
-    return codec, active, width
-
-
 # -- constructive refutations ---------------------------------------------------
 
 
@@ -621,7 +533,10 @@ def pebbling_to_refutation(
     b.download(unit(g.sink, False))
     b.infer_resolve(unit(g.sink), unit(g.sink, False), g.sink)
     r = b.build()
-    return r if f is None else lift_refutation(r, f, budget)
+    if f is None:
+        return r
+    from .lift import lift_refutation  # only a compile with a function loads lift
+    return lift_refutation(r, f, budget)
 
 
 class SimulationConstants(Value):
@@ -649,222 +564,6 @@ def pinned_simulation_constants(fn_literal: str, max_indegree: int) -> Simulatio
     if max_indegree > 2 or fn_literal not in _PINNED_CONSTANTS:
         raise KeyError(f"no pinned constants for {fn_literal!r} at fan-in {max_indegree}")
     return _PINNED_CONSTANTS[fn_literal]
-
-
-@functools.lru_cache(maxsize=None)
-def _template(f: BooleanFunction) -> Refutation:
-    """A refutation of canonical(f) | canonical(not f) on the generic
-    block `1..d`, read off the decision tree that queries the inputs in
-    order.
-
-    A node's clause is falsified by the node's partial assignment: it is
-    the first axiom so falsified, or else the resolvent of its children's
-    clauses on the queried input, or a child's clause that does not
-    mention that input.  The root's clause is empty.  Lines are emitted
-    in post-order, one per distinct clause, with no erasure, so step i
-    is line i.
-    """
-    axioms = sorted(_generic_canonical(f, True) | _generic_canonical(f, False),
-                    key=Clause.sort_key)
-
-    def node(assignment: dict[str, bool]):
-        """(clause, derivation), the derivation None or (left, right, pivot)."""
-        for a in axioms:
-            if all(assignment.get(n) == (not positive) for n, positive in a):
-                return a, None
-        y = str(len(assignment) + 1)
-        left = node({**assignment, y: False})
-        if (y, True) not in left[0]:
-            return left
-        right = node({**assignment, y: True})
-        if (y, False) not in right[0]:
-            return right
-        return resolve(left[0], right[0], y), (left, right, y)
-
-    b = ProofBuilder(CnfFormula(frozenset(axioms)))
-
-    def emit(line: Clause, derivation) -> None:
-        if b.has(line):
-            return
-        if derivation is None:
-            b.download(line)
-            return
-        left, right, y = derivation
-        emit(*left)
-        emit(*right)
-        b.infer_resolve(left[0], right[0], y)
-
-    emit(*node({}))
-    return b.build()
-
-
-def lift_refutation(
-    r: Refutation,
-    f: BooleanFunction,
-    budget=None,
-) -> Refutation:
-    """Lift a resolution refutation of F to one of F[f], step by step.
-
-    A download maps to downloads of the clause's whole image under
-    substitution, a weakening to weakenings of the image's clauses, and
-    an erasure erases the image.  A resolution step c = resolve(a, b, x)
-    derives each clause t of c's image by replaying `_template(f)` on x's
-    block: its lines from f's axioms carry P', the literals of t on the
-    blocks of a's other variables; its lines from not-f's axioms carry
-    Q', those on the blocks of b's; so its axioms are clauses of a's and
-    b's images and its root is t.  Intermediates are erased after their
-    last use.  A line has at most |t| + d literals, so the width stays
-    within d*(w+1) for a base width of w.
-
-    Before building anything, `r` is checked by the checker's replay,
-    and the lifted length is bounded from the image sizes of its steps;
-    a bound above `search_budget(budget)` raises BudgetExceeded in
-    lifted lines.
-    """
-    if r.system != "res":
-        raise ValueError("only resolution refutations can be lifted")
-    replay = list(_replay(r, False))  # an illegal proof fails here, before any lifting
-    template = _template(f)
-    f_axioms = _generic_canonical(f, True)
-    image_sizes = {True: len(f_axioms), False: len(template.target) - len(f_axioms)}
-    replay_length = sum(isinstance(s, Infer) for s in template.steps)
-    bound = sum(
-        math.prod(image_sizes[positive] for _, positive in c)
-        * (replay_length if isinstance(s, Infer) and s.rule == "pivot" else 1)
-        for s, c, _, _ in replay if not isinstance(s, Erase)
-    )
-    limit = search_budget(budget)
-    if bound > limit:
-        raise BudgetExceeded(bound, limit, "lift", unit="lifted lines")
-
-    sides: list[int] = []  # per template line: 1 from f's axioms, 2 from not-f's, 3 both
-    inferences: list[tuple[int, int, int]] = []  # (line, premise line, premise line)
-    last_use: dict[int, int] = {}
-    for k, s in enumerate(template.steps):
-        if isinstance(s, Download):
-            sides.append(1 if s.line in f_axioms else 2)
-        else:
-            i, j = s.premises[0] - 1, s.premises[1] - 1
-            sides.append(sides[i] | sides[j])
-            inferences.append((k, i, j))
-            last_use[i] = last_use[j] = k
-
-    def base(lit: Lit) -> str:
-        return lit[0].rpartition(SUBST_SEP)[0]
-
-    @functools.lru_cache(maxsize=None)
-    def block(x: str) -> tuple[list[Term], list[str | None]]:
-        """The template's lines and pivots on x's block, built once per pivot."""
-        return ([frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line)
-                 for s in template.steps],
-                [f"{x}{SUBST_SEP}{s.pivot}" if isinstance(s, Infer) else None for s in template.steps])
-
-    def derivations(step, c: Clause, premises: list):
-        """Yield each clause t of c's image, sorted, with what derives it:
-        None for a download, the premise image's clause that t extends for
-        a weakening, and the template's lines on the pivot's block with
-        t's literals attached for a resolution."""
-        targets = sorted(substitute_clause(c, f), key=Clause.sort_key)
-        if isinstance(step, Download):
-            yield from ((t, None) for t in targets)
-        elif step.rule == "weaken":
-            kept = premises[0].variables()
-            for t in targets:
-                yield t, Clause(l for l in t if base(l) in kept)
-        else:
-            x = step.pivot
-            on_block = block(x)[0]
-            left = premises[0].variables() - {x}
-            right = premises[1].variables() - {x}
-            for t in targets:
-                attached = {1: frozenset(l for l in t if base(l) in left),
-                            2: frozenset(l for l in t if base(l) in right),
-                            3: t}  # by sides: P', Q', both
-                yield t, [Clause(line | attached[side]) for line, side in zip(on_block, sides)]
-
-    # A step's derivations depend only on (c, premise lines, pivot): keep
-    # them for each such key that occurs twice or more, and build the
-    # others one image clause at a time.
-    keys = [None if isinstance(step, Erase) else (c, *premises, step.pivot) if isinstance(step, Infer) else c
-            for step, c, premises, _ in replay]
-    repeated = {key for key, n in Counter(keys).items() if n > 1}
-    plans: dict = {}
-
-    b = ProofBuilder(substitute(r.target, f))
-    images: dict[Clause, list[Clause]] = {}  # present base clause -> its image, sorted
-    for (step, c, premises, _), key in zip(replay, keys):
-        if isinstance(step, Erase):
-            for d in images.pop(c):
-                b.erase(d)
-            continue
-        if c in images:
-            continue
-        plan = plans.get(key)
-        if plan is None:
-            plan = derivations(step, c, premises)
-            if key in repeated:
-                plan = plans[key] = list(plan)
-        image = images[c] = []
-        for t, derivation in plan:
-            image.append(t)
-            if isinstance(step, Download):
-                b.download(t)
-            elif step.rule == "weaken":
-                b.weaken(derivation, t)
-            else:
-                pivots = block(step.pivot)[1]
-                derived: set[int] = set()
-                for k, i, j in inferences:
-                    if not b.has(derivation[k]):
-                        b.infer_resolve(derivation[i], derivation[j], pivots[k])
-                        derived.add(k)
-                    for premise in (i, j):
-                        if last_use[premise] == k and premise in derived:
-                            b.erase(derivation[premise])
-    return b.build()
-
-
-# -- bounded oracles -----------------------------------------------------------
-
-
-def min_width(f_formula: CnfFormula, cap: int) -> int | None:
-    """Smallest w <= cap such that width-w resolution refutes the formula,
-    else None (reported as >cap): one lightest-first `saturate` pass."""
-    _, alive, width = saturate(f_formula.clauses, cap)
-    return width if _EMPTY in alive else None
-
-
-def min_clause_space(f_formula: CnfFormula, cap: int, budget=None) -> int | None:
-    """Exact minimal clause space over all refutations of <= cap clauses
-    per configuration, else None: `space_bounded_search` over sets of the
-    saturation codec's masks, where erasures shrink a set and downloads
-    and resolvents grow it.  Satisfiable input answers None at once."""
-    from .search import space_bounded_search
-    # a width cap of the variable count drops no clause
-    codec, alive, _ = saturate(f_formula.clauses, len(f_formula.variables()), budget)
-    if _EMPTY not in alive:
-        return None  # satisfiable: no refutation at any cap
-    axioms = [codec.encode(c) for c in f_formula.sorted_clauses()]
-
-    def erasures(state):
-        return (state - {c} for c in state)
-
-    def derivations(state):
-        yield from (state | {a} for a in axioms if a not in state)
-        for fp, fn in state:
-            for sp, sn in state:
-                pivots = fp & sn
-                while pivots:
-                    pivot = pivots & -pivots
-                    pivots ^= pivot
-                    rp, rn = (fp | sp) & ~pivot, (fn | sn) & ~pivot
-                    if not rp & rn and (rp, rn) not in state:
-                        yield state | {(rp, rn)}
-
-    path, s = space_bounded_search(frozenset(), erasures, derivations, len,
-                                   lambda state: _EMPTY in state, budget,
-                                   "clause space search", cap)
-    return None if path is None else s
 
 
 # -- proof trace format ---------------------------------------------------------
@@ -961,12 +660,8 @@ def _bad_reference(tokens: list[str], lineno: int) -> TraceError:
     """The error for the first of `tokens` that is not a step reference:
     a decimal integer of at least 1, with no more digits than `int` reads."""
     for tok in tokens:
-        try:
-            if is_decimal(tok) and int(tok) >= 1:
-                continue
-        except ValueError:  # more digits than `int` reads
-            pass
-        return TraceError(f"bad step reference {tok!r}", line=lineno)
+        if not (is_decimal(tok) and int(tok) >= 1):
+            return TraceError(f"bad step reference {tok!r}", line=lineno)
 
 
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:

@@ -1,6 +1,6 @@
 """The exact space-bounded search of both space games: the pebbling price
 search of `pebbling` and the clause-space search of
-`resolution.min_clause_space`.  It has a module of its own so that a
+`saturation.min_clause_space`.  It has a module of its own so that a
 process running one of them compiles only this loop, not both callers.
 """
 

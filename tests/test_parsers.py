@@ -10,10 +10,12 @@ that copies a span of it can repeat an inference, so the reader and the
 checker meet lines and inferences they have seen before.
 """
 
+import argparse
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from peblab import boolfunc, dag, formulas, pebbling, resolution
+from peblab import boolfunc, cli, dag, errors, formulas, pebbling, resolution
 from peblab.errors import PeblabError
 
 G = dag.build_pyramid(2)
@@ -47,8 +49,11 @@ PARSERS = {
         resolution.pebbling_to_refutation(G, pebbling.greedy_black_strategy(G), XOR2)), parse_and_check),
 }
 
+# more digits than `int` reads (`sys.get_int_max_str_digits()`, 4,300 by default)
+HUGE = "9" * 5000
+
 TOKENS = st.sampled_from([
-    " ", "\n", "\t", "\r", "#", "-", "~", "0", "1", "7", "-1", "00", "99999999999999999999", "_",
+    " ", "\n", "\t", "\r", "#", "-", "~", "0", "1", "7", "-1", "00", "99999999999999999999", HUGE, "_",
     "١", "²", "\x00", " ", "+", ":", "/", "(", ")", "&", "()", "(x&)", "<-", "v", "e", "p",
     "c", "cnf", "var", "game", "bw", "labelled", "blob", "B+", "B-", "W+", "W-", "I", "E", "M",
     "X", "system", "res", "kdnf", "d", "r", "w", "pivot", "cut", "andi", "ande", "x1", "z", "u",
@@ -80,3 +85,28 @@ def test_parsers_are_total(name, data):
         parse(data.draw(mutated(text)))
     except PeblabError:
         pass
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (formulas.from_dimacs, f"p cnf {HUGE} 0\n", "bad problem line"),
+    (formulas.from_dimacs, f"p cnf 1 1\n{HUGE} 0\n", "bad literal"),
+    (formulas.from_dimacs, f"c var {HUGE} a\np cnf 1 1\n1 0\n", "bad variable index"),
+    (lambda text: pebbling.parse_pebbling_trace(text, G), f"game labelled\nE {HUGE}\n",
+     "bad subconfiguration index"),
+    (dag.parse_family, f"path:{HUGE}", "needs a decimal size"),
+    (lambda text: resolution.parse_refutation_trace(text, PEB), f"system kdnf {HUGE}\n",
+     "bad system line"),
+    (formulas.split_substituted, f"x#{HUGE}", "is not a substituted variable name"),
+], ids=["p-cnf", "literal", "c-var", "subconf-index", "family", "kdnf-header", "substituted-name"])
+def test_a_number_longer_than_int_reads_is_the_parsers_own_error(parse, text, message):
+    # not Python's "Exceeds the limit (4300 digits) for integer string conversion"
+    with pytest.raises((PeblabError, ValueError), match=message):
+        parse(text)
+
+
+def test_a_budget_longer_than_int_reads_is_refused(monkeypatch):
+    with pytest.raises(argparse.ArgumentTypeError, match="not a decimal integer"):
+        cli._natural(HUGE)
+    monkeypatch.setenv("PEBLAB_BUDGET", HUGE)
+    with pytest.raises(PeblabError, match="PEBLAB_BUDGET must be a decimal integer"):
+        errors.search_budget()

@@ -4,7 +4,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from peblab import boolfunc, dag, formulas, pebbling, resolution
+from peblab import boolfunc, dag, formulas, pebbling, resolution, saturation
 from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula, minimized, neg
 from peblab.errors import (
     BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, TraceError, TrivialResolvent,
@@ -1055,13 +1055,13 @@ def test_min_width_matches_per_width_closure(F, cap):
 
 
 def test_min_width_saturates_once(monkeypatch):
-    saturate, calls = resolution.saturate, []
+    saturate, calls = saturation.saturate, []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return saturate(*args, **kwargs)
 
-    monkeypatch.setattr(resolution, "saturate", counted)
+    monkeypatch.setattr(saturation, "saturate", counted)
     F = formulas.substitute(formulas.pebbling_contradiction(dag.build_pyramid(3)), XOR2)
     assert resolution.min_width(F, 8) == 6
     assert len(calls) == 1
