@@ -18,9 +18,8 @@ builds the full parser; either way every usage, help and error text is
 the full parser's.  For the same reason the package's value types are
 `__slots__` classes, not dataclasses: `dataclasses` pulls in `inspect` and
 `ast`, and each frozen dataclass `exec`s its generated methods at import.
-Library code that only some stages run is split off the same way, into
-`lift`, `saturation`, `sat` and `subconf`; the modules it came from still
-name it and load it on first use (`lazy`).
+Library code that only some stages run lives apart for the same reason,
+in `lift`, `saturation`, `sat` and `subconf`.
 
 While a handler runs, `main` raises the cyclic garbage collector's
 generation-0 threshold from 700 to 100,000 net allocations, and restores
@@ -132,7 +131,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except (PeblabError, OSError, ValueError) as exc:
         return _fail(str(exc))
-    except MemoryError:  # carries no message
-        return _fail("out of memory")
+    except MemoryError:  # reported below, once its traceback has let go of the search's tables
+        pass
     finally:
         gc.set_threshold(*threshold)
+    return _fail("out of memory")

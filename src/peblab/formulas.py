@@ -1,5 +1,5 @@
 """Pebbling contradictions, substitution formulas and DIMACS I/O.  The
-SAT oracle lives in `sat`, which no CLI stage runs (see `_LAZY`).
+SAT oracle lives in `sat`, which no CLI stage runs (see `cli`).
 
 Substituted variables are named x#1..x#d so the mapping back to base
 variables is collision-free and reversible.
@@ -21,7 +21,7 @@ if TYPE_CHECKING:
 
 SUBST_SEP = "#"
 
-_LAZY = {"sat": ("brute_force_sat", "is_minimally_unsat")}
+_LAZY = {"sat": ("brute_force_sat",)}  # `perfbench/` reads it here until it imports it from `sat`
 __getattr__ = lazy_names(globals(), _LAZY)
 
 

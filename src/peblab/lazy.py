@@ -1,5 +1,5 @@
-"""PEP 562 `__getattr__`s for names whose code lives in a sibling module,
-so a stage compiles that code only if it runs it (see `cli`)."""
+"""PEP 562 `__getattr__`s for the moved names that the benchmark harness
+under `perfbench/` still looks up on the modules they came from."""
 
 import importlib
 

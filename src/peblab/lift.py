@@ -1,7 +1,7 @@
 """Lifting a resolution refutation of F to one of F[f]: a lift replays
 one fixed template per function for each resolution step, so no builder
 searches.  Only `lift`, and `compile` or `report` with a function, run
-it (see `resolution._LAZY`).
+it (see `cli`).
 """
 
 from __future__ import annotations

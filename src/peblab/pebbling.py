@@ -5,8 +5,8 @@ A black-white pebbling is its moves, (op, v) pairs as the trace format
 writes them, played from the empty configuration, and `validate_bw` is
 the one replay that applies them.  The labelled and blob games and the
 pebbling trace format of all three games live in `subconf`, which only
-`pebble-validate` and a compile from a trace run, and which this module
-loads on first use (see `_LAZY`), so `pebble-price` compiles none of it.
+`pebble-validate` and a compile from a trace run, so `pebble-price`
+compiles none of it (see `cli`).
 
 Validators are pure functions over immutable traces.  Optimal prices come
 from `search.space_bounded_search`, the one search of both space games (it
@@ -34,9 +34,8 @@ if TYPE_CHECKING:
     from .dag import Dag
 
 
-_LAZY = {"subconf": ("BlobSubconf", "Subconf", "BlobPebbling", "LabelledPebbling", "LabelledCost",
-                     "validate_labelled", "black_to_labelled", "blob_config_space", "validate_blob",
-                     "serialize_pebbling", "parse_pebbling_trace")}
+# `perfbench/` reads these names here; the table goes once it imports them from their homes
+_LAZY = {"subconf": ("validate_labelled", "validate_blob")}
 __getattr__ = lazy_names(globals(), _LAZY)
 
 

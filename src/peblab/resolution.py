@@ -21,8 +21,8 @@ erasures against the live configuration.  No table keeps text for a line
 that does not recur: the writer keeps a line's text from its second
 sighting on, and the reader's tables hold literals and lines, not token
 sequences or text.  Lift and saturation, with the width and clause-space
-oracles, live in modules loaded on first use (see `_LAZY`), so `check`
-compiles neither.
+oracles, live in `lift` and `saturation`, so `check` compiles neither
+(see `cli`).
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ if TYPE_CHECKING:
 
 Term = frozenset[Lit]
 
-_LAZY = {"lift": ("_template", "lift_refutation"),
-         "saturation": ("_Codec", "saturate", "min_width", "min_clause_space")}
+# `perfbench/` reads these names here; the table goes once it imports them from their homes
+_LAZY = {"lift": ("lift_refutation",), "saturation": ("saturate", "min_width", "min_clause_space")}
 __getattr__ = lazy_names(globals(), _LAZY)
 
 
@@ -352,14 +352,13 @@ def _replay(r: Refutation, semantic_check: bool):
         raise MissingBottom("final configuration does not contain the empty clause")
 
 
-def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measures:
+def check_refutation(r: Refutation, semantic_check: bool = False) -> Measures:
     """Replay a refutation; accept iff every step is legal and the final
     configuration contains the empty clause.  Returns exact measures.
 
-    For k-DNF systems each syntactic inference is additionally
-    cross-checked semantically by truth table when the premises span at
-    most 20 variables (pass semantic_check=False to disable, or True to
-    force the same cross-check for resolution).
+    Each k-DNF inference is additionally cross-checked semantically by
+    truth table when its premises span at most 20 variables;
+    semantic_check=True cross-checks resolution inferences too.
 
     The measures are kept incrementally: a per-variable occurrence count
     over the present lines and a running literal total change only when
@@ -377,7 +376,7 @@ def check_refutation(r: Refutation, semantic_check: bool | None = None) -> Measu
     variable_space = 0
     total_space = 0
     size = 0  # lines present before the step
-    for step, line, _, config in _replay(r, kdnf if semantic_check is None else semantic_check):
+    for step, line, _, config in _replay(r, kdnf or semantic_check):
         if kdnf:  # one (variable, _) pair per variable: terms may share one
             line_width, pairs = line.literal_count(), [(v, None) for v in line.variables()]
         else:
@@ -656,18 +655,25 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
     return line
 
 
-def _bad_reference(tokens: list[str], lineno: int) -> TraceError:
-    """The error for the first of `tokens` that is not a step reference:
-    a decimal integer of at least 1, with no more digits than `int` reads."""
-    for tok in tokens:
-        if not (is_decimal(tok) and int(tok) >= 1):
-            return TraceError(f"bad step reference {tok!r}", line=lineno)
+def _step_ids(tokens: list[str], lineno: int) -> tuple[int, ...]:
+    """The step ids `tokens` name, each a decimal integer of at least 1 with
+    no more digits than `int` reads; else a TraceError naming the first
+    token that is not."""
+    digits = "".join(tokens)
+    try:
+        ids = tuple(map(int, tokens)) if digits.isascii() and digits.isdecimal() else (0,)
+    except ValueError:  # more digits than `int` reads
+        ids = (0,)
+    if 0 in ids:
+        bad = next(tok for tok in tokens if not (is_decimal(tok) and int(tok) >= 1))
+        raise TraceError(f"bad step reference {bad!r}", line=lineno)
+    return ids
 
 
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
     """The refutation a trace writes.  Its lines are read through one
-    parse's `_parse_line_tokens` tables, and its step references with
-    inline tests."""
+    parse's `_parse_line_tokens` tables, and its step references by
+    `_step_ids`."""
     system = None
     kdnf = False
     k = 1
@@ -695,14 +701,7 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
         if op == "e":
             if len(fields) != 2:
                 raise TraceError(f"bad erase {raw!r}", line=lineno)
-            tok = fields[1]
-            try:
-                target_id = int(tok) if tok.isascii() and tok.isdecimal() else 0
-            except ValueError:  # more digits than `int` reads
-                target_id = 0
-            if target_id < 1:
-                raise _bad_reference([tok], lineno)
-            steps.append(Erase(target_id))
+            steps.append(Erase(*_step_ids(fields[1:], lineno)))
             continue
         if op == "d":
             tokens = fields[1:]
@@ -736,14 +735,7 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
             rule, refs = "ande", rest[:1]
         else:
             raise TraceError(f"bad inference {raw!r}", line=lineno)
-        digits = "".join(refs)
-        try:
-            ids = tuple(map(int, refs)) if digits.isascii() and digits.isdecimal() else (0,)
-        except ValueError:  # more digits than `int` reads
-            ids = (0,)
-        if 0 in ids:
-            raise _bad_reference(refs, lineno)
-        steps.append(Infer(line, ids, rule, pivot, cut_term))
+        steps.append(Infer(line, _step_ids(refs, lineno), rule, pivot, cut_term))
     if system is None:
         raise TraceError("empty trace: missing 'system' header")
     return Refutation(target=target, steps=tuple(steps), system=system, k=k)

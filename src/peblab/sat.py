@@ -1,6 +1,6 @@
 """The clause-learning SAT oracle, `brute_force_sat`, and the minimal
 unsatisfiability test built on it.  No CLI subcommand runs them, so no
-subcommand compiles this module (see `formulas._LAZY`).
+subcommand compiles this module (see `cli`).
 """
 
 from __future__ import annotations

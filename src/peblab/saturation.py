@@ -1,7 +1,7 @@
 """Bounded saturation and the oracles built on it: `min_width`, the
 minimal refutation width, and `min_clause_space`, the exact minimal clause
 space.  It imports no proof module, so `minwidth` and `minspace` compile
-no proof code they do not run (see `resolution._LAZY`).
+no proof code they do not run (see `cli`).
 """
 
 from __future__ import annotations

@@ -10,7 +10,7 @@ subconfiguration `Subconf` <v, W> is the one-vertex `BlobSubconf`
 `BlobPebbling`, so one replay checks both games.
 
 Only `pebble-validate` and a compile from a trace run this code, so it
-has a module of its own (see `pebbling._LAZY`).
+has a module of its own (see `cli`).
 """
 
 from __future__ import annotations

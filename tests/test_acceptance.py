@@ -6,7 +6,7 @@ capture); every criterion pins its tolerances inline.
 
 import pytest
 
-from peblab import boolfunc, dag, formulas, pebbling, projections, resolution
+from peblab import boolfunc, dag, formulas, lift, pebbling, projections, resolution, sat, saturation
 from peblab.cnf import Clause, EMPTY_CLAUSE, clause, formula
 from peblab.errors import TrivialResolvent
 from peblab.resolution import Download, Infer, ProofBuilder, Refutation
@@ -197,7 +197,7 @@ def test_criterion_6_substitution_lift_bounds(announce):
     for g, f in instances:
         r = resolution.constant_space_refutation(g)
         w = resolution.check_refutation(r).width
-        lifted = resolution.lift_refutation(r, f)
+        lifted = lift.lift_refutation(r, f)
         m = resolution.check_refutation(lifted)
         if m.width <= f.arity * w:
             strict += 1
@@ -240,7 +240,7 @@ def test_criterion_8_extraction_roundtrip(announce):
     graphs = [dag.build_path(n) for n in range(2, 6)] + [dag.build_pyramid(2)]
     for g in graphs:
         base = resolution.constant_space_refutation(g)
-        lifted = resolution.lift_refutation(base, XOR2)
+        lifted = lift.lift_refutation(base, XOR2)
         out = projections.extract_refutation(lifted, XOR2)
         resolution.check_refutation(out, semantic_check=True)
         assert out.target == formulas.pebbling_contradiction(g)
@@ -251,7 +251,7 @@ def test_criterion_8_extraction_roundtrip(announce):
 def test_criterion_9_oracle_cross_checks(announce):
     for g in CORPUS:
         peb = formulas.pebbling_contradiction(g)
-        assert formulas.is_minimally_unsat(peb), len(g.vertices)
+        assert sat.is_minimally_unsat(peb), len(g.vertices)
         sink_axiom = Clause(frozenset({(g.sink, False)}))
         for _literal, f in FUNCTIONS:
             if f is None:
@@ -260,9 +260,9 @@ def test_criterion_9_oracle_cross_checks(announce):
             else:
                 target = formulas.substitute(peb, f)
                 sink_block = formulas.substitution_images(peb, f)[sink_axiom]
-            assert formulas.brute_force_sat(target) is None, len(g.vertices)
+            assert sat.brute_force_sat(target) is None, len(g.vertices)
             satisfiable = formulas.CnfFormula(target.clauses - sink_block)
-            assert formulas.brute_force_sat(satisfiable) is not None, len(g.vertices)
+            assert sat.brute_force_sat(satisfiable) is not None, len(g.vertices)
     announce(9, "all 45 generated formulas UNSAT, SAT after sink-block deletion; Peb_G minimally unsatisfiable")
 
 
@@ -281,8 +281,8 @@ def test_criterion_10_width_space_relation(announce):
     ]
     finished = 0
     for F in probes:
-        w = resolution.min_width(F, 6)
-        s = resolution.min_clause_space(F, 6)
+        w = saturation.min_width(F, 6)
+        s = saturation.min_clause_space(F, 6)
         assert w is not None and s is not None
         assert w <= s + F.width, (w, s, F.width)
         finished += 1

@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from peblab import cli, dag, formulas, pebbling, resolution
+from peblab import cli, dag, formulas, pebbling, resolution, sat, subconf
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -19,10 +20,10 @@ def run(*argv):
     return cli.main(list(argv))
 
 
-def run_fresh(args, cwd):
+def run_fresh(args, cwd, preexec_fn=None):
     """`args` in a new interpreter with PYTHONPATH=src, as a CLI stage runs."""
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60)
+                          env={**os.environ, "PYTHONPATH": SRC}, timeout=60, preexec_fn=preexec_fn)
 
 
 def test_gen_single_pair(tmp_path, capsys):
@@ -56,7 +57,7 @@ def test_gen_corpus_manifest(tmp_path):
         F = formulas.from_dimacs(open(row["path"]).read())
         assert len(F.clauses) == int(row["clauses"])
         assert len(F.variables()) == int(row["variables"])
-        assert formulas.brute_force_sat(F) is None
+        assert sat.brute_force_sat(F) is None
 
 
 def test_gen_bad_spec_fails(tmp_path, capsys):
@@ -101,8 +102,8 @@ def stage_dir(tmp_path_factory):
     the inputs of the extract stage, and labelled.trace, an L-pebbling of
     path:3."""
     d = tmp_path_factory.mktemp("stages")
-    (d / "labelled.trace").write_text(pebbling.serialize_pebbling(
-        pebbling.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))))
+    (d / "labelled.trace").write_text(subconf.serialize_pebbling(
+        subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))))
     assert run("compile", "--graph", "path:3", "--out", str(d / "p.trace"),
                "--emit-formula", str(d / "base.cnf")) == 0
     assert run("lift", "--formula", str(d / "base.cnf"), "--proof", str(d / "p.trace"),
@@ -260,6 +261,16 @@ def test_running_out_of_memory_is_an_error(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_a_search_that_runs_out_of_memory_ends_with_an_error_line(tmp_path):
+    # the search's tables outgrow 250 MB of address space, limited in the child alone
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (250 << 20, 250 << 20))
+
+    assert run("gen", "--graph", "pyramid:1", "--fn", "xor:2", "--out", str(tmp_path / "f.cnf")) == 0
+    proc = run_fresh(["-m", "peblab", "minspace", "--formula", "f.cnf", "--cap", "6"], tmp_path, limit)
+    assert (proc.returncode, proc.stderr) == (1, "error: out of memory\n")
+
+
 def test_main_leaves_the_collector_threshold_as_it_found_it(capsys, monkeypatch):
     """`main` raises the collector's generation-0 threshold while a handler
     runs, and restores the thresholds it found on success and on an error."""
@@ -326,7 +337,7 @@ def test_a_graph_file_runs_as_its_family_literal(tmp_path, capsys):
 def test_pebble_validate_and_price(tmp_path, capsys):
     trace = tmp_path / "p.trace"
     p = pebbling.greedy_black_strategy(dag.build_path(4))
-    trace.write_text(pebbling.serialize_pebbling(p))
+    trace.write_text(subconf.serialize_pebbling(p))
     assert run("pebble-validate", "--graph", "path:4", "--trace", str(trace), "--black-only") == 0
     assert "space=2" in capsys.readouterr().out
     assert run("pebble-price", "--graph", "path:4", "--game", "black") == 0
@@ -363,18 +374,18 @@ def test_pebble_validate_reports_the_first_bad_subconfiguration_move(tmp_path, c
 
 @pytest.mark.parametrize("game", ["labelled", "blob"])
 def test_pebble_validate_black_only_needs_a_bw_trace(tmp_path, capsys, game):
-    lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
+    lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
     trace = tmp_path / "l.trace"
-    trace.write_text(pebbling.serialize_pebbling(lp).replace("game labelled", f"game {game}", 1))
+    trace.write_text(subconf.serialize_pebbling(lp).replace("game labelled", f"game {game}", 1))
     assert run("pebble-validate", "--graph", "path:3", "--trace", str(trace), "--black-only") == 1
     printed = capsys.readouterr()
     assert (printed.out, printed.err) == ("", "error: --black-only applies to bw traces\n")
 
 
 def test_pebble_validate_labelled(tmp_path, capsys):
-    lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
+    lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
     trace = tmp_path / "l.trace"
-    trace.write_text(pebbling.serialize_pebbling(lp))
+    trace.write_text(subconf.serialize_pebbling(lp))
     assert run("pebble-validate", "--graph", "path:3", "--trace", str(trace)) == 0
     assert "bound=(3,1)" in capsys.readouterr().out
     blob = tmp_path / "b.trace"
@@ -385,7 +396,7 @@ def test_pebble_validate_labelled(tmp_path, capsys):
 
 def test_compile_from_trace_file(tmp_path, capsys):
     strategy = tmp_path / "s.trace"
-    strategy.write_text(pebbling.serialize_pebbling(
+    strategy.write_text(subconf.serialize_pebbling(
         pebbling.greedy_black_strategy(dag.build_pyramid(1))
     ))
     proof = tmp_path / "p.trace"

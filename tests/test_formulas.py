@@ -4,7 +4,7 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from peblab import boolfunc, dag, formulas
+from peblab import boolfunc, dag, formulas, sat
 from peblab.cnf import Clause, CnfFormula, clause, formula
 from peblab.errors import BudgetExceeded, DagError, DimacsError, PeblabError, TraceError, TrivialClause
 
@@ -52,8 +52,8 @@ def test_substitute_counts_and_unsat():
     assert len(For.clauses) == 17
     assert len(Fxor.clauses) == 32
     assert len(For.variables()) == 2 * len(F.variables())
-    assert formulas.brute_force_sat(For) is None
-    assert formulas.brute_force_sat(Fxor) is None
+    assert sat.brute_force_sat(For) is None
+    assert sat.brute_force_sat(Fxor) is None
 
 
 def test_substitute_clause_bound():
@@ -90,27 +90,27 @@ def test_base_of_substituted_roundtrip():
 
 
 def test_brute_force_sat_examples():
-    assert formulas.brute_force_sat(formula(["x"])) == {"x": True}
+    assert sat.brute_force_sat(formula(["x"])) == {"x": True}
     peb = formulas.pebbling_contradiction(dag.build_pyramid(2))
-    assert formulas.brute_force_sat(peb) is None
+    assert sat.brute_force_sat(peb) is None
     no_sink = peb.without_clause(clause("-z"))
-    model = formulas.brute_force_sat(no_sink)
+    model = sat.brute_force_sat(no_sink)
     assert model == {v: True for v in no_sink.variables()}
 
 
 def test_brute_force_sat_is_lexicographically_first():
     # (x or y) alone: 00 fails, 01 is the first satisfying assignment
-    assert formulas.brute_force_sat(formula(["x y"])) == {"x": False, "y": True}
+    assert sat.brute_force_sat(formula(["x y"])) == {"x": False, "y": True}
 
 
 def test_brute_force_sat_budget(monkeypatch):
     # pyramid:4 maj:3 needs tens of thousands of assignments
     F = _sink_split(dag.build_pyramid(4), boolfunc.majority_fn(3))[0]
     with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 assignments \(budget 1000\)$"):
-        formulas.brute_force_sat(F, budget=1000)
+        sat.brute_force_sat(F, budget=1000)
     monkeypatch.setenv("PEBLAB_BUDGET", "1000")
     with pytest.raises(BudgetExceeded, match=r"^SAT oracle exceeded budget: 1001 assignments \(budget 1000\)$"):
-        formulas.brute_force_sat(F)
+        sat.brute_force_sat(F)
 
 
 def test_brute_force_sat_pyramid4_maj3():
@@ -118,8 +118,8 @@ def test_brute_force_sat_pyramid4_maj3():
     # the full formula; clause learning refutes it in about 45,000
     full, sink_deleted = _sink_split(dag.build_pyramid(4), boolfunc.majority_fn(3))
     start = time.process_time()
-    assert formulas.brute_force_sat(full, budget=10**6) is None
-    model = formulas.brute_force_sat(sink_deleted, budget=10**6)
+    assert sat.brute_force_sat(full, budget=10**6) is None
+    model = sat.brute_force_sat(sink_deleted, budget=10**6)
     assert time.process_time() - start < 2
     assert all(any(model[name] == positive for name, positive in c)
                for c in sink_deleted.clauses)
@@ -229,10 +229,10 @@ def reference_sat(F: CnfFormula) -> dict[str, bool] | None:
 
 
 def test_minimally_unsat():
-    assert formulas.is_minimally_unsat(formulas.pebbling_contradiction(dag.build_pyramid(2)))
-    assert formulas.is_minimally_unsat(formulas.pebbling_contradiction(dag.build_path(4)))
-    assert not formulas.is_minimally_unsat(formula(["x", "-x", "y"]))
-    assert not formulas.is_minimally_unsat(formula(["x y"]))
+    assert sat.is_minimally_unsat(formulas.pebbling_contradiction(dag.build_pyramid(2)))
+    assert sat.is_minimally_unsat(formulas.pebbling_contradiction(dag.build_path(4)))
+    assert not sat.is_minimally_unsat(formula(["x", "-x", "y"]))
+    assert not sat.is_minimally_unsat(formula(["x y"]))
 
 
 def test_dimacs_simple():
@@ -325,7 +325,7 @@ def test_dimacs_roundtrip_random(F):
 @settings(max_examples=30, deadline=None)
 def test_substitution_preserves_satisfiability_random(F):
     sub = formulas.substitute(F, XOR2)
-    assert (formulas.brute_force_sat(F) is None) == (formulas.brute_force_sat(sub) is None)
+    assert (sat.brute_force_sat(F) is None) == (sat.brute_force_sat(sub) is None)
     assert len(sub.variables()) == 2 * len(F.variables())
 
 
@@ -335,7 +335,7 @@ def test_substitution_preserves_satisfiability_random(F):
 @example(formula(["x", "-y", "z"]))
 @settings(max_examples=200, deadline=None)
 def test_brute_force_sat_matches_enumeration(F):
-    assert formulas.brute_force_sat(F) == reference_sat(F)
+    assert sat.brute_force_sat(F) == reference_sat(F)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -357,4 +357,4 @@ def test_base_of_substituted_rejects_an_image_missing_a_clause():
 
 
 def test_brute_force_sat_of_a_formula_with_the_empty_clause():
-    assert formulas.brute_force_sat(CnfFormula(frozenset({Clause(), clause("x")}))) is None
+    assert sat.brute_force_sat(CnfFormula(frozenset({Clause(), clause("x")}))) is None

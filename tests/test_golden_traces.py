@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from peblab import boolfunc, dag, formulas, pebbling, projections, resolution
+from peblab import boolfunc, dag, formulas, lift, pebbling, projections, resolution, sat, saturation, subconf
 from peblab.cnf import Clause, CnfFormula
 
 XOR2 = boolfunc.xor_fn(2)
@@ -35,7 +35,7 @@ def test_compiled_greedy_refutation_pyramid3_xor2():
 
 
 def test_lifted_constant_space_refutation_pyramid3_xor2():
-    r = resolution.lift_refutation(resolution.constant_space_refutation(dag.build_pyramid(3)), XOR2)
+    r = lift.lift_refutation(resolution.constant_space_refutation(dag.build_pyramid(3)), XOR2)
     assert sha256(resolution.serialize_refutation(r)) == (
         "37ade186647c8c0ea3414746d1d0662c1ebb56722bbe5c79a947cac4b9c248fe"
     )
@@ -50,7 +50,7 @@ def test_compiled_greedy_refutation_pyramid8_xor2():
 
 
 def test_lifted_constant_space_refutation_pyramid4_xor2():
-    r = resolution.lift_refutation(resolution.constant_space_refutation(dag.build_pyramid(4)), XOR2)
+    r = lift.lift_refutation(resolution.constant_space_refutation(dag.build_pyramid(4)), XOR2)
     assert sha256(resolution.serialize_refutation(r)) == (
         "f1982fd9b944e33ff456b9e57cf12cb3cc6fe3191aa5807bbfe228fcb33150dc"
     )
@@ -78,7 +78,7 @@ def test_compiled_greedy_refutation_beyond_xor2(g, f, digest):
 ], ids=["tree2-maj3", "pyramid3-xor2", "pyramid4-xor2"])
 def test_min_width_answers(g, f, width):
     target = formulas.substitute(formulas.pebbling_contradiction(g), f)
-    assert resolution.min_width(target, 8) == width
+    assert saturation.min_width(target, 8) == width
 
 
 @pytest.mark.parametrize("g", [dag.build_pyramid(4), dag.build_binary_tree(3)], ids=["pyramid4-maj3", "tree3-maj3"])
@@ -87,20 +87,20 @@ def test_min_width_answers_at_cap_9(g):
     # every clause for subsumption, which takes about 3 s on pyramid:4
     target = formulas.substitute(formulas.pebbling_contradiction(g), boolfunc.majority_fn(3))
     start = time.process_time()
-    assert resolution.min_width(target, 9) == 6
+    assert saturation.min_width(target, 9) == 6
     assert time.process_time() - start < 1
 
 
 def test_labelled_greedy_pebbling_pyramid3():
     g = dag.build_pyramid(3)
-    text = pebbling.serialize_pebbling(
-        pebbling.black_to_labelled(pebbling.greedy_black_strategy(g))
+    text = subconf.serialize_pebbling(
+        subconf.black_to_labelled(pebbling.greedy_black_strategy(g))
     )
     assert sha256(text) == (
         "2b845007f4ce8f96882b5b1e36280e67823656129919279e82c42ca67d1e7902"
     )
-    blob = pebbling.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
-    assert sha256(pebbling.serialize_pebbling(blob)) == (
+    blob = subconf.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
+    assert sha256(subconf.serialize_pebbling(blob)) == (
         "0ff6f169950d5dbd4483cc26fe1468584acb4e18bc43ba96156052acaccdec37"
     )
 
@@ -112,10 +112,10 @@ def test_optimal_pebbling_witnesses_pyramid3():
     g = dag.build_pyramid(3)
     black, bw = pebbling.optimal_black_pebbling(g), pebbling.optimal_bw_pebbling(g)
     assert (black.time, bw.time) == (23, 33)
-    assert sha256(pebbling.serialize_pebbling(black)) == (
+    assert sha256(subconf.serialize_pebbling(black)) == (
         "58dbfe03c9849d6f9b728a07161da3b9a0a293894a43eb26f8b66488a8f1620b"
     )
-    assert sha256(pebbling.serialize_pebbling(bw)) == (
+    assert sha256(subconf.serialize_pebbling(bw)) == (
         "0f3467fb8d76cc214365dbdde04c125f7f5990855ca9cf2c3894aa0640e51783"
     )
 
@@ -170,7 +170,7 @@ def test_optimal_bw_price_golden(spec, price):
      "d329d536a029d9931c28b30a195306bfa7c233b294d306048bb63f4dd96ae238"),
 ], ids=["path6-xor2", "pyramid2-xor2", "path2-maj3", "path4-xor2-local"])
 def test_extracted_refutation(g, f, use_local, digest):
-    lifted = resolution.lift_refutation(resolution.constant_space_refutation(g), f)
+    lifted = lift.lift_refutation(resolution.constant_space_refutation(g), f)
     r = projections.extract_refutation(lifted, f, use_local=use_local)
     assert sha256(resolution.serialize_refutation(r)) == digest
 
@@ -238,8 +238,8 @@ def test_sat_models_criterion_9(family, fn):
     else:
         target = formulas.substitute(peb, f)
         sink_block = formulas.substitution_images(peb, f)[sink_axiom]
-    assert sha256(json.dumps(formulas.brute_force_sat(target), sort_keys=True)) == sha256("null")
-    model = formulas.brute_force_sat(CnfFormula(target.clauses - sink_block))
+    assert sha256(json.dumps(sat.brute_force_sat(target), sort_keys=True)) == sha256("null")
+    model = sat.brute_force_sat(CnfFormula(target.clauses - sink_block))
     assert sha256(json.dumps(model, sort_keys=True)) == SINK_DELETED_MODELS[family, fn]
 
 
@@ -250,8 +250,8 @@ def test_sat_verdicts_tree3_or2_through_dimacs():
     target = formulas.from_dimacs(formulas.to_dimacs(formulas.substitute(peb, f)))
     sink_block = formulas.substitution_images(peb, f)[Clause(frozenset({(g.sink, False)}))]
     verdicts = {
-        "full": formulas.brute_force_sat(target),
-        "without_sink_block": formulas.brute_force_sat(CnfFormula(target.clauses - sink_block)),
+        "full": sat.brute_force_sat(target),
+        "without_sink_block": sat.brute_force_sat(CnfFormula(target.clauses - sink_block)),
     }
     assert sha256(json.dumps(verdicts, sort_keys=True) + "\n") == (
         "1ad2ced894d92fec4e65c92ea237a18d1b5e548c527500e829de44d16c50439c"

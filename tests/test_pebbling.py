@@ -5,11 +5,12 @@ from collections import deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from peblab import dag, pebbling
+from peblab import dag, pebbling, subconf
 from peblab.errors import (
     BudgetExceeded, IllegalMove, TraceError, WhitePebbleInBlackOnly, WrongEndpoints,
 )
-from peblab.pebbling import BlobPebbling, BlobSubconf, BwPebbling, LabelledPebbling
+from peblab.pebbling import BwPebbling
+from peblab.subconf import BlobPebbling, BlobSubconf, LabelledPebbling
 from test_dag import random_dags
 
 
@@ -326,15 +327,15 @@ def test_prices_match_reference_search(g):
 @settings(max_examples=50, deadline=None)
 def test_optimal_witnesses_round_trip_through_the_trace_format(g):
     black = pebbling.optimal_black_pebbling(g)
-    labelled = pebbling.black_to_labelled(black)
+    labelled = subconf.black_to_labelled(black)
     # retagged `game blob`, each merger is written with the pivot its replay
     # resolves, so the blob witness is the retagged trace parsed once more
-    retagged = pebbling.serialize_pebbling(labelled).replace("game labelled", "game blob", 1)
-    blob = pebbling.parse_pebbling_trace(
-        pebbling.serialize_pebbling(pebbling.parse_pebbling_trace(retagged, g)), g)
+    retagged = subconf.serialize_pebbling(labelled).replace("game labelled", "game blob", 1)
+    blob = subconf.parse_pebbling_trace(
+        subconf.serialize_pebbling(subconf.parse_pebbling_trace(retagged, g)), g)
     assert [m[:3] for m in blob.moves] == [m[:3] for m in labelled.moves]
     for witness in (black, pebbling.optimal_bw_pebbling(g), labelled, blob):
-        assert pebbling.parse_pebbling_trace(pebbling.serialize_pebbling(witness), g) == witness
+        assert subconf.parse_pebbling_trace(subconf.serialize_pebbling(witness), g) == witness
 
 
 @given(random_dags())
@@ -399,7 +400,7 @@ class TestLabelled:
         # <z,{a}>, <a,{}>, their merger <z,{}>, then the premises erased
         g = dag.parse_dag("v a\nv z\ne a z\n")
         p = LabelledPebbling(host=g, moves=(("I", "z"), ("I", "a"), ("M", 1, 2), ("E", 1), ("E", 2)))
-        cost = pebbling.validate_labelled(p)
+        cost = subconf.validate_labelled(p)
         assert cost.space == 2
         assert cost.time == 5
 
@@ -412,7 +413,7 @@ class TestLabelled:
             ((("I", "z"), ("I", "b"), ("E", 2), ("M", 1, 2)), "step 4: subconfiguration <b,{}> not present"),
         ]:
             with pytest.raises(IllegalMove) as info:
-                pebbling.validate_labelled(LabelledPebbling(host=g, moves=moves))
+                subconf.validate_labelled(LabelledPebbling(host=g, moves=moves))
             assert str(info.value) == message
 
     def test_no_inflation(self):
@@ -420,27 +421,27 @@ class TestLabelled:
         g = dag.parse_dag("v a\nv z\ne a z\n")
         p = LabelledPebbling(host=g, moves=(("I", "a"), ("X", 1, frozenset({"a"}), frozenset({"z"}))))
         with pytest.raises(IllegalMove) as info:
-            pebbling.validate_labelled(p)
+            subconf.validate_labelled(p)
         assert str(info.value) == "step 2: 'X' is no L-pebbling move"
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_black_to_labelled_path_bound(self, n):
         bp = pebbling.greedy_black_strategy(dag.build_path(n))
         s = pebbling.validate_bw(bp, black_only=True).space
-        cost = pebbling.validate_labelled(pebbling.black_to_labelled(bp))
+        cost = subconf.validate_labelled(subconf.black_to_labelled(bp))
         assert cost.bound == (s + 1, 1 if n > 1 else 0)
 
     def test_black_to_labelled_pyramid(self, pyr2):
         bp = pebbling.greedy_black_strategy(pyr2)
         s = pebbling.validate_bw(bp, black_only=True).space
-        cost = pebbling.validate_labelled(pebbling.black_to_labelled(bp))
+        cost = subconf.validate_labelled(subconf.black_to_labelled(bp))
         assert cost.bound[0] <= s + 1
         assert cost.bound[1] == 2
 
     def test_bounded_space_consequence(self, pyr2):
         for g in (dag.build_path(3), pyr2):
-            lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(g))
-            cost = pebbling.validate_labelled(lp)
+            lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(g))
+            cost = subconf.validate_labelled(lp)
             b, w = cost.bound
             assert pebbling.optimal_bw_price(g) <= cost.space <= b * (w + 1)
 
@@ -448,7 +449,7 @@ class TestLabelled:
         # a move may not add a subconfiguration that is present already
         p = LabelledPebbling(host=dag.build_path(1), moves=(("I", "v1"), ("I", "v1")))
         with pytest.raises(IllegalMove) as info:
-            pebbling.validate_labelled(p)
+            subconf.validate_labelled(p)
         assert str(info.value) == "step 2: <v1,{}> is present already"
 
 
@@ -475,16 +476,16 @@ class TestLabelled:
 ], ids=["bw-no-moves", "labelled-no-moves", "blob-no-moves", "labelled-unknown-vertex",
         "blob-unknown-vertex", "labelled-leftover", "blob-leftover", "bw-unknown-move"])
 def test_validators_reject_bad_endpoints_and_vertices(p, error, message):
-    validate = {BwPebbling: pebbling.validate_bw, LabelledPebbling: pebbling.validate_labelled,
-                BlobPebbling: pebbling.validate_blob}[type(p)]
+    validate = {BwPebbling: pebbling.validate_bw, LabelledPebbling: subconf.validate_labelled,
+                BlobPebbling: subconf.validate_blob}[type(p)]
     with pytest.raises(error) as info:
         validate(p)
     assert str(info.value) == message
 
 
 @pytest.mark.parametrize("game, validate, shown", [
-    (LabelledPebbling, pebbling.validate_labelled, "<z,{x,y}>"),
-    (BlobPebbling, pebbling.validate_blob, "[{z},{x,y}]"),
+    (LabelledPebbling, subconf.validate_labelled, "<z,{x,y}>"),
+    (BlobPebbling, subconf.validate_blob, "[{z},{x,y}]"),
 ], ids=["labelled", "blob"])
 def test_subconfiguration_replay_reports_the_first_bad_step(game, validate, shown):
     # step 3's unknown vertex comes after step 2's illegal move
@@ -497,26 +498,26 @@ def test_subconfiguration_replay_reports_the_first_bad_step(game, validate, show
 class TestBlob:
     def test_final_configuration_space_one(self, pyr2):
         conf = frozenset({BlobSubconf(frozenset({"z"}))})
-        assert pebbling.blob_config_space(pyr2, conf) == 1
+        assert subconf.blob_config_space(pyr2, conf) == 1
 
     def test_chargeable_whites(self, pyr2):
         conf = frozenset({
             BlobSubconf(frozenset({"y", "z"}), frozenset({"v", "w"}))
         })
-        assert pebbling.blob_config_space(pyr2, conf) == 3
+        assert subconf.blob_config_space(pyr2, conf) == 3
 
     def test_uncovered_white_not_charged(self, pyr2):
         # u reaches x and z but not y: not below every blob vertex
         conf = frozenset({
             BlobSubconf(frozenset({"y", "z"}), frozenset({"u"}))
         })
-        assert pebbling.blob_config_space(pyr2, conf) == 1
+        assert subconf.blob_config_space(pyr2, conf) == 1
 
     def test_expanding_black_cost(self, pyr2):
         conf = frozenset({
             BlobSubconf(frozenset({"x"})), BlobSubconf(frozenset({"x", "y"})),
         })
-        assert pebbling.blob_config_space(pyr2, conf) == 2
+        assert subconf.blob_config_space(pyr2, conf) == 2
 
     def test_order_invariance(self, pyr2):
         subconfs = [
@@ -527,14 +528,14 @@ class TestBlob:
         space = None
         for perm in ([0, 1, 2], [2, 0, 1], [1, 2, 0]):
             conf = frozenset(subconfs[i] for i in perm)
-            value = pebbling.blob_config_space(pyr2, conf)
+            value = subconf.blob_config_space(pyr2, conf)
             assert space is None or value == space
             space = value
 
     def test_full_blob_pebbling_two_vertices(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")
         p = BlobPebbling(host=g, moves=(("I", "z"), ("I", "a"), ("M", 1, 2), ("E", 1), ("E", 2)))
-        cost = pebbling.validate_blob(p)
+        cost = subconf.validate_blob(p)
         assert cost.time == 5
 
     def test_inflation(self):
@@ -542,53 +543,53 @@ class TestBlob:
         # intro on the source, then inflate the blob; moves legal, endpoints wrong
         p = BlobPebbling(host=g, moves=(("I", "a"), ("X", 1, frozenset({"a", "z"}), frozenset())))
         with pytest.raises(WrongEndpoints):
-            pebbling.validate_blob(p)
+            subconf.validate_blob(p)
 
     def test_illegal_blob_move(self, pyr2):
         # [{z},{u}] is no move's result: u is not pred(z), and [{z},{x,y}] does not inflate to it
         p = BlobPebbling(host=pyr2, moves=(("I", "z"), ("X", 1, frozenset({"z"}), frozenset({"u"}))))
         with pytest.raises(IllegalMove) as info:
-            pebbling.validate_blob(p)
+            subconf.validate_blob(p)
         assert str(info.value) == "step 2: inflation must extend [{z},{x,y}]"
 
 
 class TestTraces:
     def test_bw_roundtrip(self, pyr2):
         p = pebbling.greedy_black_strategy(pyr2)
-        text = pebbling.serialize_pebbling(p)
-        assert pebbling.parse_pebbling_trace(text, pyr2) == p
+        text = subconf.serialize_pebbling(p)
+        assert subconf.parse_pebbling_trace(text, pyr2) == p
 
     def test_bw_trace_format(self):
         g = dag.build_path(2)
         text = "game bw\n# place source then slide\nB+ v1\nB+ v2\nB- v1\n"
-        p = pebbling.parse_pebbling_trace(text, g)
+        p = subconf.parse_pebbling_trace(text, g)
         assert pebbling.validate_bw(p).space == 2
 
     def test_labelled_roundtrip(self):
-        lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(dag.build_pyramid(2)))
-        text = pebbling.serialize_pebbling(lp)
-        assert pebbling.parse_pebbling_trace(text, dag.build_pyramid(2)) == lp
+        lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_pyramid(2)))
+        text = subconf.serialize_pebbling(lp)
+        assert subconf.parse_pebbling_trace(text, dag.build_pyramid(2)) == lp
 
     def test_blob_roundtrip(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")
         p = BlobPebbling(host=g, moves=(("I", "z"), ("I", "a"), ("M", 1, 2, "a"), ("E", 1), ("E", 2)))
-        text = pebbling.serialize_pebbling(p)
+        text = subconf.serialize_pebbling(p)
         assert "M 1 2 a" in text
-        assert pebbling.parse_pebbling_trace(text, g) == p
+        assert subconf.parse_pebbling_trace(text, g) == p
         # a merger stored without its pivot is written with the one its replay resolves
         unpinned = BlobPebbling(host=g, moves=p.moves[:2] + (("M", 1, 2),) + p.moves[3:])
-        assert pebbling.serialize_pebbling(unpinned) == text
+        assert subconf.serialize_pebbling(unpinned) == text
 
     @pytest.mark.parametrize("spec", ["path:1", "path:4", "pyramid:1", "pyramid:3", "tree:2", "tree:3"])
     def test_labelled_trace_retagged_as_blob(self, spec):
         # a labelled subconfiguration is a single-vertex blob: the same moves
         # replay in the blob game, and only a merger gains its pivot
         g = dag.parse_family(spec)
-        lp = pebbling.black_to_labelled(pebbling.greedy_black_strategy(g))
-        text = pebbling.serialize_pebbling(lp)
-        bp = pebbling.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
-        assert pebbling.validate_blob(bp).time == pebbling.validate_labelled(lp).time
-        moves = pebbling.serialize_pebbling(bp).splitlines()
+        lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(g))
+        text = subconf.serialize_pebbling(lp)
+        bp = subconf.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
+        assert subconf.validate_blob(bp).time == subconf.validate_labelled(lp).time
+        moves = subconf.serialize_pebbling(bp).splitlines()
         assert moves[0] == "game blob"
         assert all(len(m.split()) == (4 if m[0] == "M" else 2) for m in moves[1:])
         assert [" ".join(m.split()[:3]) for m in moves[1:]] == text.splitlines()[1:]
@@ -600,20 +601,20 @@ class TestTraces:
             ("X", 2, frozenset({"a", "z"}), frozenset()),  # inflate [a] to [a z]
             ("E", 4), ("E", 1), ("E", 2),
         ))
-        cost = pebbling.validate_blob(p)
+        cost = subconf.validate_blob(p)
         assert cost.space >= 2  # [a] and [a z] expand
-        text = pebbling.serialize_pebbling(p)
+        text = subconf.serialize_pebbling(p)
         assert "X 2 : a z /" in text
-        assert pebbling.parse_pebbling_trace(text, g) == p
+        assert subconf.parse_pebbling_trace(text, g) == p
 
     def test_trace_errors(self):
         g = dag.build_path(2)
         with pytest.raises(TraceError, match="game"):
-            pebbling.parse_pebbling_trace("B+ v1\n", g)
+            subconf.parse_pebbling_trace("B+ v1\n", g)
         for text, message in [("game bw\nB+ v1\nB+ v1\n", "step 2: vertex v1 already pebbled"),
                               ("game bw\nB- v1\n", "step 1: no such pebble to remove on v1")]:
             with pytest.raises(IllegalMove) as info:
-                pebbling.validate_bw(pebbling.parse_pebbling_trace(text, g))
+                pebbling.validate_bw(subconf.parse_pebbling_trace(text, g))
             assert str(info.value) == message
         for text, message in [
             ("game labelled\nI bogus\n", "step 1: unknown vertex 'bogus'"),
@@ -623,8 +624,8 @@ class TestTraces:
             ("game blob\nI v1\nI v2\nM 1 2\n",
              "step 3: no merger pivot: [{v2},{v1}] has no vertex in the support of [{v1},{}]"),
         ]:
-            p = pebbling.parse_pebbling_trace(text, g)
-            validate = pebbling.validate_labelled if isinstance(p, LabelledPebbling) else pebbling.validate_blob
+            p = subconf.parse_pebbling_trace(text, g)
+            validate = subconf.validate_labelled if isinstance(p, LabelledPebbling) else subconf.validate_blob
             with pytest.raises(IllegalMove) as info:
                 validate(p)
             assert str(info.value) == message
@@ -636,7 +637,7 @@ class TestTraces:
     ], ids=["empty", "comment-only", "inflation-fields-swapped"])
     def test_blob_trace_rejections(self, text, message):
         with pytest.raises(TraceError) as info:
-            pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))
+            subconf.parse_pebbling_trace(text, dag.build_pyramid(1))
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text,message", [
@@ -654,9 +655,9 @@ class TestTraces:
     ])
     def test_blob_replay_rejections(self, text, message):
         # the parser checks syntax; the replay rejects the first bad move
-        p = pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))
+        p = subconf.parse_pebbling_trace(text, dag.build_pyramid(1))
         with pytest.raises(IllegalMove) as info:
-            pebbling.validate_blob(p)
+            subconf.validate_blob(p)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("game", ["labelled", "blob"])
@@ -666,7 +667,7 @@ class TestTraces:
         # but the superscript, and created[-1] is a real subconfiguration
         text = f"game {game}\nI v1\nI v2\n{move}\n"
         with pytest.raises(TraceError, match="bad subconfiguration index") as info:
-            pebbling.parse_pebbling_trace(text, dag.build_path(2))
+            subconf.parse_pebbling_trace(text, dag.build_path(2))
         assert info.value.line == 4
 
 

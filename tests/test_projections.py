@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import peblab
-from peblab import boolfunc, dag, formulas, pebbling, projections, resolution
+from peblab import boolfunc, dag, formulas, lift, pebbling, projections, resolution, sat
 from peblab.cnf import Clause, EMPTY_CLAUSE, clause, formula, minimized
 from peblab.errors import BudgetExceeded, IllegalStep, MissingBottom, PeblabError
 from peblab.resolution import Download, Erase, Infer, ProofBuilder, Refutation
@@ -193,7 +193,7 @@ def lift_of_tiny():
     b.download(clause("x"))
     b.download(clause("-x"))
     b.infer_resolve(clause("x"), clause("-x"), "x")
-    return resolution.lift_refutation(b.build(), XOR2)
+    return lift.lift_refutation(b.build(), XOR2)
 
 
 def downloads(r):
@@ -219,7 +219,7 @@ class TestExtraction:
     def test_paths_roundtrip(self, n):
         g = dag.build_path(n)
         r = resolution.constant_space_refutation(g)
-        lifted = resolution.lift_refutation(r, XOR2)
+        lifted = lift.lift_refutation(r, XOR2)
         out = projections.extract_refutation(lifted, XOR2)
         resolution.check_refutation(out, semantic_check=True)
         assert out.target == formulas.pebbling_contradiction(g)
@@ -227,7 +227,7 @@ class TestExtraction:
 
     def test_pyramid_roundtrip(self):
         g = dag.build_pyramid(2)
-        lifted = resolution.lift_refutation(resolution.constant_space_refutation(g), XOR2)
+        lifted = lift.lift_refutation(resolution.constant_space_refutation(g), XOR2)
         out = projections.extract_refutation(lifted, XOR2)
         resolution.check_refutation(out, semantic_check=True)
         assert downloads(out) <= downloads(lifted)
@@ -242,7 +242,7 @@ class TestExtraction:
 
     def test_variable_space_bound(self):
         g = dag.build_path(3)
-        lifted = resolution.lift_refutation(resolution.constant_space_refutation(g), XOR2)
+        lifted = lift.lift_refutation(resolution.constant_space_refutation(g), XOR2)
         seq = projections.projected_sequence(lifted, XOR2)
         out = projections.extract_refutation(lifted, XOR2)
         m = resolution.check_refutation(out)
@@ -327,10 +327,10 @@ def broken(r: Refutation, how: str) -> Refutation:
 ])
 def test_lift_and_extraction_reject_what_the_checker_rejects(how, error, message):
     base = resolution.constant_space_refutation(dag.build_path(2))
-    lifted = resolution.lift_refutation(base, XOR2)
+    lifted = lift.lift_refutation(base, XOR2)
     readers = [
-        (broken(base, how), lambda r: resolution.lift_refutation(r, XOR2)),
-        (broken(base, how), lambda r: resolution.lift_refutation(r, XOR2, budget=1)),
+        (broken(base, how), lambda r: lift.lift_refutation(r, XOR2)),
+        (broken(base, how), lambda r: lift.lift_refutation(r, XOR2, budget=1)),
         (broken(lifted, how), lambda r: projections.projected_sequence(r, XOR2)),
         (broken(lifted, how), lambda r: projections.extract_refutation(r, XOR2)),
     ]
@@ -345,10 +345,10 @@ def test_lift_and_extraction_reject_what_the_checker_rejects(how, error, message
 BOUNDED_EXTRACTION = """
 import resource, sys
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-from peblab import boolfunc, dag, projections, resolution
+from peblab import boolfunc, dag, lift, projections, resolution
 g = dag.parse_family(sys.argv[1])
 f = boolfunc.parse_function_literal(sys.argv[2])
-lifted = resolution.lift_refutation(resolution.constant_space_refutation(g), f)
+lifted = lift.lift_refutation(resolution.constant_space_refutation(g), f)
 out = projections.extract_refutation(lifted, f)
 resolution.check_refutation(out)
 count = lambda r: sum(1 for s in r.steps if isinstance(s, resolution.Download))
@@ -378,11 +378,11 @@ class TestArityThree:
         sub = formulas.substitute(peb, self.MAJ3)
         assert len(sub.variables()) == 6
         assert len(sub.clauses) == 3 + 9 + 3
-        assert formulas.brute_force_sat(sub) is None
+        assert sat.brute_force_sat(sub) is None
 
     def test_lift_extract_roundtrip(self):
         base = resolution.constant_space_refutation(dag.build_path(2))
-        lifted = resolution.lift_refutation(base, self.MAJ3)
+        lifted = lift.lift_refutation(base, self.MAJ3)
         m = resolution.check_refutation(lifted, semantic_check=True)
         assert m.width <= 3 * resolution.check_refutation(base).width
         out = projections.extract_refutation(lifted, self.MAJ3)

@@ -4,7 +4,7 @@ from collections import Counter, deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from peblab import boolfunc, dag, formulas, pebbling, resolution, saturation
+from peblab import boolfunc, dag, formulas, lift, pebbling, resolution, sat, saturation
 from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula, minimized, neg
 from peblab.errors import (
     BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, TraceError, TrivialResolvent,
@@ -310,7 +310,7 @@ def test_a_repeated_inference_never_skips_checking_a_changed_copy(ops, system, p
 def saturated(premises):
     """The mask encoder of `premises` and the masks of their
     subsumption-minimized resolution closure."""
-    codec, alive, _ = resolution.saturate(premises, len({n for c in premises for n, _ in c}))
+    codec, alive, _ = saturation.saturate(premises, len({n for c in premises for n, _ in c}))
     return codec.encode, alive
 
 
@@ -326,9 +326,9 @@ def test_check_serialize_and_lift_read_the_steps_once():
     assert resolution.check_refutation(streamed(r)) == resolution.check_refutation(r)
     assert resolution.serialize_refutation(streamed(r)) == resolution.serialize_refutation(r)
     base = resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g))
-    assert resolution.lift_refutation(streamed(base), XOR2) == resolution.lift_refutation(base, XOR2)
+    assert lift.lift_refutation(streamed(base), XOR2) == lift.lift_refutation(base, XOR2)
     with pytest.raises(BudgetExceeded, match="lifted lines"):  # the length bound reads the steps too
-        resolution.lift_refutation(streamed(base), XOR2, budget=len(base.steps))
+        lift.lift_refutation(streamed(base), XOR2, budget=len(base.steps))
 
 
 def legal_resolution_then(*steps) -> Refutation:
@@ -471,14 +471,14 @@ class TestTemplate:
         assert len(functions) == 270
         for f in functions:
             block = tuple(str(i) for i in range(1, f.arity + 1))
-            t = resolution._template(f)
+            t = lift._template(f)
             assert t.target == CnfFormula(boolfunc.canonical_clauses(f, block)
                                           | boolfunc.canonical_clauses(f, block, "negative"))
             assert resolution.check_refutation(t).width <= f.arity
 
     def test_xor2_shape(self):
         # four axioms, then x1 from the x1 = 0 branch, -x1 from the other, then the empty clause
-        t = resolution._template(XOR2)
+        t = lift._template(XOR2)
         assert [type(s) for s in t.steps] == [Download, Download, Infer, Download, Download, Infer, Infer]
         assert [s.line for s in t.steps if isinstance(s, Infer)] == [clause("1"), clause("-1"), EMPTY_CLAUSE]
 
@@ -559,21 +559,21 @@ class TestLift:
         b.download(clause("x"))
         b.download(clause("-x"))
         b.infer_resolve(clause("x"), clause("-x"), "x")
-        lifted = resolution.lift_refutation(b.build(), OR2)
+        lifted = lift.lift_refutation(b.build(), OR2)
         assert lifted.target == formula(["x#1 x#2", "-x#1", "-x#2"])
         resolution.check_refutation(lifted, semantic_check=True)
 
     def test_width_bound_pyramid_xor(self):
         r = resolution.constant_space_refutation(dag.build_pyramid(2))
         m0 = resolution.check_refutation(r)
-        lifted = resolution.lift_refutation(r, XOR2)
+        lifted = lift.lift_refutation(r, XOR2)
         m = resolution.check_refutation(lifted)
         assert m.width <= 2 * (m0.width + 1)
 
     def test_width_bound_path_or(self):
         r = resolution.constant_space_refutation(dag.build_path(4))
         m0 = resolution.check_refutation(r)
-        lifted = resolution.lift_refutation(r, OR2)
+        lifted = lift.lift_refutation(r, OR2)
         m = resolution.check_refutation(lifted, semantic_check=True)
         assert m.width <= 2 * m0.width
         assert m.clause_space <= 8 * m0.clause_space
@@ -587,7 +587,7 @@ class TestLift:
         b.infer_resolve(clause("x y"), clause("-x y"), "x")  # y
         b.download(clause("-y"))
         b.infer_resolve(clause("y"), clause("-y"), "y")
-        lifted = resolution.lift_refutation(b.build(), XOR2)
+        lifted = lift.lift_refutation(b.build(), XOR2)
         resolution.check_refutation(lifted, semantic_check=True)
 
     def test_lift_of_a_rederived_present_line(self):
@@ -596,11 +596,11 @@ class TestLift:
         b.download(clause("-x"))
         b.infer_resolve(clause("x"), clause("-x"), "x")
         b.infer_resolve(clause("x"), clause("-x"), "x")  # the empty clause is present
-        lifted = resolution.lift_refutation(b.build(), XOR2)
+        lifted = lift.lift_refutation(b.build(), XOR2)
         resolution.check_refutation(lifted)
         added = [s.line for s in lifted.steps if not isinstance(s, Erase)]
         assert len(added) == len(set(added))  # each image clause downloaded or derived once
-        once = resolution.lift_refutation(Refutation(b.target, tuple(b.steps[:3])), XOR2)
+        once = lift.lift_refutation(Refutation(b.target, tuple(b.steps[:3])), XOR2)
         assert lifted == once
 
     def test_lifted_lines_bound_is_exact_on_smallest_instance(self):
@@ -611,32 +611,32 @@ class TestLift:
         b.download(clause("-x"))
         b.infer_resolve(clause("x"), clause("-x"), "x")
         with pytest.raises(BudgetExceeded, match=r"^lift exceeded budget: 5 lifted lines \(budget 4\)$"):
-            resolution.lift_refutation(b.build(), OR2, budget=4)
-        assert resolution.check_refutation(resolution.lift_refutation(b.build(), OR2, budget=5)).length == 5
+            lift.lift_refutation(b.build(), OR2, budget=4)
+        assert resolution.check_refutation(lift.lift_refutation(b.build(), OR2, budget=5)).length == 5
 
     def test_lifted_lines_bound_pyramid20(self):
         r = resolution.constant_space_refutation(dag.build_pyramid(20))
         start = time.perf_counter()
         with pytest.raises(BudgetExceeded, match="lifted lines"):
-            resolution.lift_refutation(r, XOR2)
+            lift.lift_refutation(r, XOR2)
         assert time.perf_counter() - start < 1.0
 
     def test_const_space_pyramid8_xor2(self):
         # base width 9: a resolution step spans 18 substituted variables
         r = resolution.constant_space_refutation(dag.build_pyramid(8))
         w = resolution.check_refutation(r).width
-        assert resolution.check_refutation(resolution.lift_refutation(r, XOR2)).width <= 2 * (w + 1)
+        assert resolution.check_refutation(lift.lift_refutation(r, XOR2)).width <= 2 * (w + 1)
 
     def test_no_builder_saturates(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("saturate called")
 
-        monkeypatch.setattr(resolution, "saturate", refuse)
+        monkeypatch.setattr(saturation, "saturate", refuse)
         g = dag.build_pyramid(3)
         resolution.check_refutation(
             resolution.pebbling_to_refutation(g, pebbling.greedy_black_strategy(g), XOR2))
         resolution.check_refutation(
-            resolution.lift_refutation(resolution.constant_space_refutation(g), XOR2))
+            lift.lift_refutation(resolution.constant_space_refutation(g), XOR2))
 
 
 @given(st.sampled_from([dag.build_path(n) for n in range(1, 6)]
@@ -647,53 +647,53 @@ class TestLift:
 def test_lift_checks_within_width_bound(g, f):
     r = resolution.constant_space_refutation(g)
     w = resolution.check_refutation(r).width
-    lifted = resolution.lift_refutation(r, f)
+    lifted = lift.lift_refutation(r, f)
     assert lifted.target == formulas.substitute(r.target, f)
     assert resolution.check_refutation(lifted).width <= f.arity * (w + 1)
 
 
 class TestBoundedOracles:
     def test_min_width_examples(self):
-        assert resolution.min_width(formula(["x", "-x"]), 3) == 1
+        assert saturation.min_width(formula(["x", "-x"]), 3) == 1
         peb = formulas.pebbling_contradiction(dag.build_pyramid(2))
-        assert resolution.min_width(peb, 4) <= 3
-        assert resolution.min_width(formula(["x y", "-x y"]), 4) is None
+        assert saturation.min_width(peb, 4) <= 3
+        assert saturation.min_width(formula(["x y", "-x y"]), 4) is None
 
     def test_min_clause_space_examples(self):
-        assert resolution.min_clause_space(formula(["x", "-x"]), 5) == 3
+        assert saturation.min_clause_space(formula(["x", "-x"]), 5) == 3
         peb3 = formulas.pebbling_contradiction(dag.build_path(3))
-        assert resolution.min_clause_space(peb3, 4) == 3
-        assert resolution.min_clause_space(formula(["x y", "-x y"]), 4) is None
+        assert saturation.min_clause_space(peb3, 4) == 3
+        assert saturation.min_clause_space(formula(["x y", "-x y"]), 4) is None
 
     def test_min_width_counts_against_budget(self, monkeypatch):
         monkeypatch.setenv("PEBLAB_BUDGET", "3")
         with pytest.raises(BudgetExceeded):
-            resolution.min_width(formulas.pebbling_contradiction(dag.build_pyramid(2)), 4)
+            saturation.min_width(formulas.pebbling_contradiction(dag.build_pyramid(2)), 4)
 
     def test_min_clause_space_respects_cap(self):
-        assert resolution.min_clause_space(formula(["x", "-x"]), 2) is None
+        assert saturation.min_clause_space(formula(["x", "-x"]), 2) is None
         # below 1 nothing fits, not even an axiom that is the empty clause
         for cap in (0, -1):
-            assert resolution.min_clause_space(formula([EMPTY_CLAUSE, "x"]), cap) is None
-            assert resolution.min_clause_space(formula(["x", "-x"]), cap) is None
-        assert resolution.min_clause_space(formula([EMPTY_CLAUSE, "x"]), 1) == 1
+            assert saturation.min_clause_space(formula([EMPTY_CLAUSE, "x"]), cap) is None
+            assert saturation.min_clause_space(formula(["x", "-x"]), cap) is None
+        assert saturation.min_clause_space(formula([EMPTY_CLAUSE, "x"]), 1) == 1
 
     def test_min_clause_space_work_pin(self):
         # the states the search pops; a change in the shared search's work shows here
         F = formulas.pebbling_contradiction(dag.build_pyramid(4))
         start = time.process_time()
-        assert resolution.min_clause_space(F, 4, budget=411) == 3
+        assert saturation.min_clause_space(F, 4, budget=411) == 3
         assert time.process_time() - start < 0.1
         with pytest.raises(BudgetExceeded, match=r"^clause space search exceeded budget: 411 nodes visited \(budget 410\)$"):
-            resolution.min_clause_space(F, 4, budget=410)
+            saturation.min_clause_space(F, 4, budget=410)
 
     def test_saturation_work_pin(self):
         # the resolvents the loop tries; a change in the saturation's work shows here
         F = formulas.substitute(formulas.pebbling_contradiction(dag.build_binary_tree(2)), boolfunc.majority_fn(3))
-        _, alive, width = resolution.saturate(F.clauses, 8, budget=13_865)
+        _, alive, width = saturation.saturate(F.clauses, 8, budget=13_865)
         assert list(alive) == [(0, 0)] and width == 6
         with pytest.raises(BudgetExceeded, match=r"^saturation exceeded budget: 13865 resolvents tried \(budget 13864\)$"):
-            resolution.saturate(F.clauses, 8, budget=13_864)
+            saturation.saturate(F.clauses, 8, budget=13_864)
 
     def test_width_space_relation_probe(self):
         probes = [
@@ -703,8 +703,8 @@ class TestBoundedOracles:
             formulas.pebbling_contradiction(dag.build_pyramid(1)),
         ]
         for F in probes:
-            w = resolution.min_width(F, 6)
-            s = resolution.min_clause_space(F, 6)
+            w = saturation.min_width(F, 6)
+            s = saturation.min_clause_space(F, 6)
             assert w is not None and s is not None
             assert w <= s + F.width
 
@@ -718,7 +718,7 @@ class TestTraceFormat:
         assert resolution.serialize_refutation(parsed) == text
 
     def test_roundtrip_lifted(self):
-        r = resolution.lift_refutation(
+        r = lift.lift_refutation(
             resolution.constant_space_refutation(dag.build_path(3)), XOR2
         )
         text = resolution.serialize_refutation(r)
@@ -998,11 +998,11 @@ def small_cnfs(draw):
 @given(small_cnfs())
 @settings(max_examples=150, deadline=None)
 def test_given_clause_loop_agrees_with_sat_oracle(F):
-    unsat = formulas.brute_force_sat(F) is None
-    _, alive, _ = resolution.saturate(F.clauses, len(F.variables()))
+    unsat = sat.brute_force_sat(F) is None
+    _, alive, _ = saturation.saturate(F.clauses, len(F.variables()))
     assert ((0, 0) in alive) == unsat
     # a refutation over n variables never needs a clause wider than n
-    assert (resolution.min_width(F, len(F.variables())) is None) == (not unsat)
+    assert (saturation.min_width(F, len(F.variables())) is None) == (not unsat)
 
 
 def width_capped_closure(F: CnfFormula, w: int) -> set[Clause]:
@@ -1034,7 +1034,7 @@ def reference_min_width(F: CnfFormula, cap: int) -> int | None:
 @given(small_cnfs(), st.integers(min_value=0, max_value=6))
 @settings(max_examples=150, deadline=None)
 def test_saturate_returns_the_minimal_clauses_of_the_closure(F, cap):
-    codec, alive, _ = resolution.saturate(F.clauses, cap)
+    codec, alive, _ = saturation.saturate(F.clauses, cap)
     closure = width_capped_closure(F, cap)
     if EMPTY_CLAUSE in closure:
         assert set(alive) == {(0, 0)}
@@ -1051,7 +1051,7 @@ def test_saturate_returns_the_minimal_clauses_of_the_closure(F, cap):
                   "v0 -v3", "v0 v2 v3", "v1 -v2 v3", "v1 -v3", "v3"]), 3)
 @settings(max_examples=150, deadline=None)
 def test_min_width_matches_per_width_closure(F, cap):
-    assert resolution.min_width(F, cap) == reference_min_width(F, cap)
+    assert saturation.min_width(F, cap) == reference_min_width(F, cap)
 
 
 def test_min_width_saturates_once(monkeypatch):
@@ -1063,7 +1063,7 @@ def test_min_width_saturates_once(monkeypatch):
 
     monkeypatch.setattr(saturation, "saturate", counted)
     F = formulas.substitute(formulas.pebbling_contradiction(dag.build_pyramid(3)), XOR2)
-    assert resolution.min_width(F, 8) == 6
+    assert saturation.min_width(F, 8) == 6
     assert len(calls) == 1
 
 
@@ -1146,7 +1146,7 @@ def test_min_clause_space_has_a_checked_certificate(spec, fn, space):
     f = boolfunc.parse_function_literal(fn)
     if f is not None:
         F = formulas.substitute(F, f)
-    assert resolution.min_clause_space(F, 6) == space
+    assert saturation.min_clause_space(F, 6) == space
     assert resolution.check_refutation(clause_space_certificate(F, 6)).clause_space == space
 
 
@@ -1166,7 +1166,7 @@ def tiny_cnfs(draw):
 @settings(max_examples=100, deadline=None)
 def test_min_clause_space_matches_clause_level_search(F):
     for cap in (2, 3, 4):
-        assert resolution.min_clause_space(F, cap) == reference_min_clause_space(F, cap)
+        assert saturation.min_clause_space(F, cap) == reference_min_clause_space(F, cap)
 
 
 def test_a_plain_frozenset_download_is_not_an_axiom():

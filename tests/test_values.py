@@ -10,13 +10,12 @@ from peblab import dag
 from peblab.boolfunc import BooleanFunction
 from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, Value, clause
 from peblab.errors import ConstantFunction, TrivialClause
-from peblab.pebbling import (
-    BlobPebbling, BlobSubconf, BwPebbling, LabelledCost, LabelledPebbling, PebblingCost, Subconf,
-)
+from peblab.pebbling import BwPebbling, PebblingCost
 from peblab.projections import SpaceRespectReport, SpaceRespectRow, SuiteReport
 from peblab.resolution import (
     EMPTY_LINE, Download, Erase, Infer, KDnfLine, Measures, Refutation, SimulationConstants,
 )
+from peblab.subconf import BlobPebbling, BlobSubconf, LabelledCost, LabelledPebbling, Subconf
 
 G = dag.build_path(2)
 X = Clause(frozenset({("x", True)}))
