@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 
-from .cnf import Clause, Value
+from .cnf import Clause, Value, is_decimal
 from .errors import ConstantFunction
 
 MAX_ARITY = 16
@@ -21,8 +21,7 @@ class BooleanFunction(Value):
     __slots__ = _fields = ("arity", "table")
 
     def __init__(self, arity: int, table: int):
-        if not 1 <= arity <= MAX_ARITY:
-            raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
+        _check_arity(arity)
         full = (1 << (1 << arity)) - 1
         if not 0 <= table <= full:
             raise ValueError("truth table has more bits than 2^arity")
@@ -47,10 +46,16 @@ class BooleanFunction(Value):
         return f"f_{self.arity}[0x{self.to_hex()}]"
 
 
+def _check_arity(arity: int) -> None:
+    if not 1 <= arity <= MAX_ARITY:
+        raise ValueError(f"arity must be in 1..{MAX_ARITY}, got {arity}")
+
+
 # -- named families -----------------------------------------------------
 
 
 def _table_from_predicate(arity, pred) -> int:
+    _check_arity(arity)  # before the 2^arity rows are built
     table = 0
     for index in range(1 << arity):
         ones = bin(index).count("1")
@@ -81,26 +86,35 @@ def majority_fn(arity: int) -> BooleanFunction:
 
 
 def from_hex(arity: int, hex_digits: str) -> BooleanFunction:
+    if not hex_digits or not set(hex_digits) <= set("0123456789abcdefABCDEF"):
+        raise ValueError(f"truth table {hex_digits!r} is not hex digits")
     return BooleanFunction(arity, int(hex_digits, 16))
 
 
+def _decimal(token: str) -> int:
+    if not is_decimal(token):
+        raise ValueError(f"{token!r} is not a decimal number")
+    return int(token)
+
+
 def parse_function_literal(spec: str) -> BooleanFunction | None:
-    """CLI function literals: or:2, xor:2, thr:4:2, maj:3, tt:<arity>:<hex>, none."""
+    """CLI function literals: or:2, xor:2, thr:4:2, maj:3, tt:<arity>:<hex>, none.
+    Each number is a decimal by `cnf.is_decimal`, and the table hex digits."""
     if spec == "none":
         return None
     parts = spec.split(":")
     kind = parts[0]
     try:
         if kind == "or" and len(parts) == 2:
-            return or_fn(int(parts[1]))
+            return or_fn(_decimal(parts[1]))
         if kind == "xor" and len(parts) == 2:
-            return xor_fn(int(parts[1]))
+            return xor_fn(_decimal(parts[1]))
         if kind == "thr" and len(parts) == 3:
-            return threshold_fn(int(parts[1]), int(parts[2]))
+            return threshold_fn(_decimal(parts[1]), _decimal(parts[2]))
         if kind == "maj" and len(parts) == 2:
-            return majority_fn(int(parts[1]))
+            return majority_fn(_decimal(parts[1]))
         if kind == "tt" and len(parts) == 3:
-            return from_hex(int(parts[1]), parts[2])
+            return from_hex(_decimal(parts[1]), parts[2])
     except ValueError as e:
         raise ValueError(f"bad function literal {spec!r}: {e}") from None
     raise ValueError(f"unknown function literal {spec!r}")

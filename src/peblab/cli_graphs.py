@@ -75,16 +75,17 @@ def cmd_graph(args) -> int:
 
 
 def cmd_pebble_validate(args) -> int:
-    from . import pebbling, subconf
+    from . import pebbling
     g = _load_graph(args.graph)
-    trace = Path(args.trace).read_text()
-    p = subconf.parse_pebbling_trace(trace, g)
+    p = pebbling.parse_pebbling_trace(Path(args.trace).read_text(), g)
     if isinstance(p, pebbling.BwPebbling):
         cost = pebbling.validate_bw(p, black_only=args.black_only)
         print(f"ok bw time={cost.time} space={cost.space}")
-    elif args.black_only:
+        return 0
+    if args.black_only:
         return _fail("--black-only applies to bw traces")
-    elif isinstance(p, subconf.LabelledPebbling):
+    from . import subconf  # a labelled or blob trace loaded it
+    if isinstance(p, subconf.LabelledPebbling):
         cost = subconf.validate_labelled(p)
         print(
             f"ok labelled time={cost.time} space={cost.space} "

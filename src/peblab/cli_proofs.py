@@ -28,8 +28,7 @@ def cmd_compile(args) -> int:
     g = _load_graph(args.graph)
     f = boolfunc.parse_function_literal(args.fn)
     if args.trace:
-        from . import subconf
-        p = subconf.parse_pebbling_trace(Path(args.trace).read_text(), g)
+        p = pebbling.parse_pebbling_trace(Path(args.trace).read_text(), g)
         if not isinstance(p, pebbling.BwPebbling):
             return _fail("compile needs a black pebbling trace (game bw)")
     else:

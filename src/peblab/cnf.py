@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from typing import Iterable
 
-from .errors import TrivialClause
+from .errors import TraceError, TrivialClause
 
 Lit = tuple[str, bool]
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # none before 3.10.7
@@ -41,6 +41,31 @@ def is_decimal(token: str) -> bool:
     and the digits of other scripts, and `int` refuses more digits than
     `sys.get_int_max_str_digits()` (4,300 by default; 0 is no limit)."""
     return token.isascii() and token.isdecimal() and len(token) <= (_max_str_digits() or len(token))
+
+
+def records(text: str):
+    """(line number, line, fields) of each line of a trace that is neither
+    blank nor a whole-line `#` comment (vertex names are opaque, and
+    substituted variable names contain '#'): both trace formats' reader."""
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        fields = line.split()
+        if fields and fields[0][0] != "#":
+            yield lineno, line, fields
+
+
+def indices(tokens: list[str], lineno: int, what: str) -> tuple[int, ...]:
+    """The indices `tokens` name, each a decimal integer of at least 1 with
+    no more digits than `int` reads; else a TraceError `bad <what> <token>`
+    naming the first token that is not."""
+    digits = "".join(tokens)
+    try:
+        ids = tuple(map(int, tokens)) if digits.isascii() and digits.isdecimal() else (0,)
+    except ValueError:  # more digits than `int` reads
+        ids = (0,)
+    if 0 in ids:
+        bad = next(tok for tok in tokens if not (is_decimal(tok) and int(tok) >= 1))
+        raise TraceError(f"bad {what} {bad!r}", line=lineno)
+    return ids
 
 
 def parse_lit(token: str) -> Lit:

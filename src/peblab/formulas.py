@@ -187,7 +187,10 @@ def from_dimacs(text: str) -> CnfFormula:
 
     if nvars is None:
         raise DimacsError("missing problem line")
-    for name, lineno in named_on.items():
+    for index, name in names.items():  # in the order of their `c var` lines
+        lineno = named_on[name]
+        if not 0 < index <= nvars:
+            raise DimacsError(f"variable {index} out of range (header says {nvars} vars)", line=lineno)
         i = int(name[1:]) if is_decimal(name[1:]) else 0
         if name == f"x{i}" and 0 < i <= nvars and i not in names:
             raise DimacsError(f"variable name {name!r} is the default name of variable {i}",

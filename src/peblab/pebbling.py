@@ -3,10 +3,10 @@ black strategy and the exact price searches.
 
 A black-white pebbling is its moves, (op, v) pairs as the trace format
 writes them, played from the empty configuration, and `validate_bw` is
-the one replay that applies them.  The labelled and blob games and the
-pebbling trace format of all three games live in `subconf`, which only
-`pebble-validate` and a compile from a trace run, so `pebble-price`
-compiles none of it (see `cli`).
+the one replay that applies them.  The pebbling trace format lives here,
+with the bw moves; the labelled and blob games and their moves live in
+`subconf`, which only a labelled or blob trace loads, so `pebble-price`
+and a bw trace compile none of it (see `cli`).
 
 Validators are pure functions over immutable traces.  Optimal prices come
 from `search.space_bounded_search`, the one search of both space games (it
@@ -25,13 +25,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cnf import Value
-from .errors import IllegalMove, WhitePebbleInBlackOnly, WrongEndpoints
+from .cnf import Value, records
+from .errors import IllegalMove, TraceError, WhitePebbleInBlackOnly, WrongEndpoints
 from .lazy import lazy_names
 from .search import space_bounded_search
 
 if TYPE_CHECKING:
     from .dag import Dag
+    from .subconf import BlobPebbling
 
 
 # `perfbench/` reads these names here; the table goes once it imports them from their homes
@@ -236,3 +237,44 @@ def optimal_bw_pebbling(g: Dag, budget=None) -> BwPebbling:
 def optimal_bw_price(g: Dag, budget=None) -> int:
     """BW-Peb(G): minimum space over all complete black-white pebblings; exact."""
     return validate_bw(optimal_bw_pebbling(g, budget)).space
+
+
+# -- trace format ----------------------------------------------------------
+#
+# Line-oriented, whole-line `#` comments.  Header: `game bw` | `game
+# labelled` | `game blob`.  BW moves: `B+ v`, `B- v`, `W+ v`, `W- v`.
+# Labelled/blob moves reference subconfigurations by creation index
+# (1-based): `I v` introduce, `M i j` merge (blob may need `M i j v` to fix
+# the pivot), `E i` erase, and for blob games `X i : b1 b2 / w1 w2`
+# inflates subconfiguration i to the given blob and support.
+
+
+def serialize_pebbling(p: BwPebbling | BlobPebbling) -> str:
+    if isinstance(p, BwPebbling):
+        game, moves = "bw", p.moves
+    else:
+        from .subconf import _serialize_moves
+        game, moves = _serialize_moves(p)
+    return "\n".join([f"game {game}", *(" ".join(map(str, move)) for move in moves)]) + "\n"
+
+
+def parse_pebbling_trace(text: str, host: Dag) -> BwPebbling | BlobPebbling:
+    """Parse a trace into the pebbling its header names, checking syntax only."""
+    rows = records(text)
+    lineno, _, fields = next(rows, (None, None, None))  # the header is the first record
+    if fields is None:
+        raise TraceError("empty trace: missing 'game' header")
+    if fields[0] != "game" or len(fields) != 2:
+        raise TraceError("first directive must be 'game <variant>'", line=lineno)
+    game = fields[1]
+    if game in ("labelled", "blob"):
+        from .subconf import _parse_moves
+        return _parse_moves(rows, game, host)
+    if game != "bw":
+        raise TraceError(f"unknown game variant {game!r}", line=lineno)
+    moves = []
+    for lineno, _, fields in rows:
+        if len(fields) != 2 or fields[0] not in _BW_OPS:
+            raise TraceError(f"bad bw move {' '.join(fields)!r}", line=lineno)
+        moves.append((fields[0], fields[1]))
+    return BwPebbling(host=host, moves=tuple(moves))

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cnf import (
-    Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, format_lit, is_decimal, neg, parse_lit,
+    Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, format_lit, indices, is_decimal, neg, parse_lit, records,
 )
 from .errors import (
     IllegalStep,
@@ -655,53 +655,30 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
     return line
 
 
-def _step_ids(tokens: list[str], lineno: int) -> tuple[int, ...]:
-    """The step ids `tokens` name, each a decimal integer of at least 1 with
-    no more digits than `int` reads; else a TraceError naming the first
-    token that is not."""
-    digits = "".join(tokens)
-    try:
-        ids = tuple(map(int, tokens)) if digits.isascii() and digits.isdecimal() else (0,)
-    except ValueError:  # more digits than `int` reads
-        ids = (0,)
-    if 0 in ids:
-        bad = next(tok for tok in tokens if not (is_decimal(tok) and int(tok) >= 1))
-        raise TraceError(f"bad step reference {bad!r}", line=lineno)
-    return ids
-
-
 def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
-    """The refutation a trace writes.  Its lines are read through one
-    parse's `_parse_line_tokens` tables, and its step references by
-    `_step_ids`."""
-    system = None
-    kdnf = False
-    k = 1
+    """The refutation a trace writes.  Its records come from `records`, its
+    lines are read through one parse's `_parse_line_tokens` tables, and its
+    step references by `indices`."""
     steps: list = []
     tables = ({}, {})  # see `_parse_line_tokens`
-
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        fields = raw.split()
-        # whole-line comments only: substituted variable names contain '#'
-        if not fields or fields[0][0] == "#":
-            continue
-        if system is None:
-            if fields[0] != "system":
-                raise TraceError("first directive must be 'system res' or 'system kdnf <k>'", line=lineno)
-            if fields[1:] == ["res"]:
-                system = "res"
-            elif len(fields) == 3 and fields[1] == "kdnf" and is_decimal(fields[2]) and int(fields[2]) >= 1:
-                system = "kdnf"
-                kdnf = True
-                k = int(fields[2])
-            else:
-                raise TraceError(f"bad system line {raw!r}", line=lineno)
-            continue
+    rows = records(text)
+    lineno, raw, fields = next(rows, (None, None, None))  # the header is the first record
+    if fields is None:
+        raise TraceError("empty trace: missing 'system' header")
+    if fields[0] != "system":
+        raise TraceError("first directive must be 'system res' or 'system kdnf <k>'", line=lineno)
+    if fields[1:] == ["res"]:
+        system, kdnf, k = "res", False, 1
+    elif len(fields) == 3 and fields[1] == "kdnf" and is_decimal(fields[2]) and int(fields[2]) >= 1:
+        system, kdnf, k = "kdnf", True, int(fields[2])
+    else:
+        raise TraceError(f"bad system line {raw!r}", line=lineno)
+    for lineno, raw, fields in rows:
         op = fields[0]
         if op == "e":
             if len(fields) != 2:
                 raise TraceError(f"bad erase {raw!r}", line=lineno)
-            steps.append(Erase(*_step_ids(fields[1:], lineno)))
+            steps.append(Erase(*indices(fields[1:], lineno, "step reference")))
             continue
         if op == "d":
             tokens = fields[1:]
@@ -735,7 +712,5 @@ def parse_refutation_trace(text: str, target: CnfFormula) -> Refutation:
             rule, refs = "ande", rest[:1]
         else:
             raise TraceError(f"bad inference {raw!r}", line=lineno)
-        steps.append(Infer(line, _step_ids(refs, lineno), rule, pivot, cut_term))
-    if system is None:
-        raise TraceError("empty trace: missing 'system' header")
+        steps.append(Infer(line, indices(refs, lineno, "step reference"), rule, pivot, cut_term))
     return Refutation(target=target, steps=tuple(steps), system=system, k=k)

@@ -1,5 +1,5 @@
-"""The subconfiguration games, labelled (L-) and blob pebblings, and the
-pebbling trace format of all three games.
+"""The subconfiguration games, labelled (L-) and blob pebblings, and their
+moves in the pebbling trace format (see `pebbling`).
 
 A pebbling of each game is its moves, as the trace format writes them,
 played from the empty configuration.  The labelled and blob games name
@@ -9,17 +9,17 @@ subconfiguration `Subconf` <v, W> is the one-vertex `BlobSubconf`
 [{v}, W] that may not inflate, and `LabelledPebbling` subclasses
 `BlobPebbling`, so one replay checks both games.
 
-Only `pebble-validate` and a compile from a trace run this code, so it
-has a module of its own (see `cli`).
+Only `pebble-validate` and a compile from a labelled or blob trace run
+this code, so it has a module of its own (see `cli`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .cnf import Value, is_decimal
+from .cnf import Value, indices
 from .errors import BudgetExceeded, IllegalMove, TraceError, WrongEndpoints, search_budget
-from .pebbling import _BW_OPS, BwPebbling, PebblingCost, validate_bw
+from .pebbling import BwPebbling, PebblingCost, validate_bw
 
 if TYPE_CHECKING:
     from .dag import Dag
@@ -261,83 +261,39 @@ def validate_blob(p: BlobPebbling, budget=None) -> PebblingCost:
     return PebblingCost(time=p.time, space=space)
 
 
-# -- trace format ----------------------------------------------------------
-#
-# Line-oriented, `#` comments.  Header: `game bw` | `game labelled` |
-# `game blob`.  BW moves: `B+ v`, `B- v`, `W+ v`, `W- v`.  Labelled/blob
-# moves reference subconfigurations by creation index (1-based):
-# `I v` introduce, `M i j` merge (blob may need `M i j v` to fix the
-# pivot), `E i` erase, and for blob games `X i : b1 b2 / w1 w2` inflates
-# subconfiguration i to the given blob and support.
+# -- trace format: the labelled and blob moves (see `pebbling`) --------------
 
 
-def serialize_pebbling(p: BwPebbling | BlobPebbling) -> str:
-    if isinstance(p, BwPebbling):
-        return "\n".join(["game bw", *(f"{op} {v}" for op, v in p.moves)]) + "\n"
-
+def _serialize_moves(p: BlobPebbling) -> tuple[str, list[tuple]]:
+    """The game of a labelled or blob pebbling, and its moves as the words
+    of its trace lines, an inflation's blob and support sorted."""
     if not isinstance(p, BlobPebbling):
         raise TypeError(f"not a pebbling: {p!r}")
     if isinstance(p, LabelledPebbling):
-        lines, moves = ["game labelled"], p.moves
+        game, moves = "labelled", p.moves
     else:  # a blob merger is written with the pivot its replay resolves
-        lines, moves = ["game blob"], [move for move, _ in _replay(p)]
-    for move in moves:
-        if move[0] == "X":
-            _, i, blob, support = move
-            lines.append(f"X {i} : {' '.join(sorted(blob))} / {' '.join(sorted(support))}")
-        else:
-            lines.append(" ".join(map(str, move)))
-    return "\n".join(lines) + "\n"
+        game, moves = "blob", [move for move, _ in _replay(p)]
+    return game, [("X", m[1], ":", " ".join(sorted(m[2])), "/", " ".join(sorted(m[3]))) if m[0] == "X" else m
+                  for m in moves]
 
 
-def parse_pebbling_trace(text: str, host: Dag):
-    """Parse a trace into the pebbling its header names, checking syntax only."""
-    body: list[tuple[int, list[str]]] = []
-    game = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        # whole-line comments only: vertex names are opaque and may contain '#'
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if game is None:
-            if fields[0] != "game" or len(fields) != 2:
-                raise TraceError("first directive must be 'game <variant>'", line=lineno)
-            game = fields[1]
-            if game not in ("bw", "labelled", "blob"):
-                raise TraceError(f"unknown game variant {game!r}", line=lineno)
-            continue
-        body.append((lineno, fields))
-    if game is None:
-        raise TraceError("empty trace: missing 'game' header")
-
-    if game == "bw":
-        for lineno, fields in body:
-            if len(fields) != 2 or fields[0] not in _BW_OPS:
-                raise TraceError(f"bad bw move {' '.join(fields)!r}", line=lineno)
-        return BwPebbling(host=host, moves=tuple((op, v) for _, (op, v) in body))
-
+def _parse_moves(rows, game: str, host: Dag) -> BlobPebbling:
+    """The labelled or blob pebbling whose moves are the records `rows`
+    (`cnf.records`) after its trace's header, checking syntax only."""
     labelled = game == "labelled"
-
-    def index(tok, lineno):
-        if not (is_decimal(tok) and int(tok) >= 1):
-            raise TraceError(f"bad subconfiguration index {tok!r}", line=lineno)
-        return int(tok)
-
     moves = []
-    for lineno, fields in body:
-        if fields[0] == "I" and len(fields) == 2:
+    for lineno, _, fields in rows:
+        op, n = fields[0], len(fields)
+        if op == "I" and n == 2:
             moves.append(("I", fields[1]))
-        elif fields[0] == "E" and len(fields) == 2:
-            moves.append(("E", index(fields[1], lineno)))
-        elif fields[0] == "M" and (len(fields) == 3 or not labelled and len(fields) == 4):
-            moves.append(("M", index(fields[1], lineno), index(fields[2], lineno), *fields[3:]))
-        elif not labelled and fields[0] == "X" and ":" in fields and "/" in fields:
+        elif op == "E" and n == 2 or op == "M" and (n == 3 or not labelled and n == 4):
+            moves.append((op, *indices(fields[1:3], lineno, "subconfiguration index"), *fields[3:]))
+        elif not labelled and op == "X" and ":" in fields and "/" in fields:
             colon = fields.index(":")
             slash = fields.index("/")
             if colon != 2 or slash < colon:
                 raise TraceError(f"bad inflation {' '.join(fields)!r}", line=lineno)
-            moves.append(("X", index(fields[1], lineno),
+            moves.append(("X", *indices(fields[1:2], lineno, "subconfiguration index"),
                           frozenset(fields[colon + 1:slash]), frozenset(fields[slash + 1:])))
         else:
             raise TraceError(f"bad {game} move {' '.join(fields)!r}", line=lineno)

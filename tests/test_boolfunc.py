@@ -104,10 +104,10 @@ def test_function_literals():
     assert boolfunc.parse_function_literal("maj:3") == boolfunc.majority_fn(3)
     f = boolfunc.xor_fn(2)
     assert boolfunc.parse_function_literal(f"tt:2:{f.to_hex()}") == f
-    with pytest.raises(ValueError):
-        boolfunc.parse_function_literal("nand:2")
-    with pytest.raises(ValueError):
-        boolfunc.parse_function_literal("maj:4")
+    for spec in ("nand:2", "maj:4", "or:+2", "or:\u0662", "xor: 2", "thr:3:0_2", "maj:3 ", "tt:2:0x6",
+                 "tt:2:+6"):
+        with pytest.raises(ValueError):
+            boolfunc.parse_function_literal(spec)
 
 
 def test_evaluate_conventions():

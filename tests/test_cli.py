@@ -99,11 +99,12 @@ PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "lift", "pebbling", "projection
 def stage_dir(tmp_path_factory):
     """base.cnf and p.trace of path:3, the inputs of the check, lift,
     minwidth and minspace stages, their xor:2 lift sub.cnf and sub.trace,
-    the inputs of the extract stage, and labelled.trace, an L-pebbling of
-    path:3."""
+    the inputs of the extract stage, and bw.trace and labelled.trace, the
+    greedy black pebbling of path:3 and its L-pebbling."""
     d = tmp_path_factory.mktemp("stages")
-    (d / "labelled.trace").write_text(subconf.serialize_pebbling(
-        subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))))
+    greedy = pebbling.greedy_black_strategy(dag.build_path(3))
+    (d / "bw.trace").write_text(pebbling.serialize_pebbling(greedy))
+    (d / "labelled.trace").write_text(pebbling.serialize_pebbling(subconf.black_to_labelled(greedy)))
     assert run("compile", "--graph", "path:3", "--out", str(d / "p.trace"),
                "--emit-formula", str(d / "base.cnf")) == 0
     assert run("lift", "--formula", str(d / "base.cnf"), "--proof", str(d / "p.trace"),
@@ -138,6 +139,9 @@ def loaded_modules(argv, cwd):
     ("report --family path --range 1 --out r.csv",
      {"dag", "boolfunc", "formulas", "pebbling", "resolution", "search"}),
     ("pebble-validate --graph path:3 --trace labelled.trace", {"dag", "pebbling", "search", "subconf"}),
+    ("pebble-validate --graph path:3 --trace bw.trace", {"dag", "pebbling", "search"}),
+    ("compile --graph path:3 --trace bw.trace --out t.trace",
+     {"dag", "boolfunc", "formulas", "pebbling", "resolution", "search"}),
 ])
 def test_command_imports_only_what_it_runs(stage_dir, argv, loaded):
     # Each stage is a fresh process that compiles every module it imports,
@@ -232,6 +236,13 @@ options:
      "peblab check: error: the following arguments are required: --formula, --proof\n"),
     ("check --formula f --proof p --bogus", 2, "",
      USAGE + "peblab: error: unrecognized arguments: --bogus\n"),
+    # a function past the arity cap is refused before its 2^arity-row table is built
+    ("gen --graph path:2 --fn xor:40", 1, "",
+     "error: bad function literal 'xor:40': arity must be in 1..16, got 40\n"),
+    ("gen --graph path:2 --fn maj:25", 1, "",
+     "error: bad function literal 'maj:25': arity must be in 1..16, got 25\n"),
+    ("gen --graph path:2 --fn thr:30:2", 1, "",
+     "error: bad function literal 'thr:30:2': arity must be in 1..16, got 30\n"),
 ])
 def test_usage_and_error_texts(tmp_path, monkeypatch, argv, code, out, err):
     monkeypatch.setenv("COLUMNS", "80")
@@ -337,7 +348,7 @@ def test_a_graph_file_runs_as_its_family_literal(tmp_path, capsys):
 def test_pebble_validate_and_price(tmp_path, capsys):
     trace = tmp_path / "p.trace"
     p = pebbling.greedy_black_strategy(dag.build_path(4))
-    trace.write_text(subconf.serialize_pebbling(p))
+    trace.write_text(pebbling.serialize_pebbling(p))
     assert run("pebble-validate", "--graph", "path:4", "--trace", str(trace), "--black-only") == 0
     assert "space=2" in capsys.readouterr().out
     assert run("pebble-price", "--graph", "path:4", "--game", "black") == 0
@@ -376,7 +387,7 @@ def test_pebble_validate_reports_the_first_bad_subconfiguration_move(tmp_path, c
 def test_pebble_validate_black_only_needs_a_bw_trace(tmp_path, capsys, game):
     lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
     trace = tmp_path / "l.trace"
-    trace.write_text(subconf.serialize_pebbling(lp).replace("game labelled", f"game {game}", 1))
+    trace.write_text(pebbling.serialize_pebbling(lp).replace("game labelled", f"game {game}", 1))
     assert run("pebble-validate", "--graph", "path:3", "--trace", str(trace), "--black-only") == 1
     printed = capsys.readouterr()
     assert (printed.out, printed.err) == ("", "error: --black-only applies to bw traces\n")
@@ -385,7 +396,7 @@ def test_pebble_validate_black_only_needs_a_bw_trace(tmp_path, capsys, game):
 def test_pebble_validate_labelled(tmp_path, capsys):
     lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_path(3)))
     trace = tmp_path / "l.trace"
-    trace.write_text(subconf.serialize_pebbling(lp))
+    trace.write_text(pebbling.serialize_pebbling(lp))
     assert run("pebble-validate", "--graph", "path:3", "--trace", str(trace)) == 0
     assert "bound=(3,1)" in capsys.readouterr().out
     blob = tmp_path / "b.trace"
@@ -396,7 +407,7 @@ def test_pebble_validate_labelled(tmp_path, capsys):
 
 def test_compile_from_trace_file(tmp_path, capsys):
     strategy = tmp_path / "s.trace"
-    strategy.write_text(subconf.serialize_pebbling(
+    strategy.write_text(pebbling.serialize_pebbling(
         pebbling.greedy_black_strategy(dag.build_pyramid(1))
     ))
     proof = tmp_path / "p.trace"

@@ -1,7 +1,8 @@
-"""Every public module-level function and class in `src/peblab` is named
-somewhere other than its own definition: in the package, the benchmark
-harness, or the end-to-end tests.  Unit tests alone do not count, so a
-function that only its own unit tests call is flagged as dead code."""
+"""Every public module-level function and class in `src/peblab`, and every
+public method and property of its classes, is named somewhere other than
+its own definition: in the package, the benchmark harness, or the
+end-to-end tests.  Unit tests alone do not count, so a function or method
+that only its own unit tests call is flagged as dead code."""
 
 import ast
 import re
@@ -13,10 +14,15 @@ END_TO_END_TESTS = ("test_acceptance.py", "test_golden_traces.py", "test_cli.py"
 
 
 def public_definitions(source: str):
-    """(name, first line, last line) of each public top-level def and class."""
+    """(name, first line, last line) of each public top-level def and class,
+    and of each public def in a top-level class's body."""
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
             yield node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef) and not member.name.startswith("_"):
+                    yield member.name, member.lineno, member.end_lineno
 
 
 def unnamed_definitions(package: Path, others) -> list[str]:

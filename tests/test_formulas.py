@@ -269,6 +269,8 @@ def test_dimacs_roundtrip():
     ("p cnf 10 1\n1_0 0\n", "^line 2: bad literal '1_0'$"),
     ("p cnf 3 1\n\u0663 0\n", "^line 2: bad literal '\u0663'$"),
     ("p cnf 1 1\n1 -1 0\n", r"^line 2: variable occurs with both polarities in \(-x1 x1\)$"),
+    ("c var 1 a\nc var 5 b\np cnf 1 1\n1 0\n", r"^line 2: variable 5 out of range \(header says 1 vars\)$"),
+    ("p cnf 1 1\nc var 0 a\n1 0\n", r"^line 2: variable 0 out of range \(header says 1 vars\)$"),
 ])
 def test_dimacs_errors(text, fragment):
     with pytest.raises(DimacsError, match=fragment):

@@ -93,14 +93,14 @@ def test_min_width_answers_at_cap_9(g):
 
 def test_labelled_greedy_pebbling_pyramid3():
     g = dag.build_pyramid(3)
-    text = subconf.serialize_pebbling(
+    text = pebbling.serialize_pebbling(
         subconf.black_to_labelled(pebbling.greedy_black_strategy(g))
     )
     assert sha256(text) == (
         "2b845007f4ce8f96882b5b1e36280e67823656129919279e82c42ca67d1e7902"
     )
-    blob = subconf.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
-    assert sha256(subconf.serialize_pebbling(blob)) == (
+    blob = pebbling.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
+    assert sha256(pebbling.serialize_pebbling(blob)) == (
         "0ff6f169950d5dbd4483cc26fe1468584acb4e18bc43ba96156052acaccdec37"
     )
 
@@ -112,10 +112,10 @@ def test_optimal_pebbling_witnesses_pyramid3():
     g = dag.build_pyramid(3)
     black, bw = pebbling.optimal_black_pebbling(g), pebbling.optimal_bw_pebbling(g)
     assert (black.time, bw.time) == (23, 33)
-    assert sha256(subconf.serialize_pebbling(black)) == (
+    assert sha256(pebbling.serialize_pebbling(black)) == (
         "58dbfe03c9849d6f9b728a07161da3b9a0a293894a43eb26f8b66488a8f1620b"
     )
-    assert sha256(subconf.serialize_pebbling(bw)) == (
+    assert sha256(pebbling.serialize_pebbling(bw)) == (
         "0f3467fb8d76cc214365dbdde04c125f7f5990855ca9cf2c3894aa0640e51783"
     )
 

@@ -28,8 +28,7 @@ MOVED += [("peblab.resolution", "peblab.saturation", name)
           for name in ("_Codec", "saturate", "min_width", "min_clause_space")]
 MOVED += [("peblab.pebbling", "peblab.subconf", name)
           for name in ("BlobSubconf", "Subconf", "BlobPebbling", "LabelledPebbling", "LabelledCost",
-                       "validate_labelled", "black_to_labelled", "blob_config_space", "validate_blob",
-                       "serialize_pebbling", "parse_pebbling_trace")]
+                       "validate_labelled", "black_to_labelled", "blob_config_space", "validate_blob")]
 
 
 def test_the_tables_hold_exactly_the_moved_names_the_harness_reads():

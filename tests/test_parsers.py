@@ -22,13 +22,13 @@ G = dag.build_pyramid(2)
 PEB = formulas.pebbling_contradiction(G)
 XOR2 = boolfunc.parse_function_literal("xor:2")
 SUBST = formulas.substitute(PEB, XOR2)
-LABELLED = subconf.serialize_pebbling(subconf.black_to_labelled(pebbling.greedy_black_strategy(G)))
+LABELLED = pebbling.serialize_pebbling(subconf.black_to_labelled(pebbling.greedy_black_strategy(G)))
 VALIDATORS = {pebbling.BwPebbling: pebbling.validate_bw, subconf.LabelledPebbling: subconf.validate_labelled,
               subconf.BlobPebbling: subconf.validate_blob}
 
 
 def parse_and_replay(text):
-    p = subconf.parse_pebbling_trace(text, G)
+    p = pebbling.parse_pebbling_trace(text, G)
     return VALIDATORS[type(p)](p)
 
 
@@ -39,7 +39,7 @@ def parse_and_check(text):
 PARSERS = {
     "dag": (dag.serialize_dag(G), dag.parse_dag),
     "dimacs": (formulas.to_dimacs(SUBST), formulas.from_dimacs),
-    "bw": (subconf.serialize_pebbling(pebbling.greedy_black_strategy(G)), parse_and_replay),
+    "bw": (pebbling.serialize_pebbling(pebbling.greedy_black_strategy(G)), parse_and_replay),
     "labelled": (LABELLED, parse_and_replay),
     # ends with an inflation of the sink's [{z},{}] and its erasure
     "blob": (LABELLED.replace("game labelled", "game blob") + "X 13 : x z / u\nE 14\n", parse_and_replay),
@@ -91,7 +91,7 @@ def test_parsers_are_total(name, data):
     (formulas.from_dimacs, f"p cnf {HUGE} 0\n", "bad problem line"),
     (formulas.from_dimacs, f"p cnf 1 1\n{HUGE} 0\n", "bad literal"),
     (formulas.from_dimacs, f"c var {HUGE} a\np cnf 1 1\n1 0\n", "bad variable index"),
-    (lambda text: subconf.parse_pebbling_trace(text, G), f"game labelled\nE {HUGE}\n",
+    (lambda text: pebbling.parse_pebbling_trace(text, G), f"game labelled\nE {HUGE}\n",
      "bad subconfiguration index"),
     (dag.parse_family, f"path:{HUGE}", "needs a decimal size"),
     (lambda text: resolution.parse_refutation_trace(text, PEB), f"system kdnf {HUGE}\n",

@@ -330,12 +330,12 @@ def test_optimal_witnesses_round_trip_through_the_trace_format(g):
     labelled = subconf.black_to_labelled(black)
     # retagged `game blob`, each merger is written with the pivot its replay
     # resolves, so the blob witness is the retagged trace parsed once more
-    retagged = subconf.serialize_pebbling(labelled).replace("game labelled", "game blob", 1)
-    blob = subconf.parse_pebbling_trace(
-        subconf.serialize_pebbling(subconf.parse_pebbling_trace(retagged, g)), g)
+    retagged = pebbling.serialize_pebbling(labelled).replace("game labelled", "game blob", 1)
+    blob = pebbling.parse_pebbling_trace(
+        pebbling.serialize_pebbling(pebbling.parse_pebbling_trace(retagged, g)), g)
     assert [m[:3] for m in blob.moves] == [m[:3] for m in labelled.moves]
     for witness in (black, pebbling.optimal_bw_pebbling(g), labelled, blob):
-        assert subconf.parse_pebbling_trace(subconf.serialize_pebbling(witness), g) == witness
+        assert pebbling.parse_pebbling_trace(pebbling.serialize_pebbling(witness), g) == witness
 
 
 @given(random_dags())
@@ -556,29 +556,29 @@ class TestBlob:
 class TestTraces:
     def test_bw_roundtrip(self, pyr2):
         p = pebbling.greedy_black_strategy(pyr2)
-        text = subconf.serialize_pebbling(p)
-        assert subconf.parse_pebbling_trace(text, pyr2) == p
+        text = pebbling.serialize_pebbling(p)
+        assert pebbling.parse_pebbling_trace(text, pyr2) == p
 
     def test_bw_trace_format(self):
         g = dag.build_path(2)
         text = "game bw\n# place source then slide\nB+ v1\nB+ v2\nB- v1\n"
-        p = subconf.parse_pebbling_trace(text, g)
+        p = pebbling.parse_pebbling_trace(text, g)
         assert pebbling.validate_bw(p).space == 2
 
     def test_labelled_roundtrip(self):
         lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(dag.build_pyramid(2)))
-        text = subconf.serialize_pebbling(lp)
-        assert subconf.parse_pebbling_trace(text, dag.build_pyramid(2)) == lp
+        text = pebbling.serialize_pebbling(lp)
+        assert pebbling.parse_pebbling_trace(text, dag.build_pyramid(2)) == lp
 
     def test_blob_roundtrip(self):
         g = dag.parse_dag("v a\nv z\ne a z\n")
         p = BlobPebbling(host=g, moves=(("I", "z"), ("I", "a"), ("M", 1, 2, "a"), ("E", 1), ("E", 2)))
-        text = subconf.serialize_pebbling(p)
+        text = pebbling.serialize_pebbling(p)
         assert "M 1 2 a" in text
-        assert subconf.parse_pebbling_trace(text, g) == p
+        assert pebbling.parse_pebbling_trace(text, g) == p
         # a merger stored without its pivot is written with the one its replay resolves
         unpinned = BlobPebbling(host=g, moves=p.moves[:2] + (("M", 1, 2),) + p.moves[3:])
-        assert subconf.serialize_pebbling(unpinned) == text
+        assert pebbling.serialize_pebbling(unpinned) == text
 
     @pytest.mark.parametrize("spec", ["path:1", "path:4", "pyramid:1", "pyramid:3", "tree:2", "tree:3"])
     def test_labelled_trace_retagged_as_blob(self, spec):
@@ -586,10 +586,10 @@ class TestTraces:
         # replay in the blob game, and only a merger gains its pivot
         g = dag.parse_family(spec)
         lp = subconf.black_to_labelled(pebbling.greedy_black_strategy(g))
-        text = subconf.serialize_pebbling(lp)
-        bp = subconf.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
+        text = pebbling.serialize_pebbling(lp)
+        bp = pebbling.parse_pebbling_trace(text.replace("game labelled", "game blob", 1), g)
         assert subconf.validate_blob(bp).time == subconf.validate_labelled(lp).time
-        moves = subconf.serialize_pebbling(bp).splitlines()
+        moves = pebbling.serialize_pebbling(bp).splitlines()
         assert moves[0] == "game blob"
         assert all(len(m.split()) == (4 if m[0] == "M" else 2) for m in moves[1:])
         assert [" ".join(m.split()[:3]) for m in moves[1:]] == text.splitlines()[1:]
@@ -603,18 +603,18 @@ class TestTraces:
         ))
         cost = subconf.validate_blob(p)
         assert cost.space >= 2  # [a] and [a z] expand
-        text = subconf.serialize_pebbling(p)
+        text = pebbling.serialize_pebbling(p)
         assert "X 2 : a z /" in text
-        assert subconf.parse_pebbling_trace(text, g) == p
+        assert pebbling.parse_pebbling_trace(text, g) == p
 
     def test_trace_errors(self):
         g = dag.build_path(2)
         with pytest.raises(TraceError, match="game"):
-            subconf.parse_pebbling_trace("B+ v1\n", g)
+            pebbling.parse_pebbling_trace("B+ v1\n", g)
         for text, message in [("game bw\nB+ v1\nB+ v1\n", "step 2: vertex v1 already pebbled"),
                               ("game bw\nB- v1\n", "step 1: no such pebble to remove on v1")]:
             with pytest.raises(IllegalMove) as info:
-                pebbling.validate_bw(subconf.parse_pebbling_trace(text, g))
+                pebbling.validate_bw(pebbling.parse_pebbling_trace(text, g))
             assert str(info.value) == message
         for text, message in [
             ("game labelled\nI bogus\n", "step 1: unknown vertex 'bogus'"),
@@ -624,7 +624,7 @@ class TestTraces:
             ("game blob\nI v1\nI v2\nM 1 2\n",
              "step 3: no merger pivot: [{v2},{v1}] has no vertex in the support of [{v1},{}]"),
         ]:
-            p = subconf.parse_pebbling_trace(text, g)
+            p = pebbling.parse_pebbling_trace(text, g)
             validate = subconf.validate_labelled if isinstance(p, LabelledPebbling) else subconf.validate_blob
             with pytest.raises(IllegalMove) as info:
                 validate(p)
@@ -637,7 +637,7 @@ class TestTraces:
     ], ids=["empty", "comment-only", "inflation-fields-swapped"])
     def test_blob_trace_rejections(self, text, message):
         with pytest.raises(TraceError) as info:
-            subconf.parse_pebbling_trace(text, dag.build_pyramid(1))
+            pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))
         assert str(info.value) == message
 
     @pytest.mark.parametrize("text,message", [
@@ -655,7 +655,7 @@ class TestTraces:
     ])
     def test_blob_replay_rejections(self, text, message):
         # the parser checks syntax; the replay rejects the first bad move
-        p = subconf.parse_pebbling_trace(text, dag.build_pyramid(1))
+        p = pebbling.parse_pebbling_trace(text, dag.build_pyramid(1))
         with pytest.raises(IllegalMove) as info:
             subconf.validate_blob(p)
         assert str(info.value) == message
@@ -667,7 +667,7 @@ class TestTraces:
         # but the superscript, and created[-1] is a real subconfiguration
         text = f"game {game}\nI v1\nI v2\n{move}\n"
         with pytest.raises(TraceError, match="bad subconfiguration index") as info:
-            subconf.parse_pebbling_trace(text, dag.build_path(2))
+            pebbling.parse_pebbling_trace(text, dag.build_path(2))
         assert info.value.line == 4
 
 
