@@ -17,6 +17,7 @@ from .errors import TraceError, TrivialClause
 
 Lit = tuple[str, bool]
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)  # none before 3.10.7
+_unlimited_digits = getattr(sys.int_info, "str_digits_check_threshold", 0)  # no limit is lower
 
 
 def neg(literal: Lit) -> Lit:
@@ -39,8 +40,9 @@ def is_decimal(token: str) -> bool:
     reads: the one number test of the text parsers, since `str.isdigit`
     also accepts '²', which `int` rejects, `int` also accepts '+1', '1_0'
     and the digits of other scripts, and `int` refuses more digits than
-    `sys.get_int_max_str_digits()` (4,300 by default; 0 is no limit)."""
-    return token.isascii() and token.isdecimal() and len(token) <= (_max_str_digits() or len(token))
+    `sys.get_int_max_str_digits()` (4,300 by default, 0 for none, else 640 or more)."""
+    return token.isascii() and token.isdecimal() and (
+        len(token) <= _unlimited_digits or len(token) <= (_max_str_digits() or len(token)))
 
 
 def records(text: str):

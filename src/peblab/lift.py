@@ -18,7 +18,7 @@ from .resolution import Download, Erase, Infer, ProofBuilder, _replay, resolve
 
 if TYPE_CHECKING:
     from .boolfunc import BooleanFunction
-    from .resolution import Refutation, Term
+    from .resolution import Refutation
 
 
 @functools.lru_cache(maxsize=None)
@@ -108,7 +108,7 @@ def lift_refutation(
         raise BudgetExceeded(bound, limit, "lift", unit="lifted lines")
 
     sides: list[int] = []  # per template line: 1 from f's axioms, 2 from not-f's, 3 both
-    inferences: list[tuple[int, int, int]] = []  # (line, premise line, premise line)
+    inferences: list = []  # (line, premise line, premise line), then the premise lines it uses last
     last_use: dict[int, int] = {}
     for k, s in enumerate(template.steps):
         if isinstance(s, Download):
@@ -118,12 +118,13 @@ def lift_refutation(
             sides.append(sides[i] | sides[j])
             inferences.append((k, i, j))
             last_use[i] = last_use[j] = k
+    inferences = [(k, i, j, [p for p in (i, j) if last_use[p] == k]) for k, i, j in inferences]
 
     def base(lit: Lit) -> str:
         return lit[0].rpartition(SUBST_SEP)[0]
 
     @functools.lru_cache(maxsize=None)
-    def block(x: str) -> tuple[list[Term], list[str | None]]:
+    def block(x: str) -> tuple[list[frozenset[Lit]], list[str | None]]:
         """The template's lines and pivots on x's block, built once per pivot."""
         return ([frozenset((f"{x}{SUBST_SEP}{n}", positive) for n, positive in s.line)
                  for s in template.steps],
@@ -184,11 +185,11 @@ def lift_refutation(
             else:
                 pivots = block(step.pivot)[1]
                 derived: set[int] = set()
-                for k, i, j in inferences:
+                for k, i, j, last in inferences:
                     if not b.has(derivation[k]):
                         b.infer_resolve(derivation[i], derivation[j], pivots[k])
                         derived.add(k)
-                    for premise in (i, j):
-                        if last_use[premise] == k and premise in derived:
+                    for premise in last:
+                        if premise in derived:
                             b.erase(derivation[premise])
     return b.build()

@@ -10,8 +10,9 @@ and a bw trace compile none of it (see `cli`).
 
 Validators are pure functions over immutable traces.  Optimal prices come
 from `search.space_bounded_search`, the one search of both space games (it
-also runs `saturation.min_clause_space`), with the moves in canonical vertex
-order (removals before placements), so repeated runs give identical witnesses.
+also runs `saturation.min_clause_space`), which only the price search loads,
+with the moves in canonical vertex order (removals before placements), so
+repeated runs give identical witnesses.
 The price search makes no dominated move: a white pebble goes only on an
 inner vertex, and a black-game source only in one grow with the vertex it
 serves, and it leaves in the shrink right after, with the rest of that
@@ -28,7 +29,6 @@ from typing import TYPE_CHECKING
 from .cnf import Value, records
 from .errors import IllegalMove, TraceError, WhitePebbleInBlackOnly, WrongEndpoints
 from .lazy import lazy_names
-from .search import space_bounded_search
 
 if TYPE_CHECKING:
     from .dag import Dag
@@ -166,6 +166,7 @@ def _optimal_pebbling(g: Dag, black_only: bool, budget) -> BwPebbling:
     would be a shrink that first grows, which no move here is.  The
     witness plays each batch, then its strip, and the final strip to
     {sink}, one pebble per move, lowest vertex first."""
+    from .search import space_bounded_search  # only the price search loads it
     order = g.topological_order()
     n, full = len(order), (1 << len(order)) - 1
     bit = {v: 1 << i for i, v in enumerate(order)}

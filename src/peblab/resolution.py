@@ -1,6 +1,6 @@
-"""Configuration-style resolution and k-DNF resolution: the proof values,
-the resolution rule, the checker, the proof builder, the compilers and
-the trace format, which every proof stage runs.
+"""Configuration-style resolution: the proof values, the resolution rule,
+the checker, the proof builder, the compilers and the trace format, which
+every proof stage runs.
 
 Proof objects are sequences of axiom download / inference / erasure
 steps over clause (or k-DNF line) configurations.  One checked replay,
@@ -20,9 +20,9 @@ distinct resolution inference once, but tests every step's premises and
 erasures against the live configuration.  No table keeps text for a line
 that does not recur: the writer keeps a line's text from its second
 sighting on, and the reader's tables hold literals and lines, not token
-sequences or text.  Lift and saturation, with the width and clause-space
-oracles, live in `lift` and `saturation`, so `check` compiles neither
-(see `cli`).
+sequences or text.  Lift, saturation with the width and clause-space
+oracles, and the k-DNF system live in `lift`, `saturation` and `kdnf`, so
+`check` of a resolution proof compiles none of them (see `cli`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .cnf import (
-    Clause, CnfFormula, EMPTY_CLAUSE, Lit, Value, format_lit, indices, is_decimal, neg, parse_lit, records,
+    Clause, CnfFormula, EMPTY_CLAUSE, Value, indices, is_decimal, parse_lit, records,
 )
 from .errors import (
     IllegalStep,
@@ -48,62 +48,12 @@ from .lazy import lazy_names
 if TYPE_CHECKING:
     from .boolfunc import BooleanFunction
     from .dag import Dag
-
-Term = frozenset[Lit]
+    from .kdnf import KDnfLine, Term
 
 # `perfbench/` reads these names here; the table goes once it imports them from their homes
 _LAZY = {"lift": ("lift_refutation",), "saturation": ("saturate", "min_width", "min_clause_space")}
 __getattr__ = lazy_names(globals(), _LAZY)
 
-
-def term(spec: str) -> Term:
-    return frozenset(parse_lit(tok) for tok in spec.replace("&", " ").split())
-
-
-def _term_lits(t: Term) -> tuple[str, ...]:
-    """A term's formatted literals, sorted: its sort key and its text."""
-    return tuple(sorted(map(format_lit, t)))
-
-
-class KDnfLine(Value):
-    """Disjunction of terms; each term a nontrivial conjunction of literals."""
-
-    __slots__ = _fields = ("terms",)
-
-    def __init__(self, terms: frozenset[Term] = frozenset()):
-        for t in terms:
-            if not t:
-                raise ValueError("empty term (constant true) not allowed in a line")
-            names = [n for n, _ in t]
-            if len(names) != len(set(names)):
-                raise ValueError(f"trivial term {_format_term(_term_lits(t))}")
-        self.terms = terms
-
-    @classmethod
-    def from_clause(cls, c: Clause) -> "KDnfLine":
-        return cls(frozenset(frozenset({lit}) for lit in c))
-
-    def variables(self) -> frozenset[str]:
-        return frozenset(n for t in self.terms for n, _ in t)
-
-    def literal_count(self) -> int:
-        return sum(len(t) for t in self.terms)
-
-    def max_term_width(self) -> int:
-        return max((len(t) for t in self.terms), default=0)
-
-    def is_empty(self) -> bool:
-        return not self.terms
-
-    def sort_key(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(sorted(map(_term_lits, self.terms)))
-
-    def __str__(self) -> str:
-        return " ".join(lits[0] if len(lits) == 1 else _format_term(lits)
-                        for lits in self.sort_key()) or "<empty>"
-
-
-EMPTY_LINE = KDnfLine()
 
 # step kinds ---------------------------------------------------------------
 
@@ -180,90 +130,7 @@ def resolve(c1: Clause, c2: Clause, pivot: str) -> Clause:
         raise TrivialResolvent(f"resolving ({c1}) and ({c2}) on {pivot}") from None
 
 
-# -- semantic evaluation (truth-table cross-checks) ---------------------------
-
-_SEMANTIC_VAR_CAP = 20
-
-
-def _lines_imply(premises, conclusion) -> bool | None:
-    """Truth-table implication check; None if too many variables."""
-    names = sorted(set().union(*(p.variables() for p in premises), conclusion.variables()))
-    if len(names) > _SEMANTIC_VAR_CAP:
-        return None
-    pos = {n: i for i, n in enumerate(names)}
-
-    def holds(line, assignment) -> bool:
-        if isinstance(line, Clause):
-            return any(((assignment >> pos[n]) & 1) == int(p) for n, p in line)
-        return any(
-            all(((assignment >> pos[n]) & 1) == int(p) for n, p in t) for t in line.terms
-        )
-
-    for assignment in range(1 << len(names)):
-        if all(holds(p, assignment) for p in premises) and not holds(conclusion, assignment):
-            return False
-    return True
-
-
 # -- the checker --------------------------------------------------------------
-
-
-def _check_kdnf_rule(step: Infer, premises: list, k: int, idx: int) -> None:
-    line = step.line
-    if not isinstance(line, KDnfLine):
-        raise IllegalStep(idx, "k-DNF step must infer a k-DNF line")
-    if line.max_term_width() > k:
-        raise IllegalStep(idx, f"term wider than k={k} in conclusion")
-    if step.rule == "weaken":
-        if len(premises) != 1:
-            raise IllegalStep(idx, "weakening takes one premise")
-        if not premises[0].terms <= line.terms:
-            raise IllegalStep(idx, "weakening must extend the premise")
-        return
-    if step.rule == "cut":
-        if len(premises) != 2 or step.cut_term is None:
-            raise IllegalStep(idx, "cut takes two premises and a cut term")
-        t = step.cut_term
-        p1, p2 = premises
-        if len(t) > k:
-            raise IllegalStep(idx, f"cut term wider than k={k}")
-        if t not in p1.terms:
-            raise IllegalStep(idx, "cut term missing from first premise")
-        negs = {frozenset({neg(l)}) for l in t}
-        if not negs <= p2.terms:
-            raise IllegalStep(idx, "negated cut literals missing from second premise")
-        g = p1.terms - {t}
-        rest = p2.terms - negs
-        if not (g | rest) <= line.terms or not line.terms <= (g | p2.terms):
-            raise IllegalStep(idx, "cut conclusion does not match premises")
-        return
-    if step.rule == "andi":
-        if len(premises) != 2:
-            raise IllegalStep(idx, "and-introduction takes two premises")
-        p1, p2 = premises
-        for t1 in p1.terms:
-            for t2 in p2.terms:
-                if p1.terms - {t1} != p2.terms - {t2}:
-                    continue
-                union = t1 | t2
-                if len(union) > k:
-                    continue
-                names = [n for n, _ in union]
-                if len(names) != len(set(names)):
-                    continue
-                if line.terms == (p1.terms - {t1}) | {union}:
-                    return
-        raise IllegalStep(idx, "no valid and-introduction matches the conclusion")
-    if step.rule == "ande":
-        if len(premises) != 1:
-            raise IllegalStep(idx, "and-elimination takes one premise")
-        (p,) = premises
-        for t in p.terms:
-            for sub in line.terms:
-                if sub < t and line.terms == (p.terms - {t}) | {sub}:
-                    return
-        raise IllegalStep(idx, "no valid and-elimination matches the conclusion")
-    raise IllegalStep(idx, f"unknown k-DNF rule {step.rule!r}")
 
 
 def _check_res_rule(step: Infer, premises: list, idx: int) -> None:
@@ -302,10 +169,13 @@ def _replay(r: Refutation, semantic_check: bool):
         raise ValueError(f"unknown proof system {r.system!r}")
     kdnf = r.system == "kdnf"
     if kdnf:
+        from .kdnf import EMPTY_LINE, KDnfLine, _check_kdnf_rule
         line_type, bottom = KDnfLine, EMPTY_LINE
         axioms = {KDnfLine.from_clause(c) for c in r.target.clauses}
     else:
         line_type, bottom, axioms = Clause, EMPTY_CLAUSE, r.target.clauses
+    if semantic_check:
+        from .kdnf import _lines_imply
     lines_by_id: dict[int, object] = {}
     config: set = set()
     # the resolution inferences judged legal, as (line class, line, *premise
@@ -314,7 +184,8 @@ def _replay(r: Refutation, semantic_check: bool):
     checked: set[tuple] = set()
     for idx, step in enumerate(r.steps, start=1):
         premises = []
-        if isinstance(step, Erase):
+        kind = step.__class__
+        if kind is Erase:
             if step.target not in lines_by_id:
                 raise IllegalStep(idx, f"erase target {step.target} does not name a line")
             line = lines_by_id[step.target]
@@ -322,11 +193,11 @@ def _replay(r: Refutation, semantic_check: bool):
                 raise IllegalStep(idx, f"erasing ({line}) which is not present")
             config.remove(line)
         else:
-            if isinstance(step, Download):
+            if kind is Download:
                 # a plain frozenset equals the clause of its literals, so check the type
                 if step.line.__class__ is not line_type or step.line not in axioms:
                     raise IllegalStep(idx, f"({step.line}) is not an axiom of the target formula")
-            elif isinstance(step, Infer):
+            elif kind is Infer:
                 for pid in step.premises:
                     if pid not in lines_by_id:
                         raise IllegalStep(idx, f"premise {pid} does not name an earlier line")
@@ -360,50 +231,53 @@ def check_refutation(r: Refutation, semantic_check: bool = False) -> Measures:
     truth table when its premises span at most 20 variables;
     semantic_check=True cross-checks resolution inferences too.
 
-    The measures are kept incrementally: a per-variable occurrence count
-    over the present lines and a running literal total change only when
-    a line enters or leaves the configuration, so each step costs
-    O(step width), not O(configuration).  A clause's variables are read
-    straight off its literals, which name each variable once, so no step
-    builds a set.
+    The measures are kept incrementally, with one variable mask per
+    present line: only an axiom (once per distinct axiom), a weakening or
+    a k-DNF line has its literals read, and a resolvent's mask is its
+    premises' union less the pivot.  A running union of the masks that
+    entered holds the present variables, so variable space is recounted
+    over the present masks only when that union outgrows the maximum.
     """
     kdnf = r.system == "kdnf"
-    occurrences: dict[str, int] = {}  # variable -> number of present lines mentioning it
+    bits: dict[str, int] = {}  # variable -> its bit
+    axiom_masks: dict = {}  # axiom -> its mask
+    masks: dict = {}  # present line -> its mask
+    union = 0  # a superset of the present lines' variables
     literals = 0  # literals over the present lines
-    length = 0
-    width = 0
-    clause_space = 0
-    variable_space = 0
-    total_space = 0
-    size = 0  # lines present before the step
-    for step, line, _, config in _replay(r, kdnf or semantic_check):
-        if kdnf:  # one (variable, _) pair per variable: terms may share one
-            line_width, pairs = line.literal_count(), [(v, None) for v in line.variables()]
-        else:
-            line_width, pairs = len(line), line
-        if isinstance(step, Erase):
-            for v, _ in pairs:
-                if occurrences[v] == 1:
-                    del occurrences[v]
-                else:
-                    occurrences[v] -= 1
-            literals -= line_width
+    length = width = clause_space = variable_space = total_space = 0
+    for step, line, premises, config in _replay(r, kdnf or semantic_check):
+        kind = step.__class__
+        if kind is Erase:
+            del masks[line]
+            literals -= line.literal_count() if kdnf else len(line)
         else:
             length += 1
-            if len(config) > size:  # the line entered; a re-derived one is already counted
-                for v, _ in pairs:
-                    occurrences[v] = occurrences.get(v, 0) + 1
+            if line not in masks:  # the line entered; a re-derived one is already counted
+                if kind is Infer and not kdnf and step.rule == "pivot":
+                    a, b = premises  # the replay checked that line is (a - x) | (b - -x)
+                    mask = (masks[a] | masks[b]) & ~bits[step.pivot]
+                elif kind is Download and line in axiom_masks:
+                    mask = axiom_masks[line]
+                else:  # one bit per variable, so the sum is the union
+                    mask = sum(bits.setdefault(v, 1 << len(bits)) for v in line.variables())
+                    if kind is Download:
+                        axiom_masks[line] = mask
+                masks[line] = mask
+                line_width = line.literal_count() if kdnf else len(line)
                 literals += line_width
                 # only a line that enters can raise a maximum
                 if line_width > width:
                     width = line_width
                 if len(config) > clause_space:
                     clause_space = len(config)
-                if len(occurrences) > variable_space:
-                    variable_space = len(occurrences)
                 if literals > total_space:
                     total_space = literals
-        size = len(config)
+                union |= mask
+                if union.bit_count() > variable_space:  # it may hold erased lines' variables
+                    union = 0
+                    for present in masks.values():
+                        union |= present
+                    variable_space = max(variable_space, union.bit_count())
     return Measures(
         length=length,
         width=width,
@@ -432,38 +306,37 @@ class ProofBuilder:
         self._lines: dict = {}  # line value -> the one object that stands for it
         self._resolvents: dict[tuple[Clause, Clause, str], Clause] = {}
 
-    def _add(self, kind, line, *args, **kwargs):
-        """Append a `kind` step that adds `line` and return the line."""
-        line = self._lines.setdefault(line, line)
-        self.steps.append(kind(line, *args, **kwargs))
-        self._ids[line] = len(self.steps)
-        return line
+    def _add(self, step):
+        """Append `step`, whose line is the shared object, and return the line."""
+        self.steps.append(step)
+        self._ids[step.line] = len(self.steps)
+        return step.line
 
     def has(self, line) -> bool:
         return line in self._ids
 
     def download(self, line):
-        return self._add(Download, line)
+        return self._add(Download(self._lines.setdefault(line, line)))
 
     def infer_resolve(self, c1: Clause, c2: Clause, pivot: str) -> Clause:
-        known = self._resolvents.get((c1, c2, pivot))
-        line = self._add(Infer, resolve(c1, c2, pivot) if known is None else known,
-                         (self._ids[c1], self._ids[c2]), "pivot", pivot=pivot)
-        if known is None:  # keyed by the shared premises, so it keeps no copy alive
+        line = self._resolvents.get((c1, c2, pivot))
+        if line is None:  # keyed by the shared premises, so it keeps no copy alive
+            line = self._lines.setdefault(resolvent := resolve(c1, c2, pivot), resolvent)
             self._resolvents[self._lines[c1], self._lines[c2], pivot] = line
-        return line
+        return self._add(Infer(line, (self._ids[c1], self._ids[c2]), "pivot", pivot))
 
     def weaken(self, source: Clause, result: Clause) -> Clause:
-        return self._add(Infer, result, (self._ids[source],), "weaken")
+        return self._add(Infer(self._lines.setdefault(result, result), (self._ids[source],), "weaken"))
 
     def cut(self, p1: KDnfLine, p2: KDnfLine, cut_term: Term, result: KDnfLine) -> KDnfLine:
-        return self._add(Infer, result, (self._ids[p1], self._ids[p2]), "cut", cut_term=cut_term)
+        line = self._lines.setdefault(result, result)
+        return self._add(Infer(line, (self._ids[p1], self._ids[p2]), "cut", cut_term=cut_term))
 
     def andi(self, p1: KDnfLine, p2: KDnfLine, result: KDnfLine) -> KDnfLine:
-        return self._add(Infer, result, (self._ids[p1], self._ids[p2]), "andi")
+        return self._add(Infer(self._lines.setdefault(result, result), (self._ids[p1], self._ids[p2]), "andi"))
 
     def ande(self, p: KDnfLine, result: KDnfLine) -> KDnfLine:
-        return self._add(Infer, result, (self._ids[p],), "ande")
+        return self._add(Infer(self._lines.setdefault(result, result), (self._ids[p],), "ande"))
 
     def erase(self, line) -> None:
         self.steps.append(Erase(self._ids.pop(line)))
@@ -583,10 +456,6 @@ def _format_line(line) -> str:
     return "" if line.is_empty() else str(line)
 
 
-def _format_term(lits: tuple[str, ...]) -> str:
-    return "(" + "&".join(lits) + ")"
-
-
 def serialize_refutation(r: Refutation) -> str:
     """The trace of `r`.  A line's text is kept once the line recurs: its
     first sighting stores None, its second the text, so a proof whose
@@ -616,6 +485,7 @@ def serialize_refutation(r: Refutation) -> str:
         if rule == "pivot":
             words += ("pivot", step.pivot)
         elif rule == "cut":
+            from .kdnf import _format_term, _term_lits
             words += ("cut", _format_term(_term_lits(step.cut_term)))
         elif rule != "weaken":
             words.append(rule)
@@ -628,6 +498,8 @@ def _parse_line_tokens(tokens: list[str], kdnf: bool, lineno: int, tables=None):
     """The line `tokens` write.  `tables` is (literal or term by token,
     line by literal or term set) for one parse, so each distinct token
     is read once and each distinct line is checked and built once."""
+    if kdnf:
+        from .kdnf import KDnfLine, term
     atoms, lines = ({}, {}) if tables is None else tables
     try:  # C-level when every token was read before
         key = frozenset(map(atoms.__getitem__, tokens))

@@ -6,7 +6,7 @@ capture); every criterion pins its tolerances inline.
 
 import pytest
 
-from peblab import boolfunc, dag, formulas, lift, pebbling, projections, resolution, sat, saturation
+from peblab import boolfunc, dag, formulas, kdnf, lift, pebbling, projections, resolution, sat, saturation
 from peblab.cnf import Clause, EMPTY_CLAUSE, clause, formula
 from peblab.errors import TrivialResolvent
 from peblab.resolution import Download, Infer, ProofBuilder, Refutation
@@ -304,15 +304,15 @@ def test_criterion_11_kdnf_checker(announce):
     # mutations: |t U t'| > k and-introduction and a 3-literal term rejected
     F = r.target
     steps = (
-        Download(resolution.KDnfLine.from_clause(clause("v1#1 -v1#2 v2#1 v2#2"))),
-        Download(resolution.KDnfLine.from_clause(clause("v1#1 -v1#2 -v2#1 -v2#2"))),
+        Download(kdnf.KDnfLine.from_clause(clause("v1#1 -v1#2 v2#1 v2#2"))),
+        Download(kdnf.KDnfLine.from_clause(clause("v1#1 -v1#2 -v2#1 -v2#2"))),
         Infer(kline("v1#1 -v1#2 (v2#1&v2#2&-v1#2)"), (1, 2), "andi"),
     )
     with pytest.raises(resolution.IllegalStep):
         resolution.check_refutation(Refutation(target=F, steps=steps, system="kdnf", k=2))
 
     wide = (
-        Download(resolution.KDnfLine.from_clause(clause("v1#1 -v1#2 v2#1 v2#2"))),
+        Download(kdnf.KDnfLine.from_clause(clause("v1#1 -v1#2 v2#1 v2#2"))),
         Infer(kline("v1#1 -v1#2 v2#1 (v2#2&v1#1&v2#1)"), (1,), "weaken"),
     )
     with pytest.raises(resolution.IllegalStep, match="wider than k"):

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from peblab import cli, dag, formulas, pebbling, resolution, sat, subconf
+from peblab.cnf import formula
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -91,20 +92,23 @@ def test_gen_keeps_later_pairs_after_an_unexpected_exception(tmp_path, capsys, m
     assert (tmp_path / "manifest.csv").read_text().count("path:2") == 1
 
 
-PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "lift", "pebbling", "projections", "resolution",
-                  "sat", "saturation", "search", "subconf"}
+PEBLAB_MODULES = {"boolfunc", "dag", "formulas", "kdnf", "lift", "pebbling", "projections",
+                  "resolution", "sat", "saturation", "search", "subconf"}
 
 
 @pytest.fixture(scope="module")
 def stage_dir(tmp_path_factory):
     """base.cnf and p.trace of path:3, the inputs of the check, lift,
     minwidth and minspace stages, their xor:2 lift sub.cnf and sub.trace,
-    the inputs of the extract stage, and bw.trace and labelled.trace, the
-    greedy black pebbling of path:3 and its L-pebbling."""
+    the inputs of the extract stage, bw.trace and labelled.trace, the
+    greedy black pebbling of path:3 and its L-pebbling, and kdnf.trace, a
+    one-cut 1-DNF refutation of units.cnf, {x} and {-x}."""
     d = tmp_path_factory.mktemp("stages")
     greedy = pebbling.greedy_black_strategy(dag.build_path(3))
     (d / "bw.trace").write_text(pebbling.serialize_pebbling(greedy))
     (d / "labelled.trace").write_text(pebbling.serialize_pebbling(subconf.black_to_labelled(greedy)))
+    (d / "units.cnf").write_text(formulas.to_dimacs(formula(["x", "-x"])))
+    (d / "kdnf.trace").write_text("system kdnf 1\nd x\nd -x\nr <- 1 2 cut (x)\n")
     assert run("compile", "--graph", "path:3", "--out", str(d / "p.trace"),
                "--emit-formula", str(d / "base.cnf")) == 0
     assert run("lift", "--formula", str(d / "base.cnf"), "--proof", str(d / "p.trace"),
@@ -130,18 +134,18 @@ def loaded_modules(argv, cwd):
     ("lift --formula base.cnf --proof p.trace --fn xor:2 --out l.trace",
      {"boolfunc", "formulas", "lift", "resolution"}),
     ("minwidth --formula base.cnf --cap 4", {"formulas", "saturation"}),
-    ("compile --graph path:2 --out c.trace",
-     {"dag", "boolfunc", "formulas", "pebbling", "resolution", "search"}),
+    ("compile --graph path:2 --out c.trace", {"dag", "boolfunc", "formulas", "pebbling", "resolution"}),
     ("const-space --graph path:2 --out cs.trace", {"dag", "formulas", "resolution"}),
     ("minspace --formula base.cnf --cap 4", {"formulas", "saturation", "search"}),
     ("extract --formula sub.cnf --proof sub.trace --fn xor:2 --out e.trace",
      {"boolfunc", "formulas", "projections", "resolution"}),
     ("report --family path --range 1 --out r.csv",
      {"dag", "boolfunc", "formulas", "pebbling", "resolution", "search"}),
-    ("pebble-validate --graph path:3 --trace labelled.trace", {"dag", "pebbling", "search", "subconf"}),
-    ("pebble-validate --graph path:3 --trace bw.trace", {"dag", "pebbling", "search"}),
+    ("pebble-validate --graph path:3 --trace labelled.trace", {"dag", "pebbling", "subconf"}),
+    ("pebble-validate --graph path:3 --trace bw.trace", {"dag", "pebbling"}),
     ("compile --graph path:3 --trace bw.trace --out t.trace",
-     {"dag", "boolfunc", "formulas", "pebbling", "resolution", "search"}),
+     {"dag", "boolfunc", "formulas", "pebbling", "resolution"}),
+    ("check --formula units.cnf --proof kdnf.trace", {"formulas", "kdnf", "resolution"}),
 ])
 def test_command_imports_only_what_it_runs(stage_dir, argv, loaded):
     # Each stage is a fresh process that compiles every module it imports,
@@ -162,11 +166,11 @@ LINE_CEILINGS = {
     "pebble-price --graph pyramid:2": 1265,
     "minwidth --formula base.cnf --cap 4": 1045,
     "minspace --formula base.cnf --cap 4": 1125,
-    "check --formula base.cnf --proof p.trace": 1700,
-    "const-space --graph path:2 --out cs.trace": 1975,
-    "lift --formula base.cnf --proof p.trace --fn xor:2 --out l.trace": 2115,
-    "extract --formula sub.cnf --proof sub.trace --fn xor:2 --out e.trace": 2410,
-    "compile --graph path:2 --out c.trace": 2515,
+    "check --formula base.cnf --proof p.trace": 1550,
+    "const-space --graph path:2 --out cs.trace": 1825,
+    "lift --formula base.cnf --proof p.trace --fn xor:2 --out l.trace": 1980,
+    "extract --formula sub.cnf --proof sub.trace --fn xor:2 --out e.trace": 2280,
+    "compile --graph path:2 --out c.trace": 2345,
 }
 
 

@@ -11,6 +11,9 @@ checker meet lines and inferences they have seen before.
 """
 
 import argparse
+import os
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -87,7 +90,7 @@ def test_parsers_are_total(name, data):
         pass
 
 
-@pytest.mark.parametrize("parse, text, message", [
+NUMBER_CASES = [
     (formulas.from_dimacs, f"p cnf {HUGE} 0\n", "bad problem line"),
     (formulas.from_dimacs, f"p cnf 1 1\n{HUGE} 0\n", "bad literal"),
     (formulas.from_dimacs, f"c var {HUGE} a\np cnf 1 1\n1 0\n", "bad variable index"),
@@ -97,7 +100,11 @@ def test_parsers_are_total(name, data):
     (lambda text: resolution.parse_refutation_trace(text, PEB), f"system kdnf {HUGE}\n",
      "bad system line"),
     (formulas.split_substituted, f"x#{HUGE}", "is not a substituted variable name"),
-], ids=["p-cnf", "literal", "c-var", "subconf-index", "family", "kdnf-header", "substituted-name"])
+]
+NUMBER_IDS = ["p-cnf", "literal", "c-var", "subconf-index", "family", "kdnf-header", "substituted-name"]
+
+
+@pytest.mark.parametrize("parse, text, message", NUMBER_CASES, ids=NUMBER_IDS)
 def test_a_number_longer_than_int_reads_is_the_parsers_own_error(parse, text, message):
     # not Python's "Exceeds the limit (4300 digits) for integer string conversion"
     with pytest.raises((PeblabError, ValueError), match=message):
@@ -110,3 +117,31 @@ def test_a_budget_longer_than_int_reads_is_refused(monkeypatch):
     monkeypatch.setenv("PEBLAB_BUDGET", HUGE)
     with pytest.raises(PeblabError, match="PEBLAB_BUDGET must be a decimal integer"):
         errors.search_budget()
+
+
+def budget_from_env(text):
+    with mock.patch.dict(os.environ, PEBLAB_BUDGET=text):
+        return errors.search_budget()
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    *NUMBER_CASES,
+    (lambda text: resolution.parse_refutation_trace(text, PEB), f"system res\ne {HUGE}\n",
+     "bad step reference"),
+    (cli._natural, HUGE, "not a decimal integer"),
+    (budget_from_env, HUGE, "PEBLAB_BUDGET must be a decimal integer"),
+], ids=[*NUMBER_IDS, "step-reference", "budget", "budget-env"])
+def test_the_lowest_digit_limit_is_read_exactly(parse, text, message):
+    # 640 is the least nonzero limit (`sys.int_info.str_digits_check_threshold`),
+    # and `is_decimal` reads the limit only for longer runs
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        try:
+            parse(text.replace(HUGE, "9" * 640))
+        except (PeblabError, ValueError, argparse.ArgumentTypeError) as e:
+            assert message not in str(e)
+        with pytest.raises((PeblabError, ValueError, argparse.ArgumentTypeError), match=message):
+            parse(text.replace(HUGE, "9" * 641))
+    finally:
+        sys.set_int_max_str_digits(limit)

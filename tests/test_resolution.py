@@ -4,14 +4,13 @@ from collections import Counter, deque
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from peblab import boolfunc, dag, formulas, lift, pebbling, resolution, sat, saturation
+from peblab import boolfunc, dag, formulas, kdnf, lift, pebbling, resolution, sat, saturation, search
 from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, clause, formula, minimized, neg
 from peblab.errors import (
     BudgetExceeded, IllegalStep, MissingBottom, PivotAbsent, TraceError, TrivialResolvent,
 )
-from peblab.resolution import (
-    EMPTY_LINE, Download, Erase, Infer, KDnfLine, ProofBuilder, Refutation, term,
-)
+from peblab.kdnf import EMPTY_LINE, KDnfLine, term
+from peblab.resolution import Download, Erase, Infer, ProofBuilder, Refutation
 
 OR2 = boolfunc.or_fn(2)
 XOR2 = boolfunc.xor_fn(2)
@@ -131,8 +130,8 @@ class TestChecker:
             resolution.check_refutation(Refutation(target=F, steps=steps))
 
     def test_semantic_spot_check_helper(self):
-        assert resolution._lines_imply([clause("x"), clause("-x y")], clause("y")) is True
-        assert resolution._lines_imply([clause("x y")], clause("x")) is False
+        assert kdnf._lines_imply([clause("x"), clause("-x y")], clause("y")) is True
+        assert kdnf._lines_imply([clause("x y")], clause("x")) is False
 
     def test_measures_match_independent_replay(self):
         r = resolution.pebbling_to_refutation(
@@ -249,12 +248,23 @@ _EXAMPLE_OPS = [("download", 0, 0), ("download", 0, 0), ("erase", 0, 0), ("downl
                 ("download", 4, 0), ("infer", 0, 1), ("infer", 0, 1), ("weaken", 0, 6),
                 ("weaken", 0, 0), ("erase", 2, 0)]
 
+# a b and a -b give a, which is derived again while present; erasing both
+# premises takes the pivot b out of the configuration before -a c enters
+_PIVOT_LEAVES_OPS = [("download", 2, 0), ("download", 3, 0), ("infer", 0, 1), ("infer", 0, 1),
+                     ("erase", 0, 0), ("erase", 0, 0), ("download", 4, 0)]
+# x weakened by a: the weakening adds a variable that no other line has
+_WEAKENING_ADDS_OPS = [("download", 0, 0), ("weaken", 0, 0)]
+
 
 @given(st.lists(st.tuples(st.sampled_from(PROOF_OPS), st.integers(0, 63), st.integers(0, 63)),
                 max_size=30),
        st.sampled_from(["res", "kdnf"]))
 @example(_EXAMPLE_OPS, "res")
 @example(_EXAMPLE_OPS, "kdnf")
+@example(_PIVOT_LEAVES_OPS, "res")
+@example(_PIVOT_LEAVES_OPS, "kdnf")
+@example(_WEAKENING_ADDS_OPS, "res")
+@example(_WEAKENING_ADDS_OPS, "kdnf")
 @settings(max_examples=200, deadline=None)
 def test_incremental_measures_match_replay(ops, system):
     r = random_proof(ops, system)
@@ -981,7 +991,7 @@ def test_resolvent_is_implied(pair):
         r = resolution.resolve(c1, c2, pivot)
     except TrivialResolvent:
         return
-    assert resolution._lines_imply([c1, c2], r) is True
+    assert kdnf._lines_imply([c1, c2], r) is True
     assert pivot not in r.variables()
 
 
@@ -1121,9 +1131,9 @@ def clause_space_certificate(F: CnfFormula, cap: int) -> Refutation:
         yield from (state | {a} for a in axioms if a not in state)
         yield from (state | {r} for _, _, _, r in _resolvents(state) if r not in state)
 
-    path, _ = pebbling.space_bounded_search(frozenset(), erasures, derivations, len,
-                                            lambda state: EMPTY_CLAUSE in state, None,
-                                            "certificate search", cap)
+    path, _ = search.space_bounded_search(frozenset(), erasures, derivations, len,
+                                          lambda state: EMPTY_CLAUSE in state, None,
+                                          "certificate search", cap)
     b = ProofBuilder(F)
     for prev, cur in zip(path, path[1:]):
         if prev - cur:

@@ -12,9 +12,8 @@ from peblab.cnf import Clause, CnfFormula, EMPTY_CLAUSE, Value, clause
 from peblab.errors import ConstantFunction, TrivialClause
 from peblab.pebbling import BwPebbling, PebblingCost
 from peblab.projections import SpaceRespectReport, SpaceRespectRow, SuiteReport
-from peblab.resolution import (
-    EMPTY_LINE, Download, Erase, Infer, KDnfLine, Measures, Refutation, SimulationConstants,
-)
+from peblab.kdnf import EMPTY_LINE, KDnfLine
+from peblab.resolution import Download, Erase, Infer, Measures, Refutation, SimulationConstants
 from peblab.subconf import BlobPebbling, BlobSubconf, LabelledCost, LabelledPebbling, Subconf
 
 G = dag.build_path(2)
